@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Union
 
 import numpy as np
@@ -424,13 +424,15 @@ class Domain:
             raise GeometryError("angle sequence is defined for polygonal domains only")
         return np.array([ang for _, ang in self.corners])
 
-    def refine_polyline(self, spacing: float) -> None:
-        """Rebuild the smooth-boundary polyline cache at a finer spacing."""
-        if self.is_polygon or spacing <= 0:
-            return
-        current = self.perimeter / len(self._polyline)
-        if spacing < current:
-            _attach_smooth_caches(self, spacing)
+    def refined(self, spacing: float) -> "Domain":
+        """This domain with its smooth-boundary polyline at ``spacing`` or finer:
+        ``self`` when the polyline already is that fine (and for polygons),
+        otherwise a copy with rebuilt caches; ``self`` is never changed."""
+        if self.is_polygon or not 0 < spacing < self.perimeter / len(self._polyline):
+            return self
+        copy = replace(self)
+        _attach_smooth_caches(copy, spacing)
+        return copy
 
 
 def _polygon_domain(spec: DomainSpec, vertices: np.ndarray) -> Domain:

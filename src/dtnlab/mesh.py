@@ -9,9 +9,20 @@ lattice, takes the Delaunay triangulation of the union, keeps triangles whose
 centroid is inside the domain, and relaxes interior nodes by neighbor
 averaging. Constants are tuned so that edge lengths stay below the requested
 h and the min-angle floor holds away from sharp input corners.
+
+Smoothing moves the interior nodes a little at a time, so the Delaunay
+triangulation is kept from one pass to the next and qhull runs again only
+when the moved nodes break it: when a triangle changes or loses its
+orientation, or an interior edge with a moving endpoint fails the incircle
+test (an exact form of the DistMesh rule, Persson & Strang, SIAM Review 46,
+2004). By the Delaunay lemma a kept triangulation that passes both checks is
+the Delaunay triangulation of the moved nodes, so meshes are the ones a fresh
+triangulation per pass gives, up to the order of the triangles, rounding in
+the smoothing sums and the diagonal of near-cocircular quads.
 """
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 
@@ -22,6 +33,11 @@ from .geometry import Domain
 
 MIN_ANGLE_DEG = 20.0
 SHARP_CORNER_DEG = 40.0  # corners below this cannot host 20-degree triangles
+# an edge stays Delaunay unless the opposite vertex is inside the circumcircle
+# by more than this, relative to |a - d|^2 |b - d|^2: near-ties are kept
+INCIRCLE_MARGIN = 1e-9
+
+log = logging.getLogger("dtnlab")
 
 
 class MeshError(RuntimeError):
@@ -46,11 +62,7 @@ class Mesh:
         return np.arange(self.n_interior, self.n_interior + self.n_boundary)
 
     def signed_areas(self) -> np.ndarray:
-        p = self.nodes[self.triangles]
-        return 0.5 * (
-            (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-            - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1])
-        )
+        return 0.5 * _orientation(self.nodes, self.triangles)
 
     def edges(self) -> tuple[np.ndarray, np.ndarray]:
         """Unique undirected edges and their triangle-incidence counts."""
@@ -61,7 +73,8 @@ class Mesh:
         uniq = np.stack([keys // base, keys % base], axis=1).astype(t.dtype)
         return uniq, counts
 
-    def min_angles_deg(self) -> np.ndarray:
+    def angles_deg(self) -> np.ndarray:
+        """(n_tri, 3) interior angles, column i at corner ``triangles[:, i]``."""
         p = self.nodes[self.triangles]
         angs = np.empty((len(self.triangles), 3))
         for i in range(3):
@@ -71,7 +84,19 @@ class Mesh:
                 np.hypot(a[:, 0], a[:, 1]) * np.hypot(b[:, 0], b[:, 1]), 1e-300
             )
             angs[:, i] = np.degrees(np.arccos(np.clip(cosv, -1.0, 1.0)))
-        return angs.min(axis=1)
+        return angs
+
+    def min_angles_deg(self) -> np.ndarray:
+        return self.angles_deg().min(axis=1)
+
+
+def _orientation(pts: np.ndarray, tris: np.ndarray) -> np.ndarray:
+    """Twice the signed area of each triangle; positive when it is CCW."""
+    p = pts[tris]
+    return (
+        (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
+        - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1])
+    )
 
 
 def _edge_keys(pairs: np.ndarray, base: int) -> np.ndarray:
@@ -109,10 +134,58 @@ def _hex_lattice(lo: np.ndarray, hi: np.ndarray, a: float) -> np.ndarray:
     return np.stack([gx.ravel(), gy.ravel()], axis=1)
 
 
-def _filtered_triangulation(pts: np.ndarray, domain: Domain) -> np.ndarray:
-    tris = Delaunay(pts).simplices
-    cen = pts[tris].mean(axis=1)
-    return tris[domain.contains(cen)]
+@dataclass
+class _KeptDelaunay:
+    """A qhull Delaunay triangulation, kept to be tested against moved points.
+
+    ``quads`` holds each interior edge (a, b) with a moving endpoint or
+    opposite vertex (index < n_free) as a row (a, b, c, d): c and d are the
+    vertices opposite the edge, (a, b, c) a rotation of a simplex whose
+    orientation sign is the row's ``quad_signs`` entry. Edges among fixed
+    boundary samples are left out: they never change, and they hold exact
+    cocircular ties (symmetric graded points around a sharp corner, equally
+    spaced points on straight sides) that rounding would flag at random.
+    """
+
+    simplices: np.ndarray
+    signs: np.ndarray
+    quads: np.ndarray
+    quad_signs: np.ndarray
+    hull_fixed: bool
+
+    @classmethod
+    def build(cls, pts: np.ndarray, n_free: int) -> "_KeptDelaunay":
+        tri = Delaunay(pts)
+        s, nb = tri.simplices, tri.neighbors
+        # neighbor j of simplex i lies across the edge opposite its vertex j;
+        # i < neighbor takes each interior edge once
+        i, j = np.nonzero(nb > np.arange(len(s))[:, None])
+        n = nb[i, j]
+        d = s[n, np.argmax(nb[n] == i[:, None], axis=1)]
+        quads = np.stack([s[i, (j + 1) % 3], s[i, (j + 2) % 3], s[i, j], d], axis=1)
+        signs = np.sign(_orientation(pts, s))
+        moving = quads.min(axis=1) < n_free
+        return cls(s, signs, quads[moving], signs[i[moving]],
+                   bool(tri.convex_hull.min() >= n_free))
+
+    def still_delaunay(self, pts: np.ndarray) -> bool:
+        """True when the kept simplices are a Delaunay triangulation of
+        ``pts``: the hull is made of fixed points, every simplex keeps its
+        orientation sign and every tested edge passes the incircle test."""
+        if not self.hull_fixed:
+            return False
+        if not np.array_equal(np.sign(_orientation(pts, self.simplices)), self.signs):
+            return False
+        a, b, c, d = (pts[self.quads[:, k]] for k in range(4))
+        ad, bd, cd = a - d, b - d, c - d
+        la, lb, lc = ((v * v).sum(axis=1) for v in (ad, bd, cd))
+        # > 0 iff d lies inside the circle through a, b, c taken CCW
+        incircle = (
+            ad[:, 0] * (bd[:, 1] * lc - lb * cd[:, 1])
+            - ad[:, 1] * (bd[:, 0] * lc - lb * cd[:, 0])
+            + la * (bd[:, 0] * cd[:, 1] - bd[:, 1] * cd[:, 0])
+        )
+        return not (self.quad_signs * incircle > INCIRCLE_MARGIN * la * lb).any()
 
 
 def _neighbor_average(pts: np.ndarray, tris: np.ndarray, n_free: int) -> np.ndarray:
@@ -133,11 +206,12 @@ def _neighbor_average(pts: np.ndarray, tris: np.ndarray, n_free: int) -> np.ndar
 
 
 def _build_once(domain: Domain, h: float, scale: float, n_smooth: int = 8):
+    """One mesh at boundary/lattice spacing ``scale`` times the nominal one,
+    and the number of qhull calls it took."""
     hb = 0.66 * h * scale
     a = 0.70 * h * scale
     clip = 0.62 * hb
 
-    domain.refine_polyline(min(h / 2, 1e-3))
     bpts = domain.boundary_loop(hb)
     nb = len(bpts)
 
@@ -149,16 +223,20 @@ def _build_once(domain: Domain, h: float, scale: float, n_smooth: int = 8):
 
     pts = np.vstack([lattice, bpts])
     n_free = len(lattice)
-    for _ in range(n_smooth):
-        tris = _filtered_triangulation(pts, domain)
+    kept, n_qhull = None, 0
+    for step in range(n_smooth + 1):
+        if kept is None or not kept.still_delaunay(pts):
+            kept = _KeptDelaunay.build(pts, n_free)
+            n_qhull += 1
+        tris = kept.simplices[domain.contains(pts[kept.simplices].mean(axis=1))]
+        if step == n_smooth:
+            break
         new = _neighbor_average(pts, tris, n_free)
         moved = new[:n_free]
         bad = domain.distance_to_boundary(moved) < 0.45 * hb
         bad |= ~domain.contains(moved)
         moved[bad] = pts[:n_free][bad]
         pts = new
-
-    tris = _filtered_triangulation(pts, domain)
 
     # drop interior points that ended up unused
     used = np.zeros(len(pts), dtype=bool)
@@ -172,11 +250,7 @@ def _build_once(domain: Domain, h: float, scale: float, n_smooth: int = 8):
         n_free = int(used[:n_free].sum())
 
     # renumber interior-first / boundary-last-CCW (already in that layout)
-    ar = 0.5 * (
-        (pts[tris[:, 1], 0] - pts[tris[:, 0], 0]) * (pts[tris[:, 2], 1] - pts[tris[:, 0], 1])
-        - (pts[tris[:, 2], 0] - pts[tris[:, 0], 0]) * (pts[tris[:, 1], 1] - pts[tris[:, 0], 1])
-    )
-    flip = ar < 0
+    flip = _orientation(pts, tris) < 0
     tris[flip] = tris[flip][:, ::-1]
 
     bidx = np.arange(n_free, n_free + nb)
@@ -188,11 +262,14 @@ def _build_once(domain: Domain, h: float, scale: float, n_smooth: int = 8):
         triangles=tris,
         boundary_edges=bedges,
         h_max=h,
-    )
+    ), n_qhull
 
 
-def _corner_exempt_mask(mesh: Mesh, domain: Domain | None) -> np.ndarray:
-    """True for triangles whose worst angle sits at a sharp input corner."""
+def _corner_exempt_mask(
+    mesh: Mesh, domain: Domain | None, angles: np.ndarray
+) -> np.ndarray:
+    """True for triangles whose worst angle (of ``mesh.angles_deg()``) sits at
+    a sharp input corner."""
     exempt = np.zeros(len(mesh.triangles), dtype=bool)
     if domain is None or not domain.is_polygon:
         return exempt
@@ -200,17 +277,8 @@ def _corner_exempt_mask(mesh: Mesh, domain: Domain | None) -> np.ndarray:
     if not sharp:
         return exempt
     sharp = np.asarray(sharp)
-    p = mesh.nodes[mesh.triangles]
-    angs = np.empty((len(mesh.triangles), 3))
-    for i in range(3):
-        va = p[:, (i + 1) % 3] - p[:, i]
-        vb = p[:, (i + 2) % 3] - p[:, i]
-        cosv = (va * vb).sum(axis=1) / np.maximum(
-            np.hypot(va[:, 0], va[:, 1]) * np.hypot(vb[:, 0], vb[:, 1]), 1e-300
-        )
-        angs[:, i] = np.degrees(np.arccos(np.clip(cosv, -1.0, 1.0)))
-    worst = angs.argmin(axis=1)
-    worst_xy = p[np.arange(len(p)), worst]
+    worst = mesh.triangles[np.arange(len(angles)), angles.argmin(axis=1)]
+    worst_xy = mesh.nodes[worst]
     for v in sharp:
         exempt |= np.hypot(worst_xy[:, 0] - v[0], worst_xy[:, 1] - v[1]) < 1e-12
     return exempt
@@ -224,14 +292,20 @@ def generate_mesh(domain: Domain, h: float) -> Mesh:
     if h > 0.5 * diameter:
         raise MeshError(f"h={h} too large to resolve the domain")
 
+    # a finer polyline for distance queries on smooth boundaries, on a copy
+    domain = domain.refined(min(h / 2, 1e-3))
     scale = 1.0
     last_problems: list[str] = []
-    for _ in range(4):
-        mesh = _build_once(domain, h, scale)
+    for attempt in range(1, 5):
+        mesh, n_qhull = _build_once(domain, h, scale)
         report = validate_mesh(mesh, domain)
         if report.ok:
             return mesh
         last_problems = report.violations
+        log.debug(
+            "mesh attempt %d at scale %.4g failed after %d qhull calls: %s",
+            attempt, scale, n_qhull, "; ".join(last_problems[:3]),
+        )
         scale *= 0.88
     raise MeshError(
         "mesh refinement did not converge; remaining violations: "
@@ -288,8 +362,9 @@ def validate_mesh(mesh: Mesh, domain: Domain | None = None) -> MeshReport:
     if stray:
         v.append(f"{stray} single-triangle edges are not declared boundary edges")
 
-    min_angles = mesh.min_angles_deg()
-    exempt = _corner_exempt_mask(mesh, domain)
+    angles = mesh.angles_deg()
+    min_angles = angles.min(axis=1)
+    exempt = _corner_exempt_mask(mesh, domain, angles)
     n_skinny = int(((min_angles < MIN_ANGLE_DEG) & ~exempt).sum())
     if n_skinny:
         v.append(

@@ -1,7 +1,11 @@
+import logging
+
 import numpy as np
 import pytest
+from scipy.spatial import Delaunay
 
 from dtnlab import geometry
+from dtnlab import mesh as meshmod
 from dtnlab.mesh import (
     Mesh,
     MeshError,
@@ -179,3 +183,170 @@ def test_generation_is_deterministic(disk_domain, tmp_path, disk_mesh):
     export_mesh(disk_mesh, p1)
     export_mesh(again, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# reuse of the Delaunay triangulation between smoothing passes
+# ---------------------------------------------------------------------------
+
+# four moving points (0-3) inside a fixed frame (4-7): the quad's diagonal
+# (0, 2) is Delaunay, the circle through 0, 1, 2 has radius 0.5
+QUAD = np.array([
+    [0.5, 0.0], [1.0, 0.5], [0.5, 1.0], [0.0, 0.6],
+    [-2.0, -2.0], [3.0, -2.0], [3.0, 3.0], [-2.0, 3.0],
+])
+
+
+def _canonical(triangles):
+    t = np.sort(triangles, axis=1)
+    return t[np.lexsort(t.T[::-1])]
+
+
+def test_kept_delaunay_accepts_small_move_rejects_flip_and_inversion():
+    kept = meshmod._KeptDelaunay.build(QUAD, n_free=4)
+    assert kept.hull_fixed
+    assert kept.still_delaunay(QUAD)
+    small = QUAD.copy()
+    small[3] += [-0.02, 0.01]
+    assert kept.still_delaunay(small)
+    # point 3 inside the circle through 0, 1, 2: qhull flips the diagonal
+    flip = QUAD.copy()
+    flip[3] = [0.2, 0.5]
+    assert not kept.still_delaunay(flip)
+    fresh = meshmod._KeptDelaunay.build(flip, n_free=4).simplices
+    assert not np.array_equal(_canonical(fresh), _canonical(kept.simplices))
+    # point 1 pushed out through the frame edge (5, 6) inverts triangle
+    # (6, 1, 5); no incircle test sees a hull edge, the orientation check does
+    invert = QUAD.copy()
+    invert[1] = [3.2, 0.3]
+    assert not kept.still_delaunay(invert)
+
+
+def test_kept_delaunay_with_moving_hull_point_is_never_reused():
+    # the same quad on its own: moving points on the hull could fold the hull
+    # inward without inverting a triangle, so the rule does not apply
+    kept = meshmod._KeptDelaunay.build(QUAD[:4], n_free=4)
+    assert not kept.hull_fixed
+    assert not kept.still_delaunay(QUAD[:4])
+
+
+@pytest.mark.parametrize("spec, h", [
+    (geometry.DiskSpec(1.0), 0.05),
+    (geometry.RectangleSpec(1.0, 2.0), 0.08),
+    (geometry.TriangleSpec(2.0, np.pi / 12, np.pi / 3), 0.05),
+    (geometry.KochSpec(1, 2.0), 0.1),
+])
+def test_reused_triangulation_matches_fresh_one_per_pass(monkeypatch, spec, h):
+    dom = geometry.build_domain(spec)
+    calls = []
+
+    def counting_delaunay(pts):
+        calls.append(len(pts))
+        return Delaunay(pts)
+
+    monkeypatch.setattr(meshmod, "Delaunay", counting_delaunay)
+    reused = generate_mesh(dom, h)
+    n_reused = len(calls)
+    monkeypatch.setattr(meshmod._KeptDelaunay, "still_delaunay", lambda self, pts: False)
+    fresh = generate_mesh(dom, h)
+    assert n_reused < len(calls) - n_reused  # the triangulation was reused
+    assert reused.n_interior == fresh.n_interior
+    assert reused.n_boundary == fresh.n_boundary
+    assert np.array_equal(_canonical(reused.triangles), _canonical(fresh.triangles))
+    assert np.abs(reused.nodes - fresh.nodes).max() < 1e-12
+
+
+@pytest.mark.parametrize("spec, h", [
+    (geometry.DiskSpec(1.0), 0.05),
+    (geometry.TriangleSpec(2.0, np.pi / 12, np.pi / 3), 0.05),
+    (geometry.KochSpec(1, 2.0), 0.1),
+])
+def test_interior_edges_with_moving_endpoint_are_locally_delaunay(spec, h):
+    msh = generate_mesh(geometry.build_domain(spec), h)
+    t = msh.triangles
+    # each directed edge (t[:, i+1], t[:, i+2]) of a CCW triangle, with the
+    # vertex t[:, i] opposite it; an interior edge appears once each way
+    a = np.concatenate([t[:, 1], t[:, 2], t[:, 0]])
+    b = np.concatenate([t[:, 2], t[:, 0], t[:, 1]])
+    c = np.concatenate([t[:, 0], t[:, 1], t[:, 2]])
+    base = msh.n_nodes
+    order = np.argsort(a * base + b)
+    keys = (a * base + b)[order]
+    pos = np.searchsorted(keys, b * base + a)
+    pos = np.minimum(pos, len(keys) - 1)
+    interior = keys[pos] == b * base + a
+    moving = np.minimum(a, b) < msh.n_interior
+    sel = interior & moving
+    assert sel.sum() > 0
+    d = c[order[pos[sel]]]
+    pa, pb, pc, pd = (msh.nodes[v] for v in (a[sel], b[sel], c[sel], d))
+    # circumcenter of (a, b, c); d must not be inside the circumcircle
+    bx, by = (pb - pa).T
+    cx, cy = (pc - pa).T
+    den = 2.0 * (bx * cy - by * cx)
+    ux = (cy * (bx**2 + by**2) - by * (cx**2 + cy**2)) / den
+    uy = (bx * (cx**2 + cy**2) - cx * (bx**2 + by**2)) / den
+    radius = np.hypot(ux, uy)
+    dist = np.hypot(pd[:, 0] - pa[:, 0] - ux, pd[:, 1] - pa[:, 1] - uy)
+    assert (dist >= radius * (1 - 1e-6)).all(), (dist / radius).min()
+
+
+def test_generate_mesh_leaves_domain_untouched(monkeypatch):
+    dom = geometry.build_domain(geometry.EllipseSpec(1.0, 0.5))
+    names = ("_polyline", "_polyline_tree", "_arclength_theta", "_arclength_s")
+    before = {k: getattr(dom, k) for k in names}
+    values = {k: before[k].copy() for k in ("_polyline", "_arclength_theta", "_arclength_s")}
+
+    def assert_untouched():
+        for k in names:
+            assert getattr(dom, k) is before[k], k
+        for k, v in values.items():
+            assert np.array_equal(getattr(dom, k), v), k
+
+    generate_mesh(dom, 0.1)
+    assert_untouched()
+    # below h = 2e-3 the mesher needs a finer polyline than the domain holds;
+    # it must mesh a refined copy (stopped here before any meshing is done)
+    seen = []
+
+    def stop(domain, h, scale):
+        seen.append(domain)
+        raise MeshError("stop")
+
+    monkeypatch.setattr(meshmod, "_build_once", stop)
+    with pytest.raises(MeshError, match="stop"):
+        generate_mesh(dom, 0.0015)
+    assert seen[0] is not dom
+    assert len(seen[0]._polyline) > len(dom._polyline)
+    assert_untouched()
+
+
+def test_domain_refined_returns_copy_or_self():
+    dom = geometry.build_domain(geometry.EllipseSpec(1.0, 0.5))
+    spacing = dom.perimeter / len(dom._polyline)
+    assert dom.refined(2 * spacing) is dom
+    finer = dom.refined(spacing / 2)
+    assert finer is not dom and finer.spec == dom.spec
+    assert len(finer._polyline) >= 2 * len(dom._polyline) - 1
+    square = geometry.build_domain(geometry.RectangleSpec(1.0, 1.0))
+    assert square.refined(1e-6) is square
+
+
+def test_failed_mesh_attempts_are_logged(monkeypatch, caplog):
+    dom = geometry.build_domain(geometry.DiskSpec(1.0))
+    calls = iter([["fake violation"], []])
+    real_validate = meshmod.validate_mesh
+
+    def flaky_validate(mesh, domain=None):
+        report = real_validate(mesh, domain)
+        report.violations.extend(next(calls))
+        return report
+
+    monkeypatch.setattr(meshmod, "validate_mesh", flaky_validate)
+    with caplog.at_level(logging.DEBUG, logger="dtnlab"):
+        generate_mesh(dom, 0.1)
+    (record,) = [r for r in caplog.records if r.name == "dtnlab"]
+    assert record.levelno == logging.DEBUG
+    msg = record.getMessage()
+    assert "attempt 1" in msg and "scale 1" in msg and "qhull" in msg
+    assert "fake violation" in msg
