@@ -13,8 +13,9 @@ from scipy.optimize import linear_sum_assignment
 
 from .geometry import Domain
 from .mesh import Mesh
-from .fem import FemMatrices, factor_interior
-from .dtn import BoundaryPartition, Spectrum, attach_extensions, build_dtn, eigensolve
+from .fem import FemMatrices
+from .dtn import BoundaryPartition, Spectrum
+from .pipeline import solve
 from .conjecture import effective_angle_sequence
 
 
@@ -278,17 +279,10 @@ def norm_identities(
     if p - dp < 0:
         raise AnalysisError("need p - dp >= 0 for the central difference")
 
-    def solve(pp: float, n: int) -> Spectrum:
-        roles = None if partition is None else partition.roles
-        fac = factor_interior(matrices, pp, roles)
-        op = build_dtn(matrices, fac, pp, partition)
-        spec = eigensolve(op, n)
-        attach_extensions(spec, matrices, fac)
-        return spec
-
-    spec0 = solve(p, count)
-    lo = solve(p - dp, min(count + 4, matrices.n_boundary))
-    hi = solve(p + dp, min(count + 4, matrices.n_boundary))
+    wide = min(count + 4, matrices.n_boundary)
+    spec0 = solve(matrices, p, count, partition, extensions=True)[2]
+    lo = solve(matrices, p - dp, wide, partition)[2]
+    hi = solve(matrices, p + dp, wide, partition)[2]
     i_lo = match_branches(spec0, lo, matrices)
     i_hi = match_branches(spec0, hi, matrices)
 
@@ -354,11 +348,8 @@ def p_sweep(
     if np.any(np.diff(p_grid) <= 0) or np.any(p_grid < 0):
         raise AnalysisError("pressure grid must be nonnegative and strictly increasing")
     rows = np.empty((len(p_grid), count))
-    roles = None if partition is None else partition.roles
     for i, p in enumerate(p_grid):
-        fac = factor_interior(matrices, p, roles)
-        op = build_dtn(matrices, fac, p, partition)
-        rows[i] = eigensolve(op, count).eigenvalues
+        rows[i] = solve(matrices, p, count, partition)[2].eigenvalues
     conj = None
     if domain.is_polygon:
         conj = effective_angle_sequence(domain.angle_sequence(), count).coefficients

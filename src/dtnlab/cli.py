@@ -172,13 +172,6 @@ class Reporter:
         analysis.summary_to_json(self.path("report.json"), **report)
 
 
-def _write_eigenvalues(path: Path, eigenvalues: np.ndarray) -> None:
-    with open(path, "w") as f:
-        f.write("k,mu\n")
-        for k, mu in enumerate(eigenvalues):
-            f.write(f"{k},{mu:.17g}\n")
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -199,7 +192,7 @@ def cmd_solve(cfg: RunConfig, rep: Reporter) -> None:
     with rep.time("solve"):
         res = solve_steklov(domain, cfg.h, cfg.p, cfg.count, extensions=cfg.vectors)
     rep.domain_metrics(domain, res.mesh)
-    _write_eigenvalues(rep.path("eigenvalues.csv"), res.spectrum.eigenvalues)
+    dtn.spectrum_to_csv(res.spectrum, rep.path("eigenvalues.csv"))
     meshmod.export_mesh(res.mesh, rep.path("mesh.txt"))
     if cfg.vectors:
         for k in range(res.spectrum.count):
@@ -223,7 +216,7 @@ def cmd_green_solve(cfg: RunConfig, rep: Reporter) -> None:
             matrices, cfg.q, cfg.p, cfg.m, cfg.count, basis0, basis_q
         )
     rep.domain_metrics(domain, msh)
-    _write_eigenvalues(rep.path("eigenvalues.csv"), spec.eigenvalues)
+    dtn.spectrum_to_csv(spec, rep.path("eigenvalues.csv"))
     rep.payload["eigenvalues"] = spec.eigenvalues
     rep.payload["method"] = "green"
     rep.payload["green_q"] = cfg.q

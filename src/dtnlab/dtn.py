@@ -13,10 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 from scipy.linalg import eigh
-from scipy.linalg.blas import dtrmm
-from scipy.sparse.linalg import splu
 
-from .fem import SPD_LU_OPTIONS, FemMatrices, FemError, InteriorFactor, solve_dirichlet
+from .fem import FemMatrices, InteriorFactor, solve_dirichlet
 
 STEKLOV = 0
 DIRICHLET_ZERO = 1
@@ -101,10 +99,11 @@ def build_dtn(
     if not np.array_equal(factor.roles, partition.roles):
         raise DtnError("factor was built for a different boundary partition")
 
-    S = _schur_by_elimination(matrices, factor)
-    if S is None:
+    if factor.u22 is None:  # the trailing block met an exactly zero pivot
         S = _schur_by_solves(factor)
-    S = 0.5 * (S + S.T)
+        S = 0.5 * (S + S.T)
+    else:
+        S = _schur_from_factor(factor.u22)
 
     steklov_local = factor.data_nodes - matrices.n_interior
     mb_s = matrices.boundary_mass[steklov_local][:, steklov_local].tocsr()
@@ -118,42 +117,35 @@ def build_dtn(
     )
 
 
-def _schur_by_elimination(matrices: FemMatrices, factor: InteriorFactor) -> np.ndarray | None:
-    """S from one sparse LU of A with the data nodes ordered last.
+# columns per block of the in-place Schur product
+_SCHUR_BLOCK = 256
 
-    The unknowns keep the interior factor's fill-reducing order. Eliminating
-    them first leaves the Schur complement in the trailing block of the
-    factors, S = L22 U22, so S costs one factorization instead of one
-    interior solve per data node. A is symmetric and nothing is pivoted, so
-    L = U^T D^{-1} with D the diagonal of U, and S = U22^T D22^{-1} U22 needs
-    only U. S itself is only positive semidefinite (at p = 0 the constants
-    are in its kernel), so its own elimination may meet an exactly zero pivot;
-    then SuperLU pivots a row away or gives up, and this returns None."""
-    n_u = len(factor.unknown_nodes)
-    order = np.concatenate(
-        [factor.unknown_nodes[np.argsort(factor.lu.perm_c)], factor.data_nodes]
-    )
-    A = (factor.p * matrices.mass + matrices.stiffness).tocsr()
-    try:
-        lu = splu(A[order][:, order].tocsc(), permc_spec="NATURAL", **SPD_LU_OPTIONS)
-    except RuntimeError:  # exactly singular trailing block
-        return None
-    tail = np.arange(n_u, len(order))
-    if not (np.array_equal(lu.perm_c[n_u:], tail) and np.array_equal(lu.perm_r[n_u:], tail)):
-        return None
-    upper = lu.U
-    del lu  # release the factor before the dense products
-    u22 = upper[n_u:, n_u:].toarray()
-    del upper
-    d_inv_u = u22 / np.diag(u22)[:, None]
-    # (D^{-1} U)^T U; both transposes are Fortran-ordered views, so BLAS copies nothing
-    return dtrmm(1.0, u22.T, d_inv_u.T, side=1, lower=1, trans_a=1, overwrite_b=1)
+
+def _schur_from_factor(u22: sparse.csc_matrix) -> np.ndarray:
+    """S = U22^T D22^{-1} U22 from the trailing block of the boundary-last LU.
+
+    S is formed in place in one dense array. Its block columns are computed
+    from right to left, and each needs only the columns of U22 up to its own,
+    which are not yet overwritten. Only the upper triangle is kept and then
+    mirrored, so S is exactly symmetric."""
+    s = u22.toarray(order="F")
+    n = s.shape[0]
+    d = s.diagonal().copy()
+    for j1 in range(n, 0, -_SCHUR_BLOCK):
+        j0 = max(0, j1 - _SCHUR_BLOCK)
+        s[:j1, j0:j1] = s[:j1, :j1].T @ (s[:j1, j0:j1] / d[:j1, None])
+    for j0 in range(0, n, _SCHUR_BLOCK):
+        j1 = min(j0 + _SCHUR_BLOCK, n)
+        diag = s[j0:j1, j0:j1]
+        diag[...] = np.triu(diag) + np.triu(diag, 1).T
+        s[j1:, j0:j1] = s[j0:j1, j1:].T
+    return s
 
 
 def _schur_by_solves(factor: InteriorFactor) -> np.ndarray:
     """S = A_ss - A_su A_uu^{-1} A_us, one block of interior solves at a time."""
     ns = len(factor.data_nodes)
-    n_u = factor.a_uu.shape[0]
+    n_u = len(factor.unknown_nodes)
     S = factor.a_ss.copy()
     step = max(8, min(512, int(8e7 // max(8 * n_u, 1))))
     a_su = factor.a_us.T.tocsr()
@@ -233,14 +225,6 @@ def eigensolve(op: DtnOperator, count: int, multiplicity_tol: float = 1e-6) -> S
         multiplicity_tol=multiplicity_tol,
         guard=guard,
     )
-
-
-def extend_eigenfunction(
-    matrices: FemMatrices, factor: InteriorFactor, p: float, v: np.ndarray
-) -> np.ndarray:
-    """Interior extension of boundary data: zero on eliminated nodes, solves
-    the screened Laplace problem elsewhere."""
-    return solve_dirichlet(matrices, factor, p, v)
 
 
 def attach_extensions(

@@ -1,10 +1,13 @@
-"""P1 assembly (stiffness, mass, boundary mass) and reusable interior solves.
+"""P1 assembly (stiffness, mass, boundary mass) and the one sparse LU of a solve.
 
 Element integrals are exact closed forms (the integrands are polynomial), so
 the only numerical error downstream comes from the mesh and the linear solver.
-The interior block of p*M + K is factored once; its solves give the harmonic
-extensions, and its fill-reducing order is reused to eliminate the interior
-onto the boundary when the Schur complement is formed (``dtn.build_dtn``).
+``assemble`` also fixes the fill-reducing elimination order of the interior
+block; it depends only on the sparsity pattern, so every p on one mesh reuses
+it. ``InteriorFactor`` factors p*M + K once per solve, the unknowns first in
+that order and the data nodes last: its leading blocks give the harmonic
+extensions by back substitution, and its trailing block gives the boundary
+Schur complement (``dtn.build_dtn``).
 """
 from __future__ import annotations
 
@@ -12,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import spilu, splu, spsolve_triangular
 
 from .mesh import Mesh
 
@@ -28,6 +31,10 @@ class FemMatrices:
     boundary_mass: sparse.csr_matrix  # M_b, n_boundary x n_boundary
     n_interior: int
     n_boundary: int
+    # each node's rank in the elimination order: the interior nodes in
+    # SuperLU's MMD_AT_PLUS_A order of the interior block, then the boundary
+    # nodes in their own order
+    elimination_rank: np.ndarray
 
     @property
     def n_nodes(self) -> int:
@@ -35,6 +42,12 @@ class FemMatrices:
 
     def boundary_measure(self) -> float:
         return float(self.boundary_mass.sum())
+
+
+# A = p*M + K restricted to the unknowns is symmetric positive definite (p >= 0,
+# and every unknown connects to a node with Dirichlet data), so SuperLU keeps
+# the diagonal as pivot and the factors stay symmetric in structure.
+SPD_LU_OPTIONS = dict(diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
 
 
 def assemble(mesh: Mesh) -> FemMatrices:
@@ -82,30 +95,55 @@ def assemble(mesh: Mesh) -> FemMatrices:
         boundary_mass=Mb,
         n_interior=mesh.n_interior,
         n_boundary=mesh.n_boundary,
+        elimination_rank=_elimination_rank((K + M).tocsr(), mesh.n_interior),
     )
 
 
-# A = p*M + K restricted to the unknowns is symmetric positive definite (p >= 0,
-# and every unknown connects to a node with Dirichlet data), so SuperLU keeps
-# the diagonal as pivot and the factors stay symmetric in structure.
-SPD_LU_OPTIONS = dict(diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
+def _elimination_rank(A: sparse.csr_matrix, n_interior: int) -> np.ndarray:
+    """Each node's rank in the fill-reducing order of A's interior block.
+
+    The order depends only on the sparsity pattern. An incomplete LU that
+    drops every entry computes the same column order as ``splu`` without the
+    numeric factor."""
+    rank = np.arange(A.shape[0])
+    if n_interior:
+        block = A[:n_interior, :n_interior].tocsc()
+        rank[:n_interior] = spilu(
+            block, permc_spec="MMD_AT_PLUS_A", drop_tol=1.0, fill_factor=1, **SPD_LU_OPTIONS
+        ).perm_c
+    return rank
 
 
 class InteriorFactor:
-    """LU factorization of the unknown-block of A = p*M + K.
+    """One sparse LU of A = p*M + K, the unknowns first and the data nodes last.
 
     ``partition_roles`` (optional, one role per boundary node: 0 = steklov,
     1 = dirichlet_zero, 2 = neumann_zero) moves neumann_zero nodes into the
     unknown set and eliminates dirichlet_zero nodes. With no partition every
-    boundary node carries Dirichlet data. Immutable; solves are reusable and
-    thread-safe.
+    boundary node carries Dirichlet data.
+
+    The unknowns (``unknown_nodes``) are eliminated in the mesh's elimination
+    order. A restricted to them is SPD, so nothing is pivoted and
+    L = U^T D^{-1}, with D the diagonal of U. Only U is read, in blocks
+    [[U11, U12], [0, U22]]:
+
+    - ``l11t`` = D11^{-1} U11 (unit upper triangular) and ``l21t`` =
+      D11^{-1} U12, both CSR, give the harmonic extensions by back
+      substitution;
+    - ``u22`` is the trailing factor of the Schur complement onto the data
+      nodes, S = U22^T D22^{-1} U22 (``dtn.build_dtn``).
+
+    S is only positive semidefinite (at p = 0 the constants are in its
+    kernel), so its elimination may meet an exactly zero pivot. Then the
+    unknown block is factored on its own, ``u22`` and ``l21t`` are None, and
+    ``a_us`` and ``a_ss`` are kept so that S comes from interior solves.
+    Immutable; solves are reusable and thread-safe.
     """
 
     def __init__(self, matrices: FemMatrices, p: float, partition_roles=None):
         if p < 0:
             raise FemError("p must be >= 0")
         self.p = float(p)
-        n = matrices.n_nodes
         ni = matrices.n_interior
         roles = (
             np.zeros(matrices.n_boundary, dtype=np.int8)
@@ -118,23 +156,65 @@ class InteriorFactor:
         bidx = ni + np.arange(matrices.n_boundary)
         self.data_nodes = bidx[roles == 0]       # steklov: carries Dirichlet data
         self.zero_nodes = bidx[roles == 1]       # dirichlet_zero: eliminated
-        unknown_b = bidx[roles == 2]             # neumann_zero: joins the unknowns
-        self.unknown_nodes = np.concatenate([np.arange(ni), unknown_b])
+        unknown = np.concatenate([np.arange(ni), bidx[roles == 2]])  # neumann_zero joins
+        self.unknown_nodes = unknown[np.argsort(matrices.elimination_rank[unknown])]
         if len(self.data_nodes) == 0:
             raise FemError("partition needs at least one steklov node")
+        self.n_nodes = matrices.n_nodes
 
+        n_u = len(self.unknown_nodes)
+        order = np.concatenate([self.unknown_nodes, self.data_nodes])
         A = (self.p * matrices.mass + matrices.stiffness).tocsr()
-        self.a_uu = A[self.unknown_nodes][:, self.unknown_nodes].tocsc()
-        self.a_us = A[self.unknown_nodes][:, self.data_nodes].tocsr()
-        self.a_ss = A[self.data_nodes][:, self.data_nodes].toarray()
-        self.n_nodes = n
-        try:
-            self.lu = splu(self.a_uu, permc_spec="MMD_AT_PLUS_A", **SPD_LU_OPTIONS)
-        except RuntimeError as exc:  # pragma: no cover - depends on bad input
-            raise FemError(f"interior factorization failed: {exc}") from exc
+        a = A[order][:, order].tocsc()
+        del A
+        upper = _unpivoted_upper(a)
+        self.a_us = self.a_ss = self.l21t = self.u22 = None
+        if upper is None:  # exactly zero pivot in the trailing block
+            upper = _unpivoted_upper(a[:n_u, :n_u].tocsc())
+            if upper is None:  # pragma: no cover - depends on bad input
+                raise FemError("interior factorization met an exactly zero pivot")
+            self.a_us = a[:n_u, n_u:].tocsr()
+            self.a_ss = a[n_u:, n_u:].toarray()
+        del a
+        self.d11 = upper.diagonal()[:n_u]
+        self.l11t = _divide_rows(upper[:n_u, :n_u], self.d11)
+        if self.a_us is None:
+            self.l21t = _divide_rows(upper[:n_u, n_u:], self.d11)
+            self.u22 = upper[n_u:, n_u:]
 
     def solve_interior(self, rhs: np.ndarray) -> np.ndarray:
-        return self.lu.solve(rhs)
+        """x with A_uu x = rhs, unknowns in ``unknown_nodes`` order; A_uu = L11 D11 L11^T."""
+        y = spsolve_triangular(self.l11t.T, rhs, lower=True, unit_diagonal=True)
+        y /= self.d11[:, None] if y.ndim == 2 else self.d11
+        return spsolve_triangular(self.l11t, y, lower=False, unit_diagonal=True)
+
+    def extend(self, f: np.ndarray) -> np.ndarray:
+        """Values on the unknowns of the discrete (p - Lap)-harmonic extension of
+        data ``f`` on the data nodes: -(L11^T)^{-1} (L21^T f)."""
+        if self.l21t is None:
+            return -self.solve_interior(self.a_us @ f)
+        return -spsolve_triangular(self.l11t, self.l21t @ f, lower=False, unit_diagonal=True)
+
+
+def _unpivoted_upper(a: sparse.csc_matrix) -> sparse.csc_matrix | None:
+    """U of an LU of ``a`` in its given order, or None when SuperLU met an
+    exactly zero pivot (it then pivots a row away or gives up)."""
+    try:
+        lu = splu(a, permc_spec="NATURAL", **SPD_LU_OPTIONS)
+    except RuntimeError:  # exactly singular
+        return None
+    natural = np.arange(a.shape[0])
+    if not (np.array_equal(lu.perm_c, natural) and np.array_equal(lu.perm_r, natural)):
+        return None
+    return lu.U
+
+
+def _divide_rows(m: sparse.csc_matrix, d: np.ndarray) -> sparse.csr_matrix:
+    """D^{-1} m as CSR. Conversion sorts the indices, which
+    ``spsolve_triangular`` would otherwise sort again on every call."""
+    m = m.tocsr()
+    m.data /= np.repeat(d, np.diff(m.indptr))
+    return m
 
 
 def factor_interior(matrices: FemMatrices, p: float, partition_roles=None) -> InteriorFactor:
@@ -162,6 +242,5 @@ def solve_dirichlet(
         raise FemError("boundary data must be finite")
     u = np.zeros((factor.n_nodes, fcols.shape[1]))
     u[factor.data_nodes] = fcols
-    rhs = -(factor.a_us @ fcols)
-    u[factor.unknown_nodes] = factor.solve_interior(rhs)
+    u[factor.unknown_nodes] = factor.extend(fcols)
     return u[:, 0] if single else u

@@ -40,13 +40,28 @@ def solve_steklov(
         mesh = generate_mesh(domain, h)
     if matrices is None:
         matrices = assemble(mesh)
+    factor, op, spectrum = solve(matrices, p, count, partition, extensions)
+    return SolveResult(domain, mesh, matrices, factor, op, spectrum)
+
+
+def solve(
+    matrices: FemMatrices,
+    p: float,
+    count: int,
+    partition: BoundaryPartition | None = None,
+    extensions: bool = False,
+) -> tuple[InteriorFactor, DtnOperator, Spectrum]:
+    """The one solve path on fixed matrices: factor -> Schur -> spectrum.
+
+    With ``extensions`` the spectrum also carries the interior extensions of
+    its eigenvectors."""
     roles = None if partition is None else partition.roles
     factor = factor_interior(matrices, p, roles)
     op = build_dtn(matrices, factor, p, partition)
     spectrum = eigensolve(op, count)
     if extensions:
         attach_extensions(spectrum, matrices, factor)
-    return SolveResult(domain, mesh, matrices, factor, op, spectrum)
+    return factor, op, spectrum
 
 
 def eigenvalue_solver(h: float):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
 from dtnlab import analytic, dtn, geometry
 from dtnlab.dtn import (
@@ -10,15 +11,35 @@ from dtnlab.dtn import (
     eigenfunction_rmse,
     eigensolve,
     embed_boundary_vector,
-    extend_eigenfunction,
     spectrum_to_csv,
     write_node_vector,
 )
-from dtnlab.fem import assemble, factor_interior
+from dtnlab import fem
+from dtnlab.fem import assemble, factor_interior, solve_dirichlet
 from dtnlab.mesh import Mesh
 from dtnlab.pipeline import solve_steklov
 
 from conftest import four_triangle_square
+
+PARTITION_ARCS = [
+    None,
+    [(0, 0.25, "dirichlet_zero"), (0.25, 1.0, "steklov")],
+    [(0, 0.25, "neumann_zero"), (0.25, 0.6, "steklov"), (0.6, 0.8, "dirichlet_zero"),
+     (0.8, 1.0, "steklov")],
+]
+
+
+def partition_roles(n, arcs):
+    return None if arcs is None else BoundaryPartition.from_arcs(
+        n, [(int(a * n), int(b * n), name) for a, b, name in arcs]
+    ).roles
+
+
+def reference_blocks(mats, fac):
+    """A_uu (CSC), A_us and A_ss of A = p*M + K, built apart from the factor."""
+    A = (fac.p * mats.mass + mats.stiffness).tocsr()
+    u, s = fac.unknown_nodes, fac.data_nodes
+    return A[u][:, u].tocsc(), A[u][:, s], A[s][:, s].toarray()
 
 
 def test_schur_matches_dense_brute_force():
@@ -36,39 +57,61 @@ def test_schur_matches_dense_brute_force():
     assert np.abs(op.schur - s_dense).max() < 1e-14
 
 
-@pytest.mark.parametrize("arcs", [
-    None,
-    [(0, 0.25, "dirichlet_zero"), (0.25, 1.0, "steklov")],
-    [(0, 0.25, "neumann_zero"), (0.25, 0.6, "steklov"), (0.6, 0.8, "dirichlet_zero"),
-     (0.8, 1.0, "steklov")],
-])
+@pytest.mark.parametrize("arcs", PARTITION_ARCS)
 def test_schur_elimination_matches_interior_solves(disk_matrices, arcs):
     """The trailing block of one LU with the data nodes last is the Schur
-    complement that one interior solve per data node gives."""
-    n = disk_matrices.n_boundary
-    roles = None if arcs is None else BoundaryPartition.from_arcs(
-        n, [(int(a * n), int(b * n), name) for a, b, name in arcs]
-    ).roles
-    fac = factor_interior(disk_matrices, 1.0, roles)
-    s_elim = dtn._schur_by_elimination(disk_matrices, fac)
-    s_solve = dtn._schur_by_solves(fac)
-    assert s_elim is not None
+    complement that interior solves with an independent LU of A_uu give."""
+    fac = factor_interior(disk_matrices, 1.0, partition_roles(disk_matrices.n_boundary, arcs))
+    a_uu, a_us, a_ss = reference_blocks(disk_matrices, fac)
+    s_solve = a_ss - a_us.T @ splu(a_uu).solve(a_us.toarray())
+    s_elim = dtn._schur_from_factor(fac.u22)
+    assert np.array_equal(s_elim, s_elim.T)
     assert np.abs(s_elim - s_solve).max() <= 1e-12 * np.abs(s_solve).max()
 
 
-def test_schur_falls_back_to_interior_solves(disk_matrices, monkeypatch):
-    """An exactly zero pivot in the trailing block stops the one-LU route;
-    build_dtn then takes the Schur complement from interior solves."""
+@pytest.mark.parametrize("p", [0.0, 1.0, 1e3])
+@pytest.mark.parametrize("arcs", PARTITION_ARCS)
+def test_extensions_match_independent_solve(disk_matrices, rng, p, arcs):
+    """Back substitution through the boundary-last factor gives the harmonic
+    extension that an independent LU of A_uu gives, and it solves A u = 0
+    on the unknowns."""
+    fac = factor_interior(disk_matrices, p, partition_roles(disk_matrices.n_boundary, arcs))
+    a_uu, a_us, _ = reference_blocks(disk_matrices, fac)
+    f = rng.standard_normal((len(fac.data_nodes), 3))
+    u = solve_dirichlet(disk_matrices, fac, p, f)
+    expected = splu(a_uu).solve(-(a_us @ f))
+    got = u[fac.unknown_nodes]
+    assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+    A = (p * disk_matrices.mass + disk_matrices.stiffness).tocsr()
+    residual = (A @ u)[fac.unknown_nodes]
+    assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(a_us @ f)
+    assert np.array_equal(u[fac.data_nodes], f)
+    assert not u[fac.zero_nodes].any()
+
+
+def test_schur_falls_back_to_interior_solves(disk_matrices, rng, monkeypatch):
+    """An exactly zero pivot in the trailing block stops the boundary-last
+    factorization; the unknown block is then factored on its own, and S and
+    the extensions come from interior solves."""
     fac = factor_interior(disk_matrices, 0.0)
     expected = build_dtn(disk_matrices, fac, 0.0).schur
+    f = rng.standard_normal((disk_matrices.n_boundary, 3))
+    expected_ext = solve_dirichlet(disk_matrices, fac, 0.0, f)
+    n_unknown = len(fac.unknown_nodes)
+    real_splu = fem.splu
 
-    def singular(*args, **kwargs):
-        raise RuntimeError("Factor is exactly singular")
+    def singular_trailing_block(a, *args, **kwargs):
+        if a.shape[0] > n_unknown:
+            raise RuntimeError("Factor is exactly singular")
+        return real_splu(a, *args, **kwargs)
 
-    monkeypatch.setattr(dtn, "splu", singular)
-    assert dtn._schur_by_elimination(disk_matrices, fac) is None
-    got = build_dtn(disk_matrices, fac, 0.0).schur
+    monkeypatch.setattr(fem, "splu", singular_trailing_block)
+    fallback = factor_interior(disk_matrices, 0.0)
+    assert fallback.u22 is None and fallback.l21t is None
+    got = build_dtn(disk_matrices, fallback, 0.0).schur
     assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+    ext = solve_dirichlet(disk_matrices, fallback, 0.0, f)
+    assert np.abs(ext - expected_ext).max() <= 1e-12 * np.abs(expected_ext).max()
 
 
 def test_schur_on_disconnected_mesh():
@@ -148,7 +191,7 @@ def test_sign_convention(disk_solution, disk_matrices):
 def test_extension_constant_at_p0(disk_matrices):
     fac = factor_interior(disk_matrices, 0.0)
     v = np.full(disk_matrices.n_boundary, 2.5)
-    V = extend_eigenfunction(disk_matrices, fac, 0.0, v)
+    V = solve_dirichlet(disk_matrices, fac, 0.0, v)
     assert np.abs(V - 2.5).max() < 1e-9
 
 

@@ -1,9 +1,14 @@
+import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
 from dtnlab import analytic, geometry
-from dtnlab.fem import FemError, assemble, factor_interior, solve_dirichlet
-from dtnlab.mesh import Mesh
+from dtnlab.fem import SPD_LU_OPTIONS, FemError, assemble, factor_interior, solve_dirichlet
+from dtnlab.mesh import Mesh, generate_mesh
 
 from conftest import four_triangle_square
 
@@ -65,10 +70,17 @@ def test_assemble_rejects_degenerate_triangle():
         assemble(m)
 
 
+def unknown_block(mats, fac):
+    """A_uu of A = p*M + K, unknowns in the factor's elimination order."""
+    A = (fac.p * mats.mass + mats.stiffness).tocsr()
+    return A[fac.unknown_nodes][:, fac.unknown_nodes]
+
+
 def test_factor_solve_round_trip(disk_matrices, rng):
     fac = factor_interior(disk_matrices, p=1.0)
-    x = rng.standard_normal(fac.a_uu.shape[0])
-    b = fac.a_uu @ x
+    a_uu = unknown_block(disk_matrices, fac)
+    x = rng.standard_normal(a_uu.shape[0])
+    b = a_uu @ x
     x2 = fac.solve_interior(b)
     assert np.linalg.norm(x - x2) <= 1e-10 * np.linalg.norm(x)
 
@@ -76,11 +88,59 @@ def test_factor_solve_round_trip(disk_matrices, rng):
 def test_factor_residual_contract(disk_matrices, rng):
     for p in (0.0, 1.0, 100.0):
         fac = factor_interior(disk_matrices, p=p)
-        b = rng.standard_normal(fac.a_uu.shape[0])
+        a_uu = unknown_block(disk_matrices, fac)
+        b = rng.standard_normal(a_uu.shape[0])
         x = fac.solve_interior(b)
-        assert np.linalg.norm(fac.a_uu @ x - b) <= 1e-10 * np.linalg.norm(b)
+        assert np.linalg.norm(a_uu @ x - b) <= 1e-10 * np.linalg.norm(b)
 
 
+@pytest.mark.parametrize("spec, h", [
+    (geometry.DiskSpec(1.0), 0.05),
+    (geometry.RectangleSpec(1.0, 2.0), 0.08),
+    (geometry.TriangleSpec(2.0, math.pi / 12, math.pi / 3), 0.04),
+    (geometry.KochSpec(1, 2.0), 0.06),
+])
+def test_elimination_order_is_superlu_order(spec, h):
+    """assemble's order is SuperLU's own MMD_AT_PLUS_A order of the interior
+    block at every p, so the one factor has the fill of a factor of A_uu."""
+    mats = assemble(generate_mesh(geometry.build_domain(spec), h))
+    ni = mats.n_interior
+    for p in (0.0, 1.0, 1e3):
+        a_uu = (p * mats.mass + mats.stiffness).tocsr()[:ni, :ni].tocsc()
+        lu = splu(a_uu, permc_spec="MMD_AT_PLUS_A", **SPD_LU_OPTIONS)
+        assert np.array_equal(mats.elimination_rank[:ni], lu.perm_c)
+    order = np.argsort(mats.elimination_rank[:ni])
+    natural = splu(a_uu[order][:, order], permc_spec="NATURAL", **SPD_LU_OPTIONS)
+    assert natural.L.nnz + natural.U.nnz == lu.L.nnz + lu.U.nnz
+    assert np.array_equal(mats.elimination_rank[ni:], np.arange(ni, mats.n_nodes))
+
+
+def test_factor_arrays_unchanged_by_extensions(disk_matrices, rng):
+    """Extensions leave the factor as it was, also when threads share it."""
+    fac = factor_interior(disk_matrices, p=1.0)
+    kept = {name: [getattr(fac, name)] for name in ("l11t", "l21t", "u22")}
+    for name, entry in kept.items():
+        entry += [entry[0].data.copy(), entry[0].indices.copy(), entry[0].indptr.copy()]
+    d11 = fac.d11.copy()
+    f = rng.standard_normal((disk_matrices.n_boundary, 4))
+    first = solve_dirichlet(disk_matrices, fac, 1.0, f)
+    second = solve_dirichlet(disk_matrices, fac, 1.0, f)
+    assert np.array_equal(first, second)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(solve_dirichlet, disk_matrices, fac, 1.0, f) for _ in range(8)]
+            results = [fut.result(timeout=60) for fut in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(np.array_equal(r, first) for r in results)
+    assert np.array_equal(fac.d11, d11)
+    for name, (mat, data, indices, indptr) in kept.items():
+        assert getattr(fac, name) is mat
+        assert np.array_equal(mat.data, data)
+        assert np.array_equal(mat.indices, indices)
+        assert np.array_equal(mat.indptr, indptr)
 def test_negative_p_rejected(disk_matrices):
     with pytest.raises(FemError):
         factor_interior(disk_matrices, p=-1.0)
