@@ -3,11 +3,11 @@
 Element integrals are exact closed forms (the integrands are polynomial), so
 the only numerical error downstream comes from the mesh and the linear solver.
 ``assemble`` also fixes the fill-reducing elimination order of the interior
-block; it depends only on the sparsity pattern, so every p on one mesh reuses
-it. ``InteriorFactor`` factors p*M + K once per solve, the unknowns first in
-that order and the data nodes last: its leading blocks give the harmonic
-extensions by back substitution, and its trailing block gives the boundary
-Schur complement (``dtn.build_dtn``).
+block, a geometric nested dissection of the mesh; it depends only on the mesh,
+so every p on one mesh reuses it. ``InteriorFactor`` factors p*M + K once per
+solve, the unknowns first in that order and the data nodes last: its leading
+blocks give the harmonic extensions by back substitution, and its trailing
+block gives the boundary Schur complement (``dtn.build_dtn``).
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import spilu, splu, spsolve_triangular
+from scipy.sparse.linalg import splu, spsolve_triangular
 
 from .mesh import Mesh
 
@@ -32,7 +32,7 @@ class FemMatrices:
     n_interior: int
     n_boundary: int
     # each node's rank in the elimination order: the interior nodes in
-    # SuperLU's MMD_AT_PLUS_A order of the interior block, then the boundary
+    # nested-dissection order (``_nested_dissection``), then the boundary
     # nodes in their own order
     elimination_rank: np.ndarray
 
@@ -95,22 +95,78 @@ def assemble(mesh: Mesh) -> FemMatrices:
         boundary_mass=Mb,
         n_interior=mesh.n_interior,
         n_boundary=mesh.n_boundary,
-        elimination_rank=_elimination_rank((K + M).tocsr(), mesh.n_interior),
+        elimination_rank=_nested_dissection(pts, tri, mesh.n_interior),
     )
 
 
-def _elimination_rank(A: sparse.csr_matrix, n_interior: int) -> np.ndarray:
-    """Each node's rank in the fill-reducing order of A's interior block.
+LEAF_SIZE = 16
 
-    The order depends only on the sparsity pattern. An incomplete LU that
-    drops every entry computes the same column order as ``splu`` without the
-    numeric factor."""
-    rank = np.arange(A.shape[0])
-    if n_interior:
-        block = A[:n_interior, :n_interior].tocsc()
-        rank[:n_interior] = spilu(
-            block, permc_spec="MMD_AT_PLUS_A", drop_tol=1.0, fill_factor=1, **SPD_LU_OPTIONS
-        ).perm_c
+
+def _nested_dissection(nodes: np.ndarray, triangles: np.ndarray, n_interior: int) -> np.ndarray:
+    """Each node's rank in a geometric nested-dissection order of the interior
+    nodes (George 1973); boundary nodes keep their index.
+
+    Each part of the interior nodes is split at the median of its wider
+    coordinate extent (ties in node order); the left ends of the mesh edges
+    that cross the cut form the part's separator, so no edge joins the two
+    halves. A part is ranked [left half, right half, separator], the halves
+    split again, and parts of ``LEAF_SIZE`` nodes or fewer are ranked in node
+    order. All parts of one level are split at once.
+    """
+    ni = n_interior
+    rank = np.arange(len(nodes))
+    if ni <= LEAF_SIZE:
+        return rank
+    # an edge between interior nodes borders two CCW triangles, once in each
+    # direction, so a < b keeps it once
+    ea = triangles.ravel()
+    eb = triangles[:, [1, 2, 0]].ravel()
+    once = (ea < eb) & (eb < ni)
+    ea, eb = ea[once], eb[once]
+    xy = nodes[:ni]
+    coord_rank = np.empty((ni, 2), dtype=np.intp)  # ties in node order
+    for axis in (0, 1):
+        coord_rank[np.argsort(xy[:, axis], kind="stable"), axis] = np.arange(ni)
+
+    active = np.arange(ni)                  # unranked nodes, by part, in node order
+    part = np.zeros(ni, dtype=np.intp)      # each node's part; -1 once ranked
+    first = np.zeros(1, dtype=np.intp)      # each part's first rank
+    right = np.zeros(ni, dtype=bool)
+    separator = np.zeros(ni, dtype=bool)
+    while len(active):
+        seg = part[active]
+        size = np.bincount(seg, minlength=len(first))
+        start = np.cumsum(size) - size
+        pxy = xy[active]
+        extent = np.maximum.reduceat(pxy, start) - np.minimum.reduceat(pxy, start)
+        axis = (extent[:, 1] > extent[:, 0]).astype(np.intp)
+        by_coord = np.argsort(seg * ni + coord_rank[active, axis[seg]], kind="stable")
+        right[active[by_coord]] = np.arange(len(active)) - start[seg] >= size[seg] // 2
+        # keep the edges inside one part; the left ends of those that cross
+        # its cut are its separator
+        pa = part[ea]
+        inside = (pa == part[eb]) & (pa >= 0)
+        ea, eb = ea[inside], eb[inside]
+        ra = right[ea]
+        cross = ra != right[eb]
+        separator[active] = False
+        separator[np.where(ra[cross], eb[cross], ea[cross])] = True
+        # sub-part 3 * part + (0 left half, 1 right half, 2 separator), each
+        # in node order; a part's sub-parts fill its ranks in that order
+        sub = 3 * seg + np.where(separator[active], 2, right[active])
+        regroup = np.argsort(sub, kind="stable")
+        active, sub = active[regroup], sub[regroup]
+        position = (first - start)[seg] + np.arange(len(active))
+        counts = np.bincount(sub, minlength=3 * len(first)).reshape(-1, 3)
+        sub_first = (first[:, None] + np.cumsum(counts, axis=1) - counts).ravel()
+        done = counts.ravel() <= LEAF_SIZE
+        done[2::3] = True
+        ranked = done[sub]
+        rank[active[ranked]] = position[ranked]
+        part[active[ranked]] = -1
+        active, sub = active[~ranked], sub[~ranked]
+        part[active] = (np.cumsum(~done) - 1)[sub]
+        first = sub_first[~done]
     return rank
 
 
@@ -122,10 +178,11 @@ class InteriorFactor:
     unknown set and eliminates dirichlet_zero nodes. With no partition every
     boundary node carries Dirichlet data.
 
-    The unknowns (``unknown_nodes``) are eliminated in the mesh's elimination
-    order. A restricted to them is SPD, so nothing is pivoted and
-    L = U^T D^{-1}, with D the diagonal of U. Only U is read, in blocks
-    [[U11, U12], [0, U22]]:
+    The unknowns (``unknown_nodes``) are eliminated in the mesh's
+    nested-dissection order (``FemMatrices.elimination_rank``; neumann_zero
+    nodes last), and SuperLU keeps that order (``NATURAL``). A restricted to
+    them is SPD, so nothing is pivoted and L = U^T D^{-1}, with D the
+    diagonal of U. Only U is read, in blocks [[U11, U12], [0, U22]]:
 
     - ``l11t`` = D11^{-1} U11 (unit upper triangular) and ``l21t`` =
       D11^{-1} U12, both CSR, give the harmonic extensions by back

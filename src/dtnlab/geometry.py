@@ -246,18 +246,13 @@ def _edge_subdivision(length: float, spacing: float, ang0: float, ang1: float) -
 
 
 def _distance_to_segments(points: np.ndarray, seg_a: np.ndarray, seg_b: np.ndarray) -> np.ndarray:
-    """Min distance from each point to a set of segments, chunked to bound memory."""
+    """Min distance from each point to a set of segments, one segment at a time."""
     out = np.full(len(points), np.inf)
-    d = seg_b - seg_a
-    len2 = np.maximum((d * d).sum(axis=1), 1e-300)
-    chunk = max(1, int(4e6 // max(len(seg_a), 1)))
-    for s in range(0, len(points), chunk):
-        p = points[s : s + chunk]
-        diff = p[:, None, :] - seg_a[None, :, :]
-        t = np.clip((diff * d[None, :, :]).sum(axis=2) / len2[None, :], 0.0, 1.0)
-        proj = seg_a[None, :, :] + t[:, :, None] * d[None, :, :]
-        dist = np.hypot(p[:, None, 0] - proj[:, :, 0], p[:, None, 1] - proj[:, :, 1])
-        out[s : s + chunk] = dist.min(axis=1)
+    px, py = np.ascontiguousarray(points.T)
+    for (ax, ay), (dx, dy) in zip(seg_a, seg_b - seg_a):
+        len2 = max(dx * dx + dy * dy, 1e-300)
+        t = np.clip(((px - ax) * dx + (py - ay) * dy) / len2, 0.0, 1.0)
+        np.minimum(out, np.hypot(px - (ax + t * dx), py - (ay + t * dy)), out=out)
     return out
 
 
@@ -569,11 +564,3 @@ def build_domain(spec: DomainSpec) -> Domain:
         return _polygon_domain(spec, koch_vertices(spec))
 
     raise GeometryError(f"unknown spec type {type(spec).__name__}")
-
-
-def distance_to_boundary(domain: Domain, x) -> float | np.ndarray:
-    return domain.distance_to_boundary(x)
-
-
-def polygon_angle_sequence(domain: Domain) -> np.ndarray:
-    return domain.angle_sequence()

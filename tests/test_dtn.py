@@ -89,6 +89,14 @@ def test_extensions_match_independent_solve(disk_matrices, rng, p, arcs):
     assert not u[fac.zero_nodes].any()
 
 
+@pytest.mark.parametrize("p", [0.0, 1.0, 1e3])
+@pytest.mark.parametrize("arcs", PARTITION_ARCS)
+def test_boundary_last_factor_needs_no_fallback(disk_matrices, p, arcs):
+    """SuperLU keeps the nested-dissection order and meets no zero pivot."""
+    fac = factor_interior(disk_matrices, p, partition_roles(disk_matrices.n_boundary, arcs))
+    assert fac.u22 is not None and fac.l21t is not None
+
+
 def test_schur_falls_back_to_interior_solves(disk_matrices, rng, monkeypatch):
     """An exactly zero pivot in the trailing block stops the boundary-last
     factorization; the unknown block is then factored on its own, and S and

@@ -1,3 +1,4 @@
+import functools
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -7,7 +8,14 @@ import pytest
 from scipy.sparse.linalg import splu
 
 from dtnlab import analytic, geometry
-from dtnlab.fem import SPD_LU_OPTIONS, FemError, assemble, factor_interior, solve_dirichlet
+from dtnlab.fem import (
+    LEAF_SIZE,
+    SPD_LU_OPTIONS,
+    FemError,
+    assemble,
+    factor_interior,
+    solve_dirichlet,
+)
 from dtnlab.mesh import Mesh, generate_mesh
 
 from conftest import four_triangle_square
@@ -94,25 +102,115 @@ def test_factor_residual_contract(disk_matrices, rng):
         assert np.linalg.norm(a_uu @ x - b) <= 1e-10 * np.linalg.norm(b)
 
 
-@pytest.mark.parametrize("spec, h", [
-    (geometry.DiskSpec(1.0), 0.05),
-    (geometry.RectangleSpec(1.0, 2.0), 0.08),
-    (geometry.TriangleSpec(2.0, math.pi / 12, math.pi / 3), 0.04),
-    (geometry.KochSpec(1, 2.0), 0.06),
-])
-def test_elimination_order_is_superlu_order(spec, h):
-    """assemble's order is SuperLU's own MMD_AT_PLUS_A order of the interior
-    block at every p, so the one factor has the fill of a factor of A_uu."""
-    mats = assemble(generate_mesh(geometry.build_domain(spec), h))
+# the benchmark's cold-solve catalog meshes and its p-sweep mesh
+CATALOG = [
+    (geometry.DiskSpec(1.0), 0.04),
+    (geometry.RectangleSpec(1.0, 2.0), 0.04),
+    (geometry.TriangleSpec(2.0, math.pi / 12, math.pi / 3), 0.016),
+    (geometry.KochSpec(1, 2.0), 0.04),
+    (geometry.DiskSpec(1.0), 0.025),
+]
+
+
+@functools.lru_cache(maxsize=None)
+def catalog_mesh(i):
+    spec, h = CATALOG[i]
+    return generate_mesh(geometry.build_domain(spec), h)
+
+
+def boundary_last_fill(mats, interior_order, p=1.0):
+    """nnz(L + U) of p*M + K factored in ``interior_order``, boundary last."""
+    order = np.concatenate([interior_order, np.arange(mats.n_interior, mats.n_nodes)])
+    a = (p * mats.mass + mats.stiffness).tocsr()[order][:, order].tocsc()
+    lu = splu(a, permc_spec="NATURAL", **SPD_LU_OPTIONS)
+    assert np.array_equal(lu.perm_r, np.arange(len(order)))
+    return lu.L.nnz + lu.U.nnz
+
+
+@pytest.mark.parametrize("i", range(len(CATALOG)))
+def test_elimination_rank_permutes_interior_only(i):
+    mesh = catalog_mesh(i)
+    rank = assemble(mesh).elimination_rank
+    ni = mesh.n_interior
+    assert np.array_equal(np.sort(rank[:ni]), np.arange(ni))
+    assert np.array_equal(rank[ni:], np.arange(ni, mesh.n_nodes))
+
+
+def test_elimination_rank_of_tiny_interior_is_node_order():
+    rank = assemble(four_triangle_square()).elimination_rank
+    assert np.array_equal(rank, np.arange(5))
+
+
+def test_elimination_rank_is_deterministic(disk_mesh):
+    """The hex-lattice rows share y, so the coordinate sorts meet ties."""
+    assert np.array_equal(
+        assemble(disk_mesh).elimination_rank, assemble(disk_mesh).elimination_rank
+    )
+
+
+def nested_dissection_by_recursion(mesh):
+    """The nested-dissection order one part at a time, as the rule states it.
+
+    Returns each node's rank and, per split, the rank bounds (a, b, c, d) of
+    its left half [a, b), right half [b, c) and separator [c, d)."""
+    ni = mesh.n_interior
+    edges = mesh.edges()[0]
+    edges = edges[(edges < ni).all(axis=1)]
+    rank = np.arange(mesh.n_nodes)
+    splits = []
+
+    def order(part, first):  # part in node order
+        if len(part) <= LEAF_SIZE:
+            rank[part] = first + np.arange(len(part))
+            return
+        extent = np.ptp(mesh.nodes[part], axis=0)
+        axis = int(extent[1] > extent[0])
+        by_coord = part[np.argsort(mesh.nodes[part, axis], kind="stable")]
+        half = len(part) // 2
+        is_left = np.isin(edges, by_coord[:half])
+        is_right = np.isin(edges, by_coord[half:])
+        crossing = (is_left[:, 0] & is_right[:, 1]) | (is_right[:, 0] & is_left[:, 1])
+        separator = np.unique(edges[crossing][is_left[crossing]])
+        left = np.setdiff1d(by_coord[:half], separator)
+        right = np.sort(by_coord[half:])
+        b, c = first + len(left), first + len(left) + len(right)
+        splits.append((first, b, c, first + len(part)))
+        order(left, first)
+        order(right, b)
+        rank[separator] = c + np.arange(len(separator))
+
+    order(np.arange(ni), 0)
+    return rank, splits
+
+
+@pytest.mark.parametrize("i", range(4))
+def test_nested_dissection_matches_recursion_and_separates(i):
+    """The level-by-level order equals the recursive one, and no mesh edge
+    joins the two halves of any split."""
+    mesh = catalog_mesh(i)
+    rank, splits = nested_dissection_by_recursion(mesh)
+    assert np.array_equal(assemble(mesh).elimination_rank, rank)
+    ni = mesh.n_interior
+    edges = mesh.edges()[0]
+    ra, rb = rank[edges[(edges < ni).all(axis=1)]].T
+    assert len(splits) > 1
+    for a, b, c, d in splits:
+        joins = ((a <= ra) & (ra < b) & (b <= rb) & (rb < c)) | (
+            (a <= rb) & (rb < b) & (b <= ra) & (ra < c)
+        )
+        assert not joins.any()
+
+
+@pytest.mark.parametrize("i", range(len(CATALOG)))
+def test_nested_dissection_fill_at_most_minimum_degree(i):
+    """The boundary-last factor fills no more than in SuperLU's MMD_AT_PLUS_A
+    order of the interior block."""
+    mats = assemble(catalog_mesh(i))
     ni = mats.n_interior
-    for p in (0.0, 1.0, 1e3):
-        a_uu = (p * mats.mass + mats.stiffness).tocsr()[:ni, :ni].tocsc()
-        lu = splu(a_uu, permc_spec="MMD_AT_PLUS_A", **SPD_LU_OPTIONS)
-        assert np.array_equal(mats.elimination_rank[:ni], lu.perm_c)
-    order = np.argsort(mats.elimination_rank[:ni])
-    natural = splu(a_uu[order][:, order], permc_spec="NATURAL", **SPD_LU_OPTIONS)
-    assert natural.L.nnz + natural.U.nnz == lu.L.nnz + lu.U.nnz
-    assert np.array_equal(mats.elimination_rank[ni:], np.arange(ni, mats.n_nodes))
+    a_uu = (mats.mass + mats.stiffness).tocsr()[:ni, :ni].tocsc()
+    mmd = splu(a_uu, permc_spec="MMD_AT_PLUS_A", **SPD_LU_OPTIONS).perm_c
+    nested = boundary_last_fill(mats, np.argsort(mats.elimination_rank[:ni]))
+    assert nested <= boundary_last_fill(mats, np.argsort(mmd))
 
 
 def test_factor_arrays_unchanged_by_extensions(disk_matrices, rng):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dtnlab import geometry
+from dtnlab.mesh import generate_mesh
 from dtnlab.geometry import (
     DeformedDiskSpec,
     DiskSpec,
@@ -16,8 +17,6 @@ from dtnlab.geometry import (
     RegularPolygonSpec,
     TriangleSpec,
     build_domain,
-    distance_to_boundary,
-    polygon_angle_sequence,
     reflex_octagon_vertices,
     spec_from_json,
     spec_to_json,
@@ -94,25 +93,25 @@ def test_reflex_octagon_realizes_target_angles():
 def test_angle_sequence_rejects_smooth():
     d = build_domain(DiskSpec())
     with pytest.raises(GeometryError):
-        polygon_angle_sequence(d)
+        d.angle_sequence()
 
 
 def test_distance_disk_center():
     d = build_domain(DiskSpec())
-    assert abs(distance_to_boundary(d, np.array([0.0, 0.0])) - 1.0) < 1e-12
+    assert abs(d.distance_to_boundary(np.array([0.0, 0.0])) - 1.0) < 1e-12
 
 
 def test_distance_square_center_and_vertex():
     d = build_domain(RectangleSpec(2.0, 2.0))
-    assert abs(distance_to_boundary(d, np.array([1.0, 1.0])) - 1.0) < 1e-12
-    assert distance_to_boundary(d, np.array([0.0, 0.0])) == 0.0
+    assert abs(d.distance_to_boundary(np.array([1.0, 1.0])) - 1.0) < 1e-12
+    assert d.distance_to_boundary(np.array([0.0, 0.0])) == 0.0
 
 
 def test_distance_outside_points():
     d = build_domain(DiskSpec())
-    assert abs(distance_to_boundary(d, np.array([2.0, 0.0])) - 1.0) < 1e-12
+    assert abs(d.distance_to_boundary(np.array([2.0, 0.0])) - 1.0) < 1e-12
     sq = build_domain(RectangleSpec(1.0, 1.0))
-    assert abs(distance_to_boundary(sq, np.array([2.0, 0.5])) - 1.0) < 1e-12
+    assert abs(sq.distance_to_boundary(np.array([2.0, 0.5])) - 1.0) < 1e-12
 
 
 @settings(max_examples=40, deadline=None)
@@ -124,9 +123,51 @@ def test_distance_is_one_lipschitz(x1, y1, x2, y2):
     d = build_domain(EllipseSpec(1.0, 0.5))
     p1 = np.array([x1, y1])
     p2 = np.array([x2, y2])
-    d1 = distance_to_boundary(d, p1)
-    d2 = distance_to_boundary(d, p2)
+    d1 = d.distance_to_boundary(p1)
+    d2 = d.distance_to_boundary(p2)
     assert abs(d1 - d2) <= np.linalg.norm(p1 - p2) + 1e-9
+
+
+def distance_to_segments_all_pairs(points, seg_a, seg_b):
+    """The former formula, with (points x segments x 2) temporaries."""
+    d = seg_b - seg_a
+    len2 = np.maximum((d * d).sum(axis=1), 1e-300)
+    diff = points[:, None, :] - seg_a[None, :, :]
+    t = np.clip((diff * d[None, :, :]).sum(axis=2) / len2[None, :], 0.0, 1.0)
+    proj = seg_a[None, :, :] + t[:, :, None] * d[None, :, :]
+    dist = np.hypot(points[:, None, 0] - proj[:, :, 0], points[:, None, 1] - proj[:, :, 1])
+    return dist.min(axis=1)
+
+
+REFLEX_OCTAGON = PolygonSpec(vertices=tuple(map(tuple, reflex_octagon_vertices())))
+
+
+@pytest.mark.parametrize(
+    "spec", [KochSpec(1, 2.0), TriangleSpec(2.0, PI / 12, PI / 3), REFLEX_OCTAGON]
+)
+def test_distance_to_segments_matches_all_pairs_formula(spec, rng):
+    d = build_domain(spec)
+    lo, hi = d.vertices.min(axis=0), d.vertices.max(axis=0)
+    pts = np.vstack([
+        lo + (hi - lo) * rng.uniform(-0.1, 1.1, (3000, 2)),
+        d.boundary_loop(0.02),
+        d.vertices,
+    ])
+    expected = distance_to_segments_all_pairs(pts, d.vertices, np.roll(d.vertices, -1, axis=0))
+    assert np.array_equal(d.distance_to_boundary(pts), expected)
+
+
+@pytest.mark.parametrize("spec, h", [
+    (KochSpec(1, 2.0), 0.06),
+    (TriangleSpec(2.0, PI / 12, PI / 3), 0.04),
+    (REFLEX_OCTAGON, 0.04),
+])
+def test_mesh_unchanged_by_segment_loop(monkeypatch, spec, h):
+    mesh = generate_mesh(build_domain(spec), h)
+    monkeypatch.setattr(geometry, "_distance_to_segments", distance_to_segments_all_pairs)
+    former = generate_mesh(build_domain(spec), h)
+    assert np.array_equal(mesh.nodes, former.nodes)
+    assert np.array_equal(mesh.triangles, former.triangles)
 
 
 def test_deformed_disk_metrics():
