@@ -1,21 +1,20 @@
 """Boundary-localization diagnostics: amplified maps and radial decay profiles.
 
-Writes bkmap.csv / profile.csv per shape into --out and emits standalone plot
-scripts next to them.
+Runs ``dtnlab localize`` at p = 0 per shape into --out (bkmap.csv,
+profile.csv, report.json) and emits standalone plot scripts next to them.
 """
 import argparse
+import json
 from pathlib import Path
 
-from dtnlab import analysis, geometry
 from dtnlab.cli import RunConfig, run
-from dtnlab.pipeline import solve_steklov
 
 
 CASES = {
-    "square": (geometry.RectangleSpec(2.0, 2.0), 15),
-    "pentagon": (geometry.RegularPolygonSpec(5, 1.0), 15),
-    "disk": (geometry.DiskSpec(1.0), 20),
-    "deformed": (geometry.DeformedDiskSpec(0.02, 5), 20),
+    "square": ("rect:b1=2,b2=2", 15),
+    "pentagon": ("ngon:N=5,R=1", 15),
+    "disk": ("disk:R=1", 20),
+    "deformed": ("deformed:gamma=0.02,m=5", 20),
 }
 
 
@@ -27,20 +26,12 @@ def main() -> None:
     args = ap.parse_args()
 
     for name in args.cases:
-        spec, k = CASES[name]
-        out = Path(args.out) / name
-        out.mkdir(parents=True, exist_ok=True)
-        dom = geometry.build_domain(spec)
-        res = solve_steklov(dom, args.h, 0.0, k + 1, extensions=True)
-        loc = analysis.bk_map(res.spectrum, k, res.mesh, dom)
-        prof = analysis.uk_profile(res.spectrum, k, res.mesh, dom)
-        analysis.bkmap_to_csv(loc, res.mesh, out / "bkmap.csv")
-        analysis.profile_to_csv(prof, out / "profile.csv")
-        analysis.summary_to_json(
-            out / "report.json", mu_k=loc.mu, max_B=loc.max_amplified(), k=k
-        )
-        run(RunConfig(command="emit-plots", out=str(out), artifacts=str(out)))
-        print(f"{name}: mu_{k} = {loc.mu:.4f}, max B = {loc.max_amplified():.3f} -> {out}")
+        domain, k = CASES[name]
+        out = str(Path(args.out) / name)
+        run(RunConfig(command="localize", domain=domain, h=args.h, p=0.0, k=k, out=out))
+        report = json.loads((Path(out) / "report.json").read_text())
+        run(RunConfig(command="emit-plots", out=out, artifacts=out))
+        print(f"{name}: mu_{k} = {report['mu_k']:.4f}, max B = {report['max_B']:.3f} -> {out}")
 
 
 if __name__ == "__main__":

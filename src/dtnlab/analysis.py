@@ -14,7 +14,7 @@ from scipy.optimize import linear_sum_assignment
 from .geometry import Domain
 from .mesh import Mesh
 from .fem import FemMatrices
-from .dtn import BoundaryPartition, Spectrum
+from .dtn import BoundaryPartition, Spectrum, numerical_groups
 from .pipeline import solve
 from .conjecture import effective_angle_sequence
 
@@ -65,21 +65,6 @@ def symmetry_audit(ak: np.ndarray, threshold: float = 1e-3) -> SymmetryAudit:
     surv = np.flatnonzero(mags > threshold)
     gone = np.flatnonzero(mags <= threshold)
     return SymmetryAudit(threshold, surv.tolist(), gone.tolist(), mags)
-
-
-def numerical_groups(eigenvalues: np.ndarray, tol: float) -> list[list[int]]:
-    """Chain-linked clusters of eigenvalues closer than tol * max(1, mu).
-
-    Wider than the exact-multiplicity tolerance: meant for multiplets whose
-    true splitting is below the discretization error, where eigenvectors mix
-    arbitrarily."""
-    groups: list[list[int]] = []
-    for k, mu in enumerate(eigenvalues):
-        if groups and mu - eigenvalues[groups[-1][-1]] <= tol * max(1.0, abs(mu)):
-            groups[-1].append(k)
-        else:
-            groups.append([k])
-    return groups
 
 
 def last_group_complete(spectrum: Spectrum, group_tol: float) -> bool:
@@ -362,42 +347,8 @@ def p_sweep(
 
 
 # ---------------------------------------------------------------------------
-# CSV / JSON export
+# JSON export
 # ---------------------------------------------------------------------------
-
-def sweep_to_csv(sweep: PSweep, path) -> None:
-    with open(path, "w") as f:
-        f.write("p,k,mu\n")
-        for i, p in enumerate(sweep.p_grid):
-            for k, mu in enumerate(sweep.eigenvalues[i]):
-                f.write(f"{p:.17g},{k},{mu:.17g}\n")
-
-
-def ak_to_csv(rows: list[tuple[float, np.ndarray]], path) -> None:
-    """rows: list of (p, A_k array)."""
-    with open(path, "w") as f:
-        f.write("p,k,abs_ak\n")
-        for p, ak in rows:
-            for k, a in enumerate(ak):
-                f.write(f"{p:.17g},{k},{abs(a):.17g}\n")
-
-
-def profile_to_csv(profile: RadialProfile, path) -> None:
-    with open(path, "w") as f:
-        f.write("k,delta,U\n")
-        for d, u in zip(profile.bin_centers, profile.values):
-            f.write(f"{profile.k},{d:.17g},{u:.17g}\n")
-
-
-def bkmap_to_csv(loc: LocalizationMap, mesh: Mesh, path) -> None:
-    with open(path, "w") as f:
-        f.write("node,x,y,dist,V,B\n")
-        for i in range(mesh.n_nodes):
-            f.write(
-                f"{i},{mesh.nodes[i,0]:.17g},{mesh.nodes[i,1]:.17g},"
-                f"{loc.distances[i]:.17g},{loc.values[i]:.17g},{loc.amplified[i]:.17g}\n"
-            )
-
 
 def summary_to_json(path, **payload) -> None:
     def default(o):

@@ -11,10 +11,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 from .geometry import Domain
 
-_SERIES_CUTOFF = 12.0
 _OVERFLOW_X = 700.0
 
 
@@ -26,71 +26,20 @@ class AnalyticError(ValueError):
 # modified Bessel functions of the first kind
 # ---------------------------------------------------------------------------
 
-def _bessel_series_scaled(n_max: int, x: float) -> np.ndarray:
-    """e^{-x} I_n(x) for n = 0..n_max by the ascending power series (x small)."""
-    out = np.empty(n_max + 1)
-    q = 0.25 * x * x
-    for n in range(n_max + 1):
-        # leading term (x/2)^n / n!
-        t = 1.0
-        for k in range(1, n + 1):
-            t *= 0.5 * x / k
-        s = t
-        m = 1
-        while True:
-            t *= q / (m * (n + m))
-            s += t
-            if t <= 1e-18 * s or m > 400:
-                break
-            m += 1
-        out[n] = s
-    return out * math.exp(-x)
-
-
-def _bessel_miller_scaled(n_max: int, x: float) -> np.ndarray:
-    """e^{-x} I_n(x) for n = 0..n_max by backward recurrence with sum
-    normalisation e^{-x} (I_0 + 2 sum_k I_k) = 1."""
-    start = n_max + int(6.5 * math.sqrt(x)) + 20
-    b_hi = 0.0
-    b = 1e-250
-    vals = np.zeros(n_max + 1)
-    norm = 0.0
-    for j in range(start, 0, -1):
-        b_lo = b_hi + (2.0 * j / x) * b
-        b_hi, b = b, b_lo
-        # after this step, b = unnormalised I_{j-1}, b_hi = I_j
-        if j - 1 <= n_max:
-            vals[j - 1] = b
-        norm += 2.0 * b_hi if j <= start else 0.0
-        if abs(b) > 1e250:
-            b *= 1e-250
-            b_hi *= 1e-250
-            vals *= 1e-250
-            norm *= 1e-250
-    norm += b  # I_0 term
-    return vals / norm
-
-
 def bessel_i_scaled(n_max: int, x: float) -> np.ndarray:
-    """Array of e^{-x} I_n(x) for n = 0..n_max; stable for arbitrarily large x."""
+    """Array of e^{-x} I_n(x) for n = 0..n_max (scipy's ``ive``); finite for
+    arbitrarily large x."""
     if x < 0:
         raise AnalyticError("argument must be >= 0")
     if n_max < 0:
         raise AnalyticError("order must be >= 0")
-    if x == 0.0:
-        out = np.zeros(n_max + 1)
-        out[0] = 1.0
-        return out
-    if x <= _SERIES_CUTOFF:
-        return _bessel_series_scaled(n_max, x)
-    return _bessel_miller_scaled(n_max, x)
+    return special.ive(np.arange(n_max + 1), x)
 
 
 def bessel_i(n: int, x: float) -> tuple[float, float]:
     """(I_n(x), I_n'(x)) with relative error <= 1e-12.
 
-    Power series for small arguments, scaled backward recurrence (ratio
-    method) otherwise; I_n' = (I_{n-1} + I_{n+1})/2 with I_{-1} = I_1.
+    I_n' = (I_{n-1} + I_{n+1})/2 with I_{-1} = I_1.
     Raises for x beyond the exp overflow threshold; use
     :func:`bessel_i_scaled` there.
     """

@@ -192,7 +192,7 @@ def cmd_solve(cfg: RunConfig, rep: Reporter) -> None:
     with rep.time("solve"):
         res = solve_steklov(domain, cfg.h, cfg.p, cfg.count, extensions=cfg.vectors)
     rep.domain_metrics(domain, res.mesh)
-    dtn.spectrum_to_csv(res.spectrum, rep.path("eigenvalues.csv"))
+    dtn.write_csv(rep.path("eigenvalues.csv"), ["k", "mu"], enumerate(res.spectrum.eigenvalues))
     meshmod.export_mesh(res.mesh, rep.path("mesh.txt"))
     if cfg.vectors:
         for k in range(res.spectrum.count):
@@ -216,7 +216,7 @@ def cmd_green_solve(cfg: RunConfig, rep: Reporter) -> None:
             matrices, cfg.q, cfg.p, cfg.m, cfg.count, basis0, basis_q
         )
     rep.domain_metrics(domain, msh)
-    dtn.spectrum_to_csv(spec, rep.path("eigenvalues.csv"))
+    dtn.write_csv(rep.path("eigenvalues.csv"), ["k", "mu"], enumerate(spec.eigenvalues))
     rep.payload["eigenvalues"] = spec.eigenvalues
     rep.payload["method"] = "green"
     rep.payload["green_q"] = cfg.q
@@ -231,16 +231,14 @@ def cmd_validate_disk(cfg: RunConfig, rep: Reporter) -> None:
     exact = oracle.eigenvalues(cfg.count)
     bpts = res.mesh.nodes[res.mesh.boundary_indices]
     rmse = dtn.eigenfunction_rmse(res.spectrum, oracle, bpts)
-    with open(rep.path("validation.csv"), "w") as f:
-        f.write("k,exact,fem,abs_err,rmse\n")
-        for k in range(cfg.count):
-            err = abs(res.spectrum.eigenvalues[k] - exact[k])
-            f.write(
-                f"{k},{exact[k]:.17g},{res.spectrum.eigenvalues[k]:.17g},"
-                f"{err:.17g},{rmse[k]:.17g}\n"
-            )
+    mus = res.spectrum.eigenvalues
+    dtn.write_csv(
+        rep.path("validation.csv"),
+        ["k", "exact", "fem", "abs_err", "rmse"],
+        zip(range(cfg.count), exact, mus, np.abs(mus - exact), rmse),
+    )
     rep.domain_metrics(domain, res.mesh)
-    rep.payload["max_abs_err"] = float(np.abs(res.spectrum.eigenvalues - exact).max())
+    rep.payload["max_abs_err"] = float(np.abs(mus - exact).max())
     rep.payload["max_rmse"] = float(rmse.max())
 
 
@@ -251,16 +249,14 @@ def cmd_validate_rect(cfg: RunConfig, rep: Reporter) -> None:
     with rep.time("solve"):
         res = solve_steklov(domain, cfg.h, cfg.p, cfg.count)
     exact = np.array([e.mu for e in pairs])
-    with open(rep.path("validation.csv"), "w") as f:
-        f.write("k,exact,fem,abs_err,root_residual\n")
-        for k in range(cfg.count):
-            err = abs(res.spectrum.eigenvalues[k] - exact[k])
-            f.write(
-                f"{k},{exact[k]:.17g},{res.spectrum.eigenvalues[k]:.17g},"
-                f"{err:.17g},{pairs[k].residual:.17g}\n"
-            )
+    mus = res.spectrum.eigenvalues
+    dtn.write_csv(
+        rep.path("validation.csv"),
+        ["k", "exact", "fem", "abs_err", "root_residual"],
+        zip(range(cfg.count), exact, mus, np.abs(mus - exact), [e.residual for e in pairs]),
+    )
     rep.domain_metrics(domain, res.mesh)
-    rep.payload["max_abs_err"] = float(np.abs(res.spectrum.eigenvalues - exact).max())
+    rep.payload["max_abs_err"] = float(np.abs(mus - exact).max())
     rep.payload["max_root_residual"] = float(max(e.residual for e in pairs))
 
 
@@ -272,7 +268,11 @@ def cmd_sweep(cfg: RunConfig, rep: Reporter) -> None:
     grid = np.logspace(math.log10(cfg.p_min), math.log10(cfg.p_max), cfg.n_p)
     with rep.time("sweep"):
         sweep = analysis.p_sweep(domain, msh, matrices, grid, cfg.count)
-    analysis.sweep_to_csv(sweep, rep.path("sweep.csv"))
+    dtn.write_csv(
+        rep.path("sweep.csv"),
+        ["p", "k", "mu"],
+        ((p, k, mu) for p, row in zip(sweep.p_grid, sweep.eigenvalues) for k, mu in enumerate(row)),
+    )
     rep.domain_metrics(domain, msh)
     rep.payload["small_p_slope"] = sweep.small_p_slope
 
@@ -283,7 +283,11 @@ def cmd_ck(cfg: RunConfig, rep: Reporter) -> None:
         report = conjecture.compare_conjecture(
             domain, cfg.p, cfg.count, eigenvalue_solver(cfg.h)
         )
-    report.to_csv(rep.path("ck.csv"))
+    dtn.write_csv(
+        rep.path("ck.csv"),
+        ["k", "c_conjecture", "c_numeric", "abs_diff"],
+        ((r.k, r.c_conjecture, r.c_numeric, r.abs_diff) for r in report.rows),
+    )
     rep.path("ck.txt").write_text(report.format_table() + "\n")
     rep.domain_metrics(domain)
     rep.payload["max_abs_diff"] = report.max_abs_diff()
@@ -308,7 +312,11 @@ def cmd_ak(cfg: RunConfig, rep: Reporter) -> None:
             ak = analysis.ak_coefficients(res.spectrum, matrices)
             rows.append((p, ak))
             survivors[str(p)] = analysis.symmetry_audit(ak).survivors
-    analysis.ak_to_csv(rows, rep.path("ak.csv"))
+    dtn.write_csv(
+        rep.path("ak.csv"),
+        ["p", "k", "abs_ak"],
+        ((p, k, abs(a)) for p, ak in rows for k, a in enumerate(ak)),
+    )
     rep.domain_metrics(domain, msh)
     rep.payload["survivors"] = survivors
 
@@ -320,8 +328,16 @@ def cmd_localize(cfg: RunConfig, rep: Reporter) -> None:
     with rep.time("maps"):
         loc = analysis.bk_map(res.spectrum, cfg.k, res.mesh, domain)
         prof = analysis.uk_profile(res.spectrum, cfg.k, res.mesh, domain, cfg.bin_width)
-    analysis.bkmap_to_csv(loc, res.mesh, rep.path("bkmap.csv"))
-    analysis.profile_to_csv(prof, rep.path("profile.csv"))
+    dtn.write_csv(
+        rep.path("bkmap.csv"),
+        ["node", "x", "y", "dist", "V", "B"],
+        zip(range(res.mesh.n_nodes), *res.mesh.nodes.T, loc.distances, loc.values, loc.amplified),
+    )
+    dtn.write_csv(
+        rep.path("profile.csv"),
+        ["k", "delta", "U"],
+        ((prof.k, d, u) for d, u in zip(prof.bin_centers, prof.values)),
+    )
     rep.domain_metrics(domain, res.mesh)
     rep.payload["k"] = cfg.k
     rep.payload["mu_k"] = loc.mu
@@ -335,15 +351,9 @@ def cmd_norms(cfg: RunConfig, rep: Reporter) -> None:
     matrices = fem.assemble(msh)
     with rep.time("norms"):
         rows = analysis.norm_identities(msh, matrices, cfg.p, cfg.count, cfg.dp)
-    with open(rep.path("norms.csv"), "w") as f:
-        f.write("k,mu,energy_residual_rel,l2_volume,dmu_dp,l2_residual_rel,"
-                "grad_sq,grad_residual_rel,tracked\n")
-        for r in rows:
-            f.write(
-                f"{r['k']},{r['mu']:.17g},{r['energy_residual_rel']:.17g},"
-                f"{r['l2_volume']:.17g},{r['dmu_dp']:.17g},{r['l2_residual_rel']:.17g},"
-                f"{r['grad_sq']:.17g},{r['grad_residual_rel']:.17g},{int(r['tracked'])}\n"
-            )
+    header = ["k", "mu", "energy_residual_rel", "l2_volume", "dmu_dp", "l2_residual_rel",
+              "grad_sq", "grad_residual_rel", "tracked"]
+    dtn.write_csv(rep.path("norms.csv"), header, ([r[h] for h in header] for r in rows))
     rep.domain_metrics(domain, msh)
     rep.payload["max_energy_residual_rel"] = max(r["energy_residual_rel"] for r in rows)
 

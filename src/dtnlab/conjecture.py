@@ -97,12 +97,6 @@ class ConjectureReport:
     def max_abs_diff(self) -> float:
         return max(r.abs_diff for r in self.rows)
 
-    def to_csv(self, path) -> None:
-        with open(path, "w") as f:
-            f.write("k,c_conjecture,c_numeric,abs_diff\n")
-            for r in self.rows:
-                f.write(f"{r.k},{r.c_conjecture:.17g},{r.c_numeric:.17g},{r.abs_diff:.17g}\n")
-
     def format_table(self) -> str:
         lines = [f"{'k':>3} {'c_conj':>10} {'c_num':>10} {'|diff|':>10} flag"]
         for r in self.rows:

@@ -14,7 +14,7 @@ import numpy as np
 from scipy import sparse
 from scipy.linalg import eigh
 
-from .fem import FemMatrices, InteriorFactor, solve_dirichlet
+from .fem import ROBIN_SHIFT, FemMatrices, InteriorFactor, solve_dirichlet
 
 STEKLOV = 0
 DIRICHLET_ZERO = 1
@@ -89,7 +89,9 @@ def build_dtn(
 ) -> DtnOperator:
     """Schur complement S = A_ss - A_su A_uu^{-1} A_us of A = p*M + K.
 
-    For mixed problems the unknown block is enlarged by neumann_zero nodes and
+    S is read off the factor's trailing block, which holds S + sigma*M_b,s
+    (``fem.ROBIN_SHIFT``); the shift is subtracted again here. For mixed
+    problems the unknown block is enlarged by neumann_zero nodes and
     dirichlet_zero nodes are eliminated; both are baked into ``factor``.
     """
     if partition is None:
@@ -99,14 +101,10 @@ def build_dtn(
     if not np.array_equal(factor.roles, partition.roles):
         raise DtnError("factor was built for a different boundary partition")
 
-    if factor.u22 is None:  # the trailing block met an exactly zero pivot
-        S = _schur_by_solves(factor)
-        S = 0.5 * (S + S.T)
-    else:
-        S = _schur_from_factor(factor.u22)
-
-    steklov_local = factor.data_nodes - matrices.n_interior
-    mb_s = matrices.boundary_mass[steklov_local][:, steklov_local].tocsr()
+    S = _schur_from_factor(factor.u22)
+    mb_s = factor.boundary_mass_s
+    shift = mb_s.tocoo()  # symmetric, so S stays exactly symmetric
+    S[shift.row, shift.col] -= ROBIN_SHIFT * shift.data
     return DtnOperator(
         p=float(p),
         schur=S,
@@ -142,19 +140,6 @@ def _schur_from_factor(u22: sparse.csc_matrix) -> np.ndarray:
     return s
 
 
-def _schur_by_solves(factor: InteriorFactor) -> np.ndarray:
-    """S = A_ss - A_su A_uu^{-1} A_us, one block of interior solves at a time."""
-    ns = len(factor.data_nodes)
-    n_u = len(factor.unknown_nodes)
-    S = factor.a_ss.copy()
-    step = max(8, min(512, int(8e7 // max(8 * n_u, 1))))
-    a_su = factor.a_us.T.tocsr()
-    for s in range(0, ns, step):
-        rhs = factor.a_us[:, s : s + step].toarray()
-        S[:, s : s + step] -= a_su @ factor.solve_interior(rhs)
-    return S
-
-
 @dataclass
 class Spectrum:
     p: float
@@ -162,7 +147,6 @@ class Spectrum:
     vectors: np.ndarray            # (n_s, count), M_b-orthonormal columns
     steklov_nodes: np.ndarray      # global node indices
     n_nodes: int
-    multiplicity_tol: float = 1e-6
     extensions: np.ndarray | None = None  # (n_nodes, count)
     # first eigenvalue past the window (no vector kept): +inf when the window
     # holds the whole discrete spectrum, None when nothing computed it
@@ -172,22 +156,26 @@ class Spectrum:
     def count(self) -> int:
         return len(self.eigenvalues)
 
-    def degenerate_groups(self) -> list[list[int]]:
-        """Indices clustered by eigenvalue within the multiplicity tolerance."""
-        groups: list[list[int]] = []
-        for k, mu in enumerate(self.eigenvalues):
-            if groups and mu - self.eigenvalues[groups[-1][0]] <= self.multiplicity_tol * max(
-                1.0, abs(mu)
-            ):
-                groups[-1].append(k)
-            else:
-                groups.append([k])
-        return groups
+
+def numerical_groups(eigenvalues: np.ndarray, tol: float) -> list[list[int]]:
+    """Chain-linked clusters of ascending eigenvalues: each joins the group of
+    its predecessor when closer than tol * max(1, |mu|).
+
+    With a tolerance wider than the discretization error this groups
+    multiplets whose true splitting the mesh cannot resolve, where
+    eigenvectors mix arbitrarily."""
+    groups: list[list[int]] = []
+    for k, mu in enumerate(eigenvalues):
+        if groups and mu - eigenvalues[groups[-1][-1]] <= tol * max(1.0, abs(mu)):
+            groups[-1].append(k)
+        else:
+            groups.append([k])
+    return groups
 
 
-def _fix_signs(vectors: np.ndarray, mb: sparse.csr_matrix) -> np.ndarray:
-    """Normalize signs: boundary integral >= 0, first-node tie break."""
-    weights = np.asarray(mb.sum(axis=0)).ravel()
+def _fix_signs(vectors: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Normalize signs in place: boundary integral ``weights @ v`` >= 0, and
+    the first significant node positive where that integral is a tie."""
     s = weights @ vectors
     tie = 1e-8 * np.sqrt(weights.sum())
     for k in range(vectors.shape[1]):
@@ -201,7 +189,7 @@ def _fix_signs(vectors: np.ndarray, mb: sparse.csr_matrix) -> np.ndarray:
     return vectors
 
 
-def eigensolve(op: DtnOperator, count: int, multiplicity_tol: float = 1e-6) -> Spectrum:
+def eigensolve(op: DtnOperator, count: int) -> Spectrum:
     """Lowest ``count`` eigenpairs of S v = mu M_b v, M_b-orthonormalized.
 
     One more eigenvalue is computed as the spectrum's ``guard``, so callers
@@ -215,14 +203,13 @@ def eigensolve(op: DtnOperator, count: int, multiplicity_tol: float = 1e-6) -> S
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise DtnError(f"dense eigensolver failed: {exc}") from exc
     guard = float(w[count]) if n > count else math.inf
-    v = _fix_signs(v[:, :count], op.boundary_mass_s)
+    v = _fix_signs(v[:, :count], np.asarray(op.boundary_mass_s.sum(axis=0)).ravel())
     return Spectrum(
         p=op.p,
         eigenvalues=w[:count],
         vectors=v,
         steklov_nodes=op.steklov_nodes.copy(),
         n_nodes=op.n_nodes,
-        multiplicity_tol=multiplicity_tol,
         guard=guard,
     )
 
@@ -251,13 +238,7 @@ def eigenfunction_rmse(
     count = spectrum.count if count is None else count
     mus = oracle.eigenvalues(count + 4)
     traces = oracle.trace_matrix(boundary_points, count + 4)
-    # cluster analytic eigenvalues into multiplets
-    clusters: list[list[int]] = []
-    for i, mu in enumerate(mus):
-        if clusters and mu - mus[clusters[-1][0]] <= 1e-6 * max(1.0, abs(mu)):
-            clusters[-1].append(i)
-        else:
-            clusters.append([i])
+    clusters = numerical_groups(mus, 1e-6)  # analytic multiplets
     centers = np.array([mus[c[0]] for c in clusters])
 
     out = np.empty(count)
@@ -280,11 +261,14 @@ def eigenfunction_rmse(
 # serialization
 # ---------------------------------------------------------------------------
 
-def spectrum_to_csv(spectrum: Spectrum, path) -> None:
+def write_csv(path, header, rows) -> None:
+    """CSV with the column names ``header`` and one line per row; every cell is
+    formatted with ``.17g``, so floats round-trip and ints and bools print as
+    integers."""
     with open(path, "w") as f:
-        f.write("k,mu\n")
-        for k, mu in enumerate(spectrum.eigenvalues):
-            f.write(f"{k},{mu:.17g}\n")
+        f.write(",".join(header) + "\n")
+        for row in rows:
+            f.write(",".join(format(cell, ".17g") for cell in row) + "\n")
 
 
 def write_node_vector(values: np.ndarray, path) -> None:

@@ -4,10 +4,14 @@ Element integrals are exact closed forms (the integrands are polynomial), so
 the only numerical error downstream comes from the mesh and the linear solver.
 ``assemble`` also fixes the fill-reducing elimination order of the interior
 block, a geometric nested dissection of the mesh; it depends only on the mesh,
-so every p on one mesh reuses it. ``InteriorFactor`` factors p*M + K once per
-solve, the unknowns first in that order and the data nodes last: its leading
-blocks give the harmonic extensions by back substitution, and its trailing
-block gives the boundary Schur complement (``dtn.build_dtn``).
+so every p on one mesh reuses it. ``InteriorFactor`` factors p*M + K plus a
+Robin term ``ROBIN_SHIFT`` * M_b on the data nodes once per solve, the unknowns
+first in that order and the data nodes last. The Robin term makes the matrix
+SPD for every p >= 0, so the factor never meets a zero pivot, and it touches
+only the trailing block: the leading blocks give the harmonic extensions of
+p*M + K by back substitution, and the trailing block gives the boundary Schur
+complement once the shift is subtracted again (``dtn.build_dtn``), exact up to
+eps * ROBIN_SHIFT * ||M_b||.
 """
 from __future__ import annotations
 
@@ -44,9 +48,10 @@ class FemMatrices:
         return float(self.boundary_mass.sum())
 
 
-# A = p*M + K restricted to the unknowns is symmetric positive definite (p >= 0,
-# and every unknown connects to a node with Dirichlet data), so SuperLU keeps
-# the diagonal as pivot and the factors stay symmetric in structure.
+# p*M + K restricted to the unknowns is symmetric positive definite (p >= 0,
+# and every unknown connects to a node with Dirichlet data), and so is the
+# Robin-shifted matrix that ``InteriorFactor`` factors; SuperLU keeps the
+# diagonal as pivot and the factors stay symmetric in structure.
 SPD_LU_OPTIONS = dict(diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
 
 
@@ -170,8 +175,16 @@ def _nested_dissection(nodes: np.ndarray, triangles: np.ndarray, n_interior: int
     return rank
 
 
+# sigma of the Robin term in ``InteriorFactor``. Any sigma > 0 makes the
+# trailing block SPD; 1 is of the order of the low eigenvalues mu on domains of
+# unit size, and subtracting the shift costs at most eps * sigma * ||M_b|| in S.
+ROBIN_SHIFT = 1.0
+
+
 class InteriorFactor:
-    """One sparse LU of A = p*M + K, the unknowns first and the data nodes last.
+    """One sparse LU of A = p*M + K + sigma*E, the unknowns first and the data
+    nodes last, with sigma = ``ROBIN_SHIFT`` and E the boundary mass on the
+    data nodes (``boundary_mass_s``), a Robin term.
 
     ``partition_roles`` (optional, one role per boundary node: 0 = steklov,
     1 = dirichlet_zero, 2 = neumann_zero) moves neumann_zero nodes into the
@@ -180,20 +193,22 @@ class InteriorFactor:
 
     The unknowns (``unknown_nodes``) are eliminated in the mesh's
     nested-dissection order (``FemMatrices.elimination_rank``; neumann_zero
-    nodes last), and SuperLU keeps that order (``NATURAL``). A restricted to
-    them is SPD, so nothing is pivoted and L = U^T D^{-1}, with D the
-    diagonal of U. Only U is read, in blocks [[U11, U12], [0, U22]]:
+    nodes last), and SuperLU keeps that order (``NATURAL``). A is SPD, so
+    nothing is pivoted and L = U^T D^{-1}, with D the diagonal of U. Only U is
+    read, in blocks [[U11, U12], [0, U22]]:
 
     - ``l11t`` = D11^{-1} U11 (unit upper triangular) and ``l21t`` =
       D11^{-1} U12, both CSR, give the harmonic extensions by back
       substitution;
-    - ``u22`` is the trailing factor of the Schur complement onto the data
-      nodes, S = U22^T D22^{-1} U22 (``dtn.build_dtn``).
+    - ``u22`` is the trailing factor of the shifted Schur complement onto the
+      data nodes, S + sigma*E = U22^T D22^{-1} U22.
 
-    S is only positive semidefinite (at p = 0 the constants are in its
-    kernel), so its elimination may meet an exactly zero pivot. Then the
-    unknown block is factored on its own, ``u22`` and ``l21t`` are None, and
-    ``a_us`` and ``a_ss`` are kept so that S comes from interior solves.
+    The shift is exact: E touches only the data block, so the leading blocks
+    (and the extensions) are those of p*M + K, and ``dtn.build_dtn`` subtracts
+    sigma*E again, at a rounding cost of at most eps * sigma * ||M_b|| in S.
+    Unshifted, S is only positive semidefinite (at p = 0 the constants are in
+    its kernel) and its last pivot is at rounding level or exactly zero;
+    shifted, every trailing pivot is at least sigma * lambda_min(E).
     Immutable; solves are reusable and thread-safe.
     """
 
@@ -218,51 +233,40 @@ class InteriorFactor:
         if len(self.data_nodes) == 0:
             raise FemError("partition needs at least one steklov node")
         self.n_nodes = matrices.n_nodes
+        local = self.data_nodes - ni
+        self.boundary_mass_s = matrices.boundary_mass[local][:, local].tocsr()
 
         n_u = len(self.unknown_nodes)
         order = np.concatenate([self.unknown_nodes, self.data_nodes])
         A = (self.p * matrices.mass + matrices.stiffness).tocsr()
-        a = A[order][:, order].tocsc()
+        shift = sparse.block_diag(
+            [sparse.csr_matrix((n_u, n_u)), ROBIN_SHIFT * self.boundary_mass_s]
+        )
+        a = (A[order][:, order] + shift).tocsc()
         del A
         upper = _unpivoted_upper(a)
-        self.a_us = self.a_ss = self.l21t = self.u22 = None
-        if upper is None:  # exactly zero pivot in the trailing block
-            upper = _unpivoted_upper(a[:n_u, :n_u].tocsc())
-            if upper is None:  # pragma: no cover - depends on bad input
-                raise FemError("interior factorization met an exactly zero pivot")
-            self.a_us = a[:n_u, n_u:].tocsr()
-            self.a_ss = a[n_u:, n_u:].toarray()
         del a
         self.d11 = upper.diagonal()[:n_u]
         self.l11t = _divide_rows(upper[:n_u, :n_u], self.d11)
-        if self.a_us is None:
-            self.l21t = _divide_rows(upper[:n_u, n_u:], self.d11)
-            self.u22 = upper[n_u:, n_u:]
-
-    def solve_interior(self, rhs: np.ndarray) -> np.ndarray:
-        """x with A_uu x = rhs, unknowns in ``unknown_nodes`` order; A_uu = L11 D11 L11^T."""
-        y = spsolve_triangular(self.l11t.T, rhs, lower=True, unit_diagonal=True)
-        y /= self.d11[:, None] if y.ndim == 2 else self.d11
-        return spsolve_triangular(self.l11t, y, lower=False, unit_diagonal=True)
+        self.l21t = _divide_rows(upper[:n_u, n_u:], self.d11)
+        self.u22 = upper[n_u:, n_u:]
 
     def extend(self, f: np.ndarray) -> np.ndarray:
         """Values on the unknowns of the discrete (p - Lap)-harmonic extension of
         data ``f`` on the data nodes: -(L11^T)^{-1} (L21^T f)."""
-        if self.l21t is None:
-            return -self.solve_interior(self.a_us @ f)
         return -spsolve_triangular(self.l11t, self.l21t @ f, lower=False, unit_diagonal=True)
 
 
-def _unpivoted_upper(a: sparse.csc_matrix) -> sparse.csc_matrix | None:
-    """U of an LU of ``a`` in its given order, or None when SuperLU met an
-    exactly zero pivot (it then pivots a row away or gives up)."""
+def _unpivoted_upper(a: sparse.csc_matrix) -> sparse.csc_matrix:
+    """U of an LU of ``a`` in its given order. SuperLU pivots a row away from
+    an exactly zero pivot, or gives up; either raises ``FemError``."""
     try:
         lu = splu(a, permc_spec="NATURAL", **SPD_LU_OPTIONS)
-    except RuntimeError:  # exactly singular
-        return None
+    except RuntimeError as exc:  # exactly singular
+        raise FemError("interior factorization met an exactly zero pivot") from exc
     natural = np.arange(a.shape[0])
     if not (np.array_equal(lu.perm_c, natural) and np.array_equal(lu.perm_r, natural)):
-        return None
+        raise FemError("interior factorization met an exactly zero pivot")
     return lu.U
 
 

@@ -15,7 +15,7 @@ from scipy import sparse
 from scipy.sparse.linalg import eigsh
 
 from .fem import FemMatrices
-from .dtn import Spectrum
+from .dtn import Spectrum, _fix_signs
 
 
 class GreensError(RuntimeError):
@@ -46,7 +46,9 @@ def boundary_mass_embedded(matrices: FemMatrices) -> sparse.csr_matrix:
 def robin_eigenbasis(matrices: FemMatrices, q: float, m: int) -> RobinEigenbasis:
     """Lowest m eigenpairs of (K + q*B, M) where B is the embedded boundary mass.
 
-    Deterministic: fixed shift-invert target and a fixed start vector.
+    Deterministic: fixed shift-invert target and a fixed start vector. Mode
+    signs are left as ARPACK returns them; the Green's function only uses
+    products u_k(x0) u_k(x1).
     """
     if q < 0:
         raise GreensError("Robin parameter q must be >= 0")
@@ -61,17 +63,10 @@ def robin_eigenbasis(matrices: FemMatrices, q: float, m: int) -> RobinEigenbasis
     except Exception as exc:
         raise GreensError(f"Robin eigensolver failed: {exc}") from exc
     order = np.argsort(w)
-    w, u = w[order], u[:, order]
-    # deterministic signs: first significant component positive
-    for k in range(m):
-        col = u[:, k]
-        nz = np.flatnonzero(np.abs(col) > 1e-10 * np.abs(col).max())
-        if len(nz) and col[nz[0]] < 0:
-            u[:, k] = -col
     return RobinEigenbasis(
         q=float(q),
-        eigenvalues=w,
-        modes=u,
+        eigenvalues=w[order],
+        modes=u[:, order],
         boundary_slice=slice(matrices.n_interior, matrices.n_nodes),
     )
 
@@ -141,16 +136,7 @@ def dtn_spectrum_via_green(
     order = np.argsort(mu)
     mu, vecs = mu[order], vecs[:, order]
     # back to nodal values, unit weighted-L2 norm
-    v = vecs / sw[:, None]
-    for k in range(v.shape[1]):
-        col = v[:, k]
-        s = w @ col
-        if s < -1e-8 * np.sqrt(w.sum()):
-            v[:, k] = -col
-        elif abs(s) <= 1e-8 * np.sqrt(w.sum()):
-            nz = np.flatnonzero(np.abs(col) > 1e-12 * np.abs(col).max())
-            if len(nz) and col[nz[0]] < 0:
-                v[:, k] = -col
+    v = _fix_signs(vecs / sw[:, None], w)
     return Spectrum(
         p=float(p),
         eigenvalues=mu,

@@ -8,24 +8,21 @@ from dtnlab import geometry
 from dtnlab.analysis import (
     AnalysisError,
     ak_coefficients,
-    ak_to_csv,
     ak_via_volume,
     bk_group_max,
     bk_map,
-    bkmap_to_csv,
     concentrate_degenerate_ak,
     last_group_complete,
     match_branches,
     norm_identities,
     numerical_groups,
     p_sweep,
-    profile_to_csv,
     summary_to_json,
-    sweep_to_csv,
     symmetry_audit,
     uk_profile,
 )
 from dtnlab import dtn, fem
+from dtnlab.dtn import write_csv
 from dtnlab.pipeline import solve_steklov
 
 import conftest
@@ -255,19 +252,21 @@ def test_p_sweep_grid_validation(disk_domain, disk_mesh, disk_matrices):
 
 
 def test_csv_writers(tmp_path, disk_domain, disk_mesh, disk_matrices):
+    """The one CSV writer prints ints and bools as integers and floats with 17
+    significant digits, so every cell reads back exactly."""
     res = solve_steklov(disk_domain, 0.05, 0.0, 4, extensions=True,
                         mesh=disk_mesh, matrices=disk_matrices)
-    sweep = p_sweep(disk_domain, disk_mesh, disk_matrices, [0.5, 1.0], 3)
-    sweep_to_csv(sweep, tmp_path / "sweep.csv")
-    assert (tmp_path / "sweep.csv").read_text().startswith("p,k,mu\n")
     ak = ak_coefficients(res.spectrum, disk_matrices)
-    ak_to_csv([(0.0, ak)], tmp_path / "ak.csv")
-    assert len((tmp_path / "ak.csv").read_text().splitlines()) == 5
-    prof = uk_profile(res.spectrum, 3, disk_mesh, disk_domain)
-    profile_to_csv(prof, tmp_path / "profile.csv")
+    path = tmp_path / "ak.csv"
+    write_csv(path, ["p", "k", "abs_ak", "tracked"],
+              ((0.0, k, abs(a), k == 0) for k, a in enumerate(ak)))
+    lines = path.read_text().splitlines()
+    assert lines[0] == "p,k,abs_ak,tracked"
+    assert [line.split(",")[1] for line in lines[1:]] == ["0", "1", "2", "3"]
+    assert [line.split(",")[3] for line in lines[1:]] == ["1", "0", "0", "0"]
+    back = np.loadtxt(path, delimiter=",", skiprows=1)
+    assert np.array_equal(back[:, 2], np.abs(ak))
     loc = bk_map(res.spectrum, 3, disk_mesh, disk_domain)
-    bkmap_to_csv(loc, disk_mesh, tmp_path / "bkmap.csv")
-    assert len((tmp_path / "bkmap.csv").read_text().splitlines()) == disk_mesh.n_nodes + 1
     summary_to_json(tmp_path / "s.json", max_B=loc.max_amplified(), survivors=[0])
     assert (tmp_path / "s.json").exists()
 

@@ -11,6 +11,7 @@ from dtnlab.conjecture import (
     effective_angle_sequence,
     extract_ck,
 )
+from dtnlab.dtn import write_csv
 
 PI = math.pi
 
@@ -134,7 +135,10 @@ def test_report_csv(tmp_path):
     dom = geometry.build_domain(geometry.RegularPolygonSpec(4))
     report = compare_conjecture(dom, 1e3, 3, lambda d, p, c: np.full(c, 0.7) * math.sqrt(p))
     path = tmp_path / "ck.csv"
-    report.to_csv(path)
+    write_csv(path, ["k", "c_conjecture", "c_numeric", "abs_diff"],
+              ((r.k, r.c_conjecture, r.c_numeric, r.abs_diff) for r in report.rows))
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "k,c_conjecture,c_numeric,abs_diff"
     assert len(lines) == 4
+    back = np.loadtxt(path, delimiter=",", skiprows=1)
+    assert np.array_equal(back[:, 2], [r.c_numeric for r in report.rows])

@@ -11,12 +11,12 @@ from dtnlab.dtn import (
     eigenfunction_rmse,
     eigensolve,
     embed_boundary_vector,
-    spectrum_to_csv,
+    write_csv,
     write_node_vector,
 )
 from dtnlab import fem
 from dtnlab.fem import assemble, factor_interior, solve_dirichlet
-from dtnlab.mesh import Mesh
+from dtnlab.mesh import Mesh, generate_mesh
 from dtnlab.pipeline import solve_steklov
 
 from conftest import four_triangle_square
@@ -36,35 +36,44 @@ def partition_roles(n, arcs):
 
 
 def reference_blocks(mats, fac):
-    """A_uu (CSC), A_us and A_ss of A = p*M + K, built apart from the factor."""
+    """A_uu (CSC), A_ud and A_dd of A = p*M + K (u unknowns, d data nodes),
+    built apart from the factor."""
     A = (fac.p * mats.mass + mats.stiffness).tocsr()
     u, s = fac.unknown_nodes, fac.data_nodes
     return A[u][:, u].tocsc(), A[u][:, s], A[s][:, s].toarray()
 
 
 def test_schur_matches_dense_brute_force():
-    """Hand-built 5-node mesh: the chunked Schur assembly must agree with
-    dense linear algebra to near machine precision."""
-    mesh = four_triangle_square()
-    mats = assemble(mesh)
-    p = 0.7
-    fac = factor_interior(mats, p)
-    op = build_dtn(mats, fac, p)
-    A = (p * mats.mass + mats.stiffness).toarray()
-    ii = slice(0, 1)
-    ee = slice(1, 5)
-    s_dense = A[ee, ee] - A[ee, ii] @ np.linalg.solve(A[ii, ii], A[ii, ee])
-    assert np.abs(op.schur - s_dense).max() < 1e-14
+    """The Schur complement agrees with dense linear algebra to near machine
+    precision: on a hand-built 5-node mesh, and at p = 0 on two coarse meshes
+    whose unshifted trailing block meets an exactly zero pivot (the constants
+    are in the kernel of S), where also mu_0 = 0."""
+    cases = [(four_triangle_square(), 0.7)] + [
+        (generate_mesh(geometry.build_domain(spec), h), 0.0)
+        for spec, h in [(geometry.RectangleSpec(1.0, 2.0), 0.45),
+                        (geometry.RegularPolygonSpec(4, 1.0), 0.55)]
+    ]
+    for mesh, p in cases:
+        mats = assemble(mesh)
+        op = build_dtn(mats, factor_interior(mats, p), p)
+        A = (p * mats.mass + mats.stiffness).toarray()
+        ii = slice(0, mesh.n_interior)
+        ee = slice(mesh.n_interior, mesh.n_nodes)
+        s_dense = A[ee, ee] - A[ee, ii] @ np.linalg.solve(A[ii, ii], A[ii, ee])
+        assert np.abs(op.schur - s_dense).max() < 1e-14
+        if p == 0.0:
+            assert abs(eigensolve(op, 1).eigenvalues[0]) <= 1e-11
 
 
 @pytest.mark.parametrize("arcs", PARTITION_ARCS)
 def test_schur_elimination_matches_interior_solves(disk_matrices, arcs):
-    """The trailing block of one LU with the data nodes last is the Schur
-    complement that interior solves with an independent LU of A_uu give."""
+    """The trailing block of one LU with the data nodes last, less the Robin
+    shift, is the Schur complement that interior solves with an independent
+    LU of A_uu give."""
     fac = factor_interior(disk_matrices, 1.0, partition_roles(disk_matrices.n_boundary, arcs))
-    a_uu, a_us, a_ss = reference_blocks(disk_matrices, fac)
-    s_solve = a_ss - a_us.T @ splu(a_uu).solve(a_us.toarray())
-    s_elim = dtn._schur_from_factor(fac.u22)
+    a_uu, a_ud, a_dd = reference_blocks(disk_matrices, fac)
+    s_solve = a_dd - a_ud.T @ splu(a_uu).solve(a_ud.toarray())
+    s_elim = build_dtn(disk_matrices, fac, 1.0).schur
     assert np.array_equal(s_elim, s_elim.T)
     assert np.abs(s_elim - s_solve).max() <= 1e-12 * np.abs(s_solve).max()
 
@@ -76,15 +85,15 @@ def test_extensions_match_independent_solve(disk_matrices, rng, p, arcs):
     extension that an independent LU of A_uu gives, and it solves A u = 0
     on the unknowns."""
     fac = factor_interior(disk_matrices, p, partition_roles(disk_matrices.n_boundary, arcs))
-    a_uu, a_us, _ = reference_blocks(disk_matrices, fac)
+    a_uu, a_ud, _ = reference_blocks(disk_matrices, fac)
     f = rng.standard_normal((len(fac.data_nodes), 3))
     u = solve_dirichlet(disk_matrices, fac, p, f)
-    expected = splu(a_uu).solve(-(a_us @ f))
+    expected = splu(a_uu).solve(-(a_ud @ f))
     got = u[fac.unknown_nodes]
     assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
     A = (p * disk_matrices.mass + disk_matrices.stiffness).tocsr()
     residual = (A @ u)[fac.unknown_nodes]
-    assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(a_us @ f)
+    assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(a_ud @ f)
     assert np.array_equal(u[fac.data_nodes], f)
     assert not u[fac.zero_nodes].any()
 
@@ -92,34 +101,12 @@ def test_extensions_match_independent_solve(disk_matrices, rng, p, arcs):
 @pytest.mark.parametrize("p", [0.0, 1.0, 1e3])
 @pytest.mark.parametrize("arcs", PARTITION_ARCS)
 def test_boundary_last_factor_needs_no_fallback(disk_matrices, p, arcs):
-    """SuperLU keeps the nested-dissection order and meets no zero pivot."""
+    """The Robin shift bounds every trailing pivot below by
+    sigma * lambda_min(M_b,s): the trailing block is S + sigma M_b,s with
+    S >= 0, so no pivot is near zero, also at p = 0."""
     fac = factor_interior(disk_matrices, p, partition_roles(disk_matrices.n_boundary, arcs))
-    assert fac.u22 is not None and fac.l21t is not None
-
-
-def test_schur_falls_back_to_interior_solves(disk_matrices, rng, monkeypatch):
-    """An exactly zero pivot in the trailing block stops the boundary-last
-    factorization; the unknown block is then factored on its own, and S and
-    the extensions come from interior solves."""
-    fac = factor_interior(disk_matrices, 0.0)
-    expected = build_dtn(disk_matrices, fac, 0.0).schur
-    f = rng.standard_normal((disk_matrices.n_boundary, 3))
-    expected_ext = solve_dirichlet(disk_matrices, fac, 0.0, f)
-    n_unknown = len(fac.unknown_nodes)
-    real_splu = fem.splu
-
-    def singular_trailing_block(a, *args, **kwargs):
-        if a.shape[0] > n_unknown:
-            raise RuntimeError("Factor is exactly singular")
-        return real_splu(a, *args, **kwargs)
-
-    monkeypatch.setattr(fem, "splu", singular_trailing_block)
-    fallback = factor_interior(disk_matrices, 0.0)
-    assert fallback.u22 is None and fallback.l21t is None
-    got = build_dtn(disk_matrices, fallback, 0.0).schur
-    assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
-    ext = solve_dirichlet(disk_matrices, fallback, 0.0, f)
-    assert np.abs(ext - expected_ext).max() <= 1e-12 * np.abs(expected_ext).max()
+    floor = fem.ROBIN_SHIFT * np.linalg.eigvalsh(fac.boundary_mass_s.toarray())[0]
+    assert fac.u22.diagonal().min() >= floor > 0
 
 
 def test_schur_on_disconnected_mesh():
@@ -303,7 +290,7 @@ def test_rmse_pairing_failure(disk_solution, disk_mesh):
 def test_spectrum_serialization(tmp_path, disk_solution):
     sp = disk_solution.spectrum
     csv = tmp_path / "spec.csv"
-    spectrum_to_csv(sp, csv)
+    write_csv(csv, ["k", "mu"], enumerate(sp.eigenvalues))
     lines = csv.read_text().strip().splitlines()
     assert lines[0] == "k,mu"
     assert len(lines) == sp.count + 1
@@ -312,9 +299,3 @@ def test_spectrum_serialization(tmp_path, disk_solution):
     vals = np.loadtxt(vec)
     assert len(vals) == sp.n_nodes
     assert np.count_nonzero(vals) == len(sp.steklov_nodes)
-
-
-def test_degenerate_groups(disk_solution):
-    groups = disk_solution.spectrum.degenerate_groups()
-    sizes = [len(g) for g in groups]
-    assert sizes[0] == 1  # the lowest mode is simple

@@ -78,30 +78,6 @@ def test_assemble_rejects_degenerate_triangle():
         assemble(m)
 
 
-def unknown_block(mats, fac):
-    """A_uu of A = p*M + K, unknowns in the factor's elimination order."""
-    A = (fac.p * mats.mass + mats.stiffness).tocsr()
-    return A[fac.unknown_nodes][:, fac.unknown_nodes]
-
-
-def test_factor_solve_round_trip(disk_matrices, rng):
-    fac = factor_interior(disk_matrices, p=1.0)
-    a_uu = unknown_block(disk_matrices, fac)
-    x = rng.standard_normal(a_uu.shape[0])
-    b = a_uu @ x
-    x2 = fac.solve_interior(b)
-    assert np.linalg.norm(x - x2) <= 1e-10 * np.linalg.norm(x)
-
-
-def test_factor_residual_contract(disk_matrices, rng):
-    for p in (0.0, 1.0, 100.0):
-        fac = factor_interior(disk_matrices, p=p)
-        a_uu = unknown_block(disk_matrices, fac)
-        b = rng.standard_normal(a_uu.shape[0])
-        x = fac.solve_interior(b)
-        assert np.linalg.norm(a_uu @ x - b) <= 1e-10 * np.linalg.norm(b)
-
-
 # the benchmark's cold-solve catalog meshes and its p-sweep mesh
 CATALOG = [
     (geometry.DiskSpec(1.0), 0.04),
