@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from dtnlab import conjecture, geometry
-from dtnlab.pipeline import eigenvalue_solver, solve_steklov
+from dtnlab.pipeline import solve_steklov
 
 
 def main() -> None:
@@ -23,7 +23,8 @@ def main() -> None:
     tri = geometry.build_domain(geometry.TriangleSpec(2.0, math.pi / 12, math.pi / 3))
     h_tri = args.h or 0.003
     print(f"== sharp triangle (pi/12, pi/3, 7pi/12), h={h_tri}, p={args.p}")
-    rep = conjecture.compare_conjecture(tri, args.p, 9, eigenvalue_solver(h_tri))
+    mu = solve_steklov(tri, h_tri, args.p, 9).spectrum.eigenvalues
+    rep = conjecture.compare_conjecture(tri, args.p, mu)
     print(rep.format_table())
 
     if not args.skip_octagon:
@@ -32,7 +33,8 @@ def main() -> None:
         )
         h_oct = args.h or 0.005
         print(f"\n== reflex octagon, h={h_oct}, p={args.p}")
-        rep = conjecture.compare_conjecture(octa, args.p, 18, eigenvalue_solver(h_oct))
+        mu = solve_steklov(octa, h_oct, args.p, 18).spectrum.eigenvalues
+        rep = conjecture.compare_conjecture(octa, args.p, mu)
         print(rep.format_table())
 
     h_ngon = args.h or 0.01

@@ -31,16 +31,16 @@ def ak_coefficients(spectrum: Spectrum, matrices: FemMatrices) -> np.ndarray:
     """A_k = (1^T M_b v_k) / sqrt(1^T M_b 1): weight of mode k in the expansion
     of a constant over the boundary eigenbasis. With the sign convention of the
     eigensolver these are >= 0 up to quadrature noise."""
-    mb = matrices.boundary_mass
-    local = spectrum.steklov_nodes - matrices.n_interior
-    mb_s = mb[local][:, local]
+    mb_s = matrices.boundary_mass_at(spectrum.steklov_nodes)
     weights = np.asarray(mb_s.sum(axis=0)).ravel()
     measure = weights.sum()
     return (weights @ spectrum.vectors) / math.sqrt(measure)
 
 
-def ak_via_volume(spectrum: Spectrum, matrices: FemMatrices, p: float) -> np.ndarray:
-    """Volume route to the same coefficients: p/(mu_k sqrt(|dOmega|)) int V_k."""
+def ak_via_volume(spectrum: Spectrum, matrices: FemMatrices) -> np.ndarray:
+    """Volume route to the same coefficients: p/(mu_k sqrt(|dOmega|)) int V_k,
+    at the spectrum's p."""
+    p = spectrum.p
     if p <= 0:
         raise AnalysisError("the volume formula degenerates at p = 0")
     if spectrum.extensions is None:
@@ -236,8 +236,7 @@ def uk_profile(
 def match_branches(ref: Spectrum, other: Spectrum, matrices: FemMatrices) -> np.ndarray:
     """For each mode of ``ref``, the index of the matching mode of ``other``
     by maximal |M_b inner product| (sorted indices swap at crossings)."""
-    local = ref.steklov_nodes - matrices.n_interior
-    mb = matrices.boundary_mass[local][:, local]
+    mb = matrices.boundary_mass_at(ref.steklov_nodes)
     overlap = np.abs(ref.vectors.T @ (mb @ other.vectors))
     rows, cols = linear_sum_assignment(-overlap)
     out = np.empty(ref.count, dtype=int)
@@ -246,7 +245,6 @@ def match_branches(ref: Spectrum, other: Spectrum, matrices: FemMatrices) -> np.
 
 
 def norm_identities(
-    mesh: Mesh,
     matrices: FemMatrices,
     p: float,
     count: int,
@@ -274,6 +272,7 @@ def norm_identities(
     A = (p * matrices.mass + matrices.stiffness).tocsr()
     K = matrices.stiffness
     M = matrices.mass
+    mb = matrices.boundary_mass_at(spec0.steklov_nodes)
     rows = []
     for k in range(count):
         V = spec0.extensions[:, k]
@@ -282,8 +281,6 @@ def norm_identities(
         l2 = float(V @ (M @ V))
         grad = float(V @ (K @ V))
         dmu = (hi.eigenvalues[i_hi[k]] - lo.eigenvalues[i_lo[k]]) / (2 * dp)
-        local = spec0.steklov_nodes - matrices.n_interior
-        mb = matrices.boundary_mass[local][:, local]
         o_lo = abs(spec0.vectors[:, k] @ (mb @ lo.vectors[:, i_lo[k]]))
         o_hi = abs(spec0.vectors[:, k] @ (mb @ hi.vectors[:, i_hi[k]]))
         rows.append(
@@ -322,7 +319,6 @@ class PSweep:
 
 def p_sweep(
     domain: Domain,
-    mesh: Mesh,
     matrices: FemMatrices,
     p_grid,
     count: int,

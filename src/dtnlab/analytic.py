@@ -206,6 +206,9 @@ def _mu_minus(a1: float, b1: float) -> float:
     return (a1 / b1) * math.tanh(a1 / 2)
 
 
+_MU = {"plus": _mu_plus, "minus": _mu_minus}
+
+
 def _bisect(f, lo: float, hi: float, flo: float) -> float:
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -268,7 +271,7 @@ def _imaginary_family(b1: float, b2: float, p: float, al_cap: float, swap: bool)
         f = lambda al, b=branch: (lambda t: t[0] - t[1])(terms(al, b))
         for al in _scan_roots(f, 1e-9, al_cap, max(64, int(al_cap / (math.pi / 128)))):
             a1 = a1_of(al)
-            mu = _mu_plus(a1, b1) if branch == "plus" else _mu_minus(a1, b1)
+            mu = _MU[branch](a1, b1)
             t1, t2 = terms(al, branch)
             res = abs(t1 - t2) / (abs(t1) + abs(t2) + 1e-300)
             real_factor = AxisFactor(a1, False, branch)
@@ -279,7 +282,12 @@ def _imaginary_family(b1: float, b2: float, p: float, al_cap: float, swap: bool)
 
 
 def _real_family(b1: float, b2: float, p: float):
-    """Roots with both axis factors real; alpha_2 scanned on (0, b2 sqrt(p))."""
+    """Roots with both axis factors real, at most one per branch pair (bx, by).
+
+    Each solves mu_bx(alpha_1, b1) = mu_by(alpha_2, b2) with alpha_1 =
+    (b1/b2) sqrt(p b2^2 - alpha_2^2). On alpha_2 in (0, b2 sqrt(p)) the left
+    side falls and the right side rises, so a root exists exactly when the two
+    ends of the interval differ in sign, and bisection finds it."""
     if p <= 0:
         return []
     s = b2 * math.sqrt(p)
@@ -287,34 +295,21 @@ def _real_family(b1: float, b2: float, p: float):
     def a1_of(a2: float) -> float:
         return (b1 / b2) * math.sqrt(max(p * b2 * b2 - a2 * a2, 0.0))
 
-    def terms(a2: float, branch: str) -> tuple[float, float]:
-        a1 = a1_of(a2)
-        s1, c2, h2 = _scaled_hyperbolics(a1)
-        e = math.exp(-a1) if a1 < 700 else 0.0
-        amp = math.sqrt(max(p * b2 * b2 - a2 * a2, 0.0))
-        th = math.tanh(a2)
-        if branch == "plus":
-            t1 = th * (a2 * a2 * e - p * b2 * b2 * c2)
-            t2 = a2 * amp * s1
-        else:
-            t1 = th * (a2 * a2 * e + p * b2 * b2 * h2)
-            t2 = -a2 * amp * s1
-        return t1, t2
-
+    lo, hi = 1e-9 * s, (1.0 - 1e-9) * s
     out = []
-    step = min(0.01, s / 1000.0)
-    n_grid = max(64, int(math.ceil(s / step)))
-    for branch in ("plus", "minus"):
-        f = lambda a2, b=branch: (lambda t: t[0] + t[1])(terms(a2, b))
-        for a2 in _scan_roots(f, 1e-9 * s, (1.0 - 1e-9) * s, n_grid):
+    for bx in ("plus", "minus"):
+        for by in ("plus", "minus"):
+            def f(a2, bx=bx, by=by):
+                return _MU[bx](a1_of(a2), b1) - _MU[by](a2, b2)
+
+            flo = f(lo)
+            if not flo > 0 > f(hi):
+                continue
+            a2 = _bisect(f, lo, hi, flo)
             a1 = a1_of(a2)
-            mu = _mu_plus(a1, b1) if branch == "plus" else _mu_minus(a1, b1)
-            t1, t2 = terms(a2, branch)
-            res = abs(t1 + t2) / (abs(t1) + abs(t2) + 1e-300)
-            # classify the alpha_2 factor by whichever mu branch it satisfies
-            br2 = "plus" if abs(mu - _mu_plus(a2, b2)) <= abs(mu - _mu_minus(a2, b2)) else "minus"
-            factors = (AxisFactor(a1, False, branch), AxisFactor(a2, False, br2))
-            out.append((mu, factors, res))
+            mu, mu_y = _MU[bx](a1, b1), _MU[by](a2, b2)
+            res = abs(mu - mu_y) / (mu + mu_y)
+            out.append((mu, (AxisFactor(a1, False, bx), AxisFactor(a2, False, by)), res))
     return out
 
 

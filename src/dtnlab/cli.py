@@ -11,13 +11,13 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import analysis, analytic, conjecture, dtn, fem, geometry, greens, mesh as meshmod
-from .pipeline import eigenvalue_solver, solve_steklov
+from .pipeline import solve_steklov
 
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
@@ -25,8 +25,6 @@ EXIT_IO = 4
 
 TOLERANCES = {
     "linear_solve_rel": 1e-10,
-    "schur_symmetry_abs": 1e-10,
-    "multiplicity_tol": 1e-6,
     "orthonormality_tol": 1e-8,
     "root_residual": 1e-10,
     "csv_significant_digits": 17,
@@ -46,7 +44,6 @@ class RunConfig:
     h: float = 0.05
     p: float = 1.0
     count: int = 11
-    method: str = "fem"
     q: float = 1.0
     m: int = 131
     out: str = "."
@@ -62,7 +59,6 @@ class RunConfig:
     b2: float = 2.0
     vectors: bool = False
     artifacts: str | None = None
-    extras: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +263,7 @@ def cmd_sweep(cfg: RunConfig, rep: Reporter) -> None:
     matrices = fem.assemble(msh)
     grid = np.logspace(math.log10(cfg.p_min), math.log10(cfg.p_max), cfg.n_p)
     with rep.time("sweep"):
-        sweep = analysis.p_sweep(domain, msh, matrices, grid, cfg.count)
+        sweep = analysis.p_sweep(domain, matrices, grid, cfg.count)
     dtn.write_csv(
         rep.path("sweep.csv"),
         ["p", "k", "mu"],
@@ -280,9 +276,8 @@ def cmd_sweep(cfg: RunConfig, rep: Reporter) -> None:
 def cmd_ck(cfg: RunConfig, rep: Reporter) -> None:
     domain = geometry.build_domain(parse_domain(cfg.domain))
     with rep.time("ck"):
-        report = conjecture.compare_conjecture(
-            domain, cfg.p, cfg.count, eigenvalue_solver(cfg.h)
-        )
+        eigenvalues = solve_steklov(domain, cfg.h, cfg.p, cfg.count).spectrum.eigenvalues
+        report = conjecture.compare_conjecture(domain, cfg.p, eigenvalues)
     dtn.write_csv(
         rep.path("ck.csv"),
         ["k", "c_conjecture", "c_numeric", "abs_diff"],
@@ -350,7 +345,7 @@ def cmd_norms(cfg: RunConfig, rep: Reporter) -> None:
         msh = meshmod.generate_mesh(domain, cfg.h)
     matrices = fem.assemble(msh)
     with rep.time("norms"):
-        rows = analysis.norm_identities(msh, matrices, cfg.p, cfg.count, cfg.dp)
+        rows = analysis.norm_identities(matrices, cfg.p, cfg.count, cfg.dp)
     header = ["k", "mu", "energy_residual_rel", "l2_volume", "dmu_dp", "l2_residual_rel",
               "grad_sq", "grad_residual_rel", "tracked"]
     dtn.write_csv(rep.path("norms.csv"), header, ([r[h] for h in header] for r in rows))
@@ -465,66 +460,79 @@ def cmd_emit_plots(cfg: RunConfig, rep: Reporter) -> None:
     rep.payload["plot_scripts"] = written
 
 
+# command -> (function, the RunConfig fields it reads besides ``out``); each
+# field is a flag of that command and a key of its --config file
 _COMMANDS = {
-    "mesh": cmd_mesh,
-    "solve": cmd_solve,
-    "green-solve": cmd_green_solve,
-    "validate-disk": cmd_validate_disk,
-    "validate-rect": cmd_validate_rect,
-    "sweep": cmd_sweep,
-    "ck": cmd_ck,
-    "ak": cmd_ak,
-    "localize": cmd_localize,
-    "norms": cmd_norms,
-    "emit-plots": cmd_emit_plots,
+    "mesh": (cmd_mesh, ("domain", "h")),
+    "solve": (cmd_solve, ("domain", "h", "p", "count", "vectors")),
+    "green-solve": (cmd_green_solve, ("domain", "h", "p", "count", "q", "m")),
+    "validate-disk": (cmd_validate_disk, ("radius", "h", "p", "count")),
+    "validate-rect": (cmd_validate_rect, ("b1", "b2", "h", "p", "count")),
+    "sweep": (cmd_sweep, ("domain", "h", "count", "p_min", "p_max", "n_p")),
+    "ck": (cmd_ck, ("domain", "h", "p", "count")),
+    "ak": (cmd_ak, ("domain", "h", "p", "count", "p_list")),
+    "localize": (cmd_localize, ("domain", "h", "p", "k", "bin_width")),
+    "norms": (cmd_norms, ("domain", "h", "p", "count", "dp")),
+    "emit-plots": (cmd_emit_plots, ("artifacts",)),
 }
 
-_NEEDS_DOMAIN = {"mesh", "solve", "green-solve", "sweep", "ck", "ak", "localize", "norms"}
+# RunConfig field -> (flag, argparse keywords); the defaults are RunConfig's
+_FLAGS = {
+    "domain": ("--domain", dict(help="shape, e.g. disk:R=1 or rect:b1=1,b2=2")),
+    "h": ("--h", dict(type=float)),
+    "p": ("--p", dict(type=float)),
+    "count": ("--count", dict(type=int)),
+    "q": ("--q", dict(type=float)),
+    "m": ("--m", dict(type=int)),
+    "out": ("--out", {}),
+    "p_min": ("--p-min", dict(type=float)),
+    "p_max": ("--p-max", dict(type=float)),
+    "n_p": ("--n-p", dict(type=int)),
+    "p_list": ("--p-list", {}),
+    "k": ("--k", dict(type=int)),
+    "dp": ("--dp", dict(type=float)),
+    "bin_width": ("--bin-width", dict(type=float)),
+    "radius": ("--R", dict(type=float)),
+    "b1": ("--b1", dict(type=float)),
+    "b2": ("--b2", dict(type=float)),
+    "vectors": ("--vectors", dict(action="store_true")),
+    "artifacts": ("--artifacts", {}),
+}
+
+
+def _fields(command: str) -> tuple[str, ...]:
+    return _COMMANDS[command][1] + ("out",)
 
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="dtnlab", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
-        sp = sub.add_parser(name)
+        # a flag left out is absent from the namespace, so RunConfig's default holds
+        sp = sub.add_parser(name, argument_default=argparse.SUPPRESS)
         sp.add_argument("--config", help="JSON file with the flag values")
-        sp.add_argument("--domain", help="shape, e.g. disk:R=1 or rect:b1=1,b2=2")
-        sp.add_argument("--h", type=float, default=0.05)
-        sp.add_argument("--p", type=float, default=1.0)
-        sp.add_argument("--count", type=int, default=11)
-        sp.add_argument("--q", type=float, default=1.0)
-        sp.add_argument("--m", type=int, default=131)
-        sp.add_argument("--out", default=".")
-        sp.add_argument("--p-min", dest="p_min", type=float, default=1e-2)
-        sp.add_argument("--p-max", dest="p_max", type=float, default=1e3)
-        sp.add_argument("--n-p", dest="n_p", type=int, default=11)
-        sp.add_argument("--p-list", dest="p_list", default=None)
-        sp.add_argument("--k", type=int, default=0)
-        sp.add_argument("--dp", type=float, default=None)
-        sp.add_argument("--bin-width", dest="bin_width", type=float, default=None)
-        sp.add_argument("--R", dest="radius", type=float, default=1.0)
-        sp.add_argument("--b1", type=float, default=1.0)
-        sp.add_argument("--b2", type=float, default=2.0)
-        sp.add_argument("--vectors", action="store_true")
-        sp.add_argument("--artifacts", default=None)
+        for dest in _fields(name):
+            flag, kwargs = _FLAGS[dest]
+            sp.add_argument(flag, dest=dest, **kwargs)
     return ap
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    values = {k: v for k, v in vars(args).items() if k != "config"}
-    if args.config:
+    values = vars(args).copy()
+    config = values.pop("config", None)
+    if config:
         try:
-            overrides = json.loads(Path(args.config).read_text())
+            overrides = json.loads(Path(config).read_text())
         except FileNotFoundError as exc:
             raise CliError(f"config file not found: {exc}", EXIT_IO) from exc
         except json.JSONDecodeError as exc:
             raise CliError(f"malformed config JSON: {exc}", EXIT_CONFIG) from exc
-        unknown = set(overrides) - set(values)
+        unknown = set(overrides) - set(_fields(args.command))
         if unknown:
             raise CliError(f"unknown config keys: {sorted(unknown)}", EXIT_CONFIG)
         values.update(overrides)
     cfg = RunConfig(**values)
-    if cfg.command in _NEEDS_DOMAIN and not cfg.domain:
+    if "domain" in _fields(cfg.command) and not cfg.domain:
         raise CliError(f"command {cfg.command!r} requires --domain", EXIT_CONFIG)
     if cfg.h <= 0:
         raise CliError("h must be positive", EXIT_CONFIG)
@@ -543,7 +551,7 @@ def run(cfg: RunConfig) -> int:
         raise CliError(f"cannot create output directory: {exc}", EXIT_IO) from exc
     rep = Reporter(cfg)
     try:
-        _COMMANDS[cfg.command](cfg, rep)
+        _COMMANDS[cfg.command][0](cfg, rep)
     except CliError:
         raise
     except (geometry.GeometryError, dtn.DtnError, conjecture.ConjectureError) as exc:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -108,20 +107,15 @@ class ConjectureReport:
 
 
 def compare_conjecture(
-    domain: Domain,
-    p: float,
-    count: int,
-    solver: Callable[[Domain, float, int], np.ndarray],
-    tolerance: float = 1e-2,
+    domain: Domain, p: float, eigenvalues, tolerance: float = 1e-2
 ) -> ConjectureReport:
-    """Conjectured vs measured prefactors for a polygonal domain.
-
-    ``solver(domain, p, count)`` must return the lowest ``count`` eigenvalues.
-    """
+    """Conjectured vs measured prefactors for a polygonal domain, from its
+    lowest ``eigenvalues`` at pressure ``p``; one row per eigenvalue."""
     if not domain.is_polygon:
         raise ConjectureError("conjecture comparison needs a polygonal domain")
+    count = len(eigenvalues)
     trace = effective_angle_sequence(domain.angle_sequence(), count)
-    numeric = extract_ck(solver(domain, p, count), p)
+    numeric = extract_ck(eigenvalues, p)
     rows = [
         ConjectureRow(
             k=k,

@@ -14,7 +14,7 @@ import numpy as np
 from scipy import sparse
 from scipy.linalg import eigh
 
-from .fem import ROBIN_SHIFT, FemMatrices, InteriorFactor, solve_dirichlet
+from .fem import ROBIN_SHIFT, InteriorFactor, solve_dirichlet
 
 STEKLOV = 0
 DIRICHLET_ZERO = 1
@@ -69,50 +69,48 @@ class BoundaryPartition:
 
 @dataclass
 class DtnOperator:
-    p: float
-    schur: np.ndarray                    # (n_s, n_s) dense symmetric
-    boundary_mass_s: sparse.csr_matrix  # (n_s, n_s)
-    steklov_nodes: np.ndarray            # global node indices of steklov nodes
-    partition: BoundaryPartition
-    n_nodes: int
+    """The boundary Schur complement S of the factor's p*M + K onto its data
+    (steklov) nodes. Everything else about the problem, p, the nodes and
+    their boundary mass, is read from the factor."""
+
+    schur: np.ndarray  # (n_s, n_s) dense symmetric
+    factor: InteriorFactor
+
+    @property
+    def p(self) -> float:
+        return self.factor.p
+
+    @property
+    def steklov_nodes(self) -> np.ndarray:
+        """Global node indices of the steklov nodes."""
+        return self.factor.data_nodes
+
+    @property
+    def boundary_mass_s(self) -> sparse.csr_matrix:
+        return self.factor.boundary_mass_s
+
+    @property
+    def n_nodes(self) -> int:
+        return self.factor.n_nodes
 
     @property
     def n_steklov(self) -> int:
         return len(self.steklov_nodes)
 
 
-def build_dtn(
-    matrices: FemMatrices,
-    factor: InteriorFactor,
-    p: float,
-    partition: BoundaryPartition | None = None,
-) -> DtnOperator:
-    """Schur complement S = A_ss - A_su A_uu^{-1} A_us of A = p*M + K.
+def build_dtn(factor: InteriorFactor) -> DtnOperator:
+    """Schur complement S = A_ss - A_su A_uu^{-1} A_us of A = p*M + K, for the
+    p and boundary partition the factor was built for.
 
     S is read off the factor's trailing block, which holds S + sigma*M_b,s
     (``fem.ROBIN_SHIFT``); the shift is subtracted again here. For mixed
     problems the unknown block is enlarged by neumann_zero nodes and
     dirichlet_zero nodes are eliminated; both are baked into ``factor``.
     """
-    if partition is None:
-        partition = BoundaryPartition(factor.roles.copy())
-    if factor.p != p:
-        raise DtnError(f"factor was built for p={factor.p}, got p={p}")
-    if not np.array_equal(factor.roles, partition.roles):
-        raise DtnError("factor was built for a different boundary partition")
-
     S = _schur_from_factor(factor.u22)
-    mb_s = factor.boundary_mass_s
-    shift = mb_s.tocoo()  # symmetric, so S stays exactly symmetric
+    shift = factor.boundary_mass_s.tocoo()  # symmetric, so S stays exactly symmetric
     S[shift.row, shift.col] -= ROBIN_SHIFT * shift.data
-    return DtnOperator(
-        p=float(p),
-        schur=S,
-        boundary_mass_s=mb_s,
-        steklov_nodes=factor.data_nodes.copy(),
-        partition=partition,
-        n_nodes=matrices.n_nodes,
-    )
+    return DtnOperator(schur=S, factor=factor)
 
 
 # columns per block of the in-place Schur product
@@ -214,10 +212,8 @@ def eigensolve(op: DtnOperator, count: int) -> Spectrum:
     )
 
 
-def attach_extensions(
-    spectrum: Spectrum, matrices: FemMatrices, factor: InteriorFactor
-) -> Spectrum:
-    spectrum.extensions = solve_dirichlet(matrices, factor, spectrum.p, spectrum.vectors)
+def attach_extensions(spectrum: Spectrum, factor: InteriorFactor) -> Spectrum:
+    spectrum.extensions = solve_dirichlet(factor, spectrum.vectors)
     return spectrum
 
 

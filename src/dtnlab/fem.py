@@ -44,8 +44,10 @@ class FemMatrices:
     def n_nodes(self) -> int:
         return self.n_interior + self.n_boundary
 
-    def boundary_measure(self) -> float:
-        return float(self.boundary_mass.sum())
+    def boundary_mass_at(self, nodes: np.ndarray) -> sparse.csr_matrix:
+        """M_b restricted to the boundary nodes ``nodes`` (global indices)."""
+        local = nodes - self.n_interior
+        return self.boundary_mass[local][:, local]
 
 
 # p*M + K restricted to the unknowns is symmetric positive definite (p >= 0,
@@ -191,6 +193,12 @@ class InteriorFactor:
     unknown set and eliminates dirichlet_zero nodes. With no partition every
     boundary node carries Dirichlet data.
 
+    The factor is the one record of the problem it was built for: ``p``, the
+    boundary ``roles``, the ``data_nodes`` (global indices), their boundary
+    mass ``boundary_mass_s`` and ``n_nodes``. ``solve_dirichlet``,
+    ``dtn.build_dtn`` and ``dtn.DtnOperator`` read them from here and take no
+    copy of their own.
+
     The unknowns (``unknown_nodes``) are eliminated in the mesh's
     nested-dissection order (``FemMatrices.elimination_rank``; neumann_zero
     nodes last), and SuperLU keeps that order (``NATURAL``). A is SPD, so
@@ -233,8 +241,7 @@ class InteriorFactor:
         if len(self.data_nodes) == 0:
             raise FemError("partition needs at least one steklov node")
         self.n_nodes = matrices.n_nodes
-        local = self.data_nodes - ni
-        self.boundary_mass_s = matrices.boundary_mass[local][:, local].tocsr()
+        self.boundary_mass_s = matrices.boundary_mass_at(self.data_nodes)
 
         n_u = len(self.unknown_nodes)
         order = np.concatenate([self.unknown_nodes, self.data_nodes])
@@ -282,16 +289,13 @@ def factor_interior(matrices: FemMatrices, p: float, partition_roles=None) -> In
     return InteriorFactor(matrices, p, partition_roles)
 
 
-def solve_dirichlet(
-    matrices: FemMatrices, factor: InteriorFactor, p: float, f: np.ndarray
-) -> np.ndarray:
-    """Solve (p - Lap)u = 0 with u = f on the data nodes; returns all node values.
+def solve_dirichlet(factor: InteriorFactor, f: np.ndarray) -> np.ndarray:
+    """Solve (p - Lap)u = 0 at the factor's p with u = f on the data nodes;
+    returns all node values.
 
     The returned vector restricts to ``f`` exactly on the data nodes and to 0
     on eliminated (dirichlet_zero) nodes.
     """
-    if factor.p != p:
-        raise FemError(f"factor was built for p={factor.p}, got p={p}")
     f = np.asarray(f, dtype=float)
     single = f.ndim == 1
     fcols = f[:, None] if single else f

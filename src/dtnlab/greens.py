@@ -152,13 +152,15 @@ def eta_of_mu(mu: float, q: float) -> float:
 
 
 def extend_via_green(
-    basis0: RobinEigenbasis, matrices: FemMatrices, spectrum: Spectrum, k: int, p: float
+    basis0: RobinEigenbasis, matrices: FemMatrices, spectrum: Spectrum, k: int
 ) -> np.ndarray:
-    """Interior extension by boundary quadrature against G_0.
+    """Interior extension by boundary quadrature against G_0, at the
+    spectrum's p.
 
     Not applicable at p = 0 for the constant mode (mu_0 = 0); callers use the
     known constant 1/sqrt(perimeter) there.
     """
+    p = spectrum.p
     mu = spectrum.eigenvalues[k]
     if p == 0.0 and k == 0:
         raise GreensError(
@@ -176,12 +178,12 @@ def kernel_consistency_report(
     basis0: RobinEigenbasis,
     basis_q: RobinEigenbasis,
     fem_spectrum: Spectrum,
-    p: float,
-    q: float,
 ) -> dict:
     """Diagnostic: kernel from two Robin bases vs its reconstruction from the
-    Schur-route spectrum sum_k v_k v_k^T / (mu_k (mu_k + q)). Reports the max
-    abs deviation and the truncation tail bound; no hard assertion."""
+    Schur-route spectrum sum_k v_k v_k^T / (mu_k (mu_k + q)), at the
+    spectrum's p and the q of ``basis_q``. Reports the max abs deviation and
+    the truncation tail bound; no hard assertion."""
+    p, q = fem_spectrum.p, basis_q.q
     bidx = np.arange(matrices.n_interior, matrices.n_nodes)
     g0 = green_function(basis0, p, bidx)
     gq = green_function(basis_q, p, bidx)

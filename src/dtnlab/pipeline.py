@@ -3,8 +3,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .geometry import Domain, DomainSpec, build_domain
 from .mesh import Mesh, generate_mesh
 from .fem import FemMatrices, InteriorFactor, assemble, factor_interior
@@ -57,17 +55,9 @@ def solve(
     its eigenvectors."""
     roles = None if partition is None else partition.roles
     factor = factor_interior(matrices, p, roles)
-    op = build_dtn(matrices, factor, p, partition)
+    op = build_dtn(factor)
     spectrum = eigensolve(op, count)
     if extensions:
-        attach_extensions(spectrum, matrices, factor)
+        attach_extensions(spectrum, factor)
     return factor, op, spectrum
 
-
-def eigenvalue_solver(h: float):
-    """Returns solver(domain, p, count) -> eigenvalues, for report drivers."""
-
-    def solver(domain: Domain, p: float, count: int) -> np.ndarray:
-        return solve_steklov(domain, h, p, count).spectrum.eigenvalues
-
-    return solver

@@ -50,13 +50,15 @@ def test_ak_partial_sums_bounded(square_solution, square_matrices):
 
 def test_ak_volume_route_agrees(square_solution, square_matrices):
     ak_b = ak_coefficients(square_solution.spectrum, square_matrices)
-    ak_v = ak_via_volume(square_solution.spectrum, square_matrices, 1.0)
+    ak_v = ak_via_volume(square_solution.spectrum, square_matrices)
     assert np.abs(ak_b - ak_v).max() < 1e-3
 
 
-def test_ak_volume_rejects_p0(square_solution, square_matrices):
+def test_ak_volume_rejects_p0(square_domain, square_mesh, square_matrices):
+    res = solve_steklov(square_domain, 0.1, 0.0, 4, extensions=True,
+                        mesh=square_mesh, matrices=square_matrices)
     with pytest.raises(AnalysisError):
-        ak_via_volume(square_solution.spectrum, square_matrices, 0.0)
+        ak_via_volume(res.spectrum, square_matrices)
 
 
 def test_symmetry_audit_classification():
@@ -143,7 +145,7 @@ def test_guard_infinite_for_full_window():
     msh = conftest.four_triangle_square()
     mats = fem.assemble(msh)
     fac = fem.factor_interior(mats, 0.0)
-    op = dtn.build_dtn(mats, fac, 0.0)
+    op = dtn.build_dtn(fac)
     sp = dtn.eigensolve(op, op.n_steklov)
     assert sp.guard == math.inf
     assert last_group_complete(sp, 1e-3)
@@ -205,8 +207,8 @@ def test_uk_profile_tracks_power_law(disk_domain, disk_mesh, disk_matrices):
     assert lower <= prof.values[mid] <= upper
 
 
-def test_norm_identities_disk(disk_mesh, disk_matrices):
-    rows = norm_identities(disk_mesh, disk_matrices, p=1.0, count=5, dp=0.01)
+def test_norm_identities_disk(disk_matrices):
+    rows = norm_identities(disk_matrices, p=1.0, count=5, dp=0.01)
     for r in rows:
         assert r["energy_residual_rel"] <= 1e-8
         assert r["l2_residual_rel"] <= 1e-2
@@ -214,8 +216,8 @@ def test_norm_identities_disk(disk_mesh, disk_matrices):
         assert r["tracked"]
 
 
-def test_norm_identity_against_bessel_derivative(disk_mesh, disk_matrices):
-    rows = norm_identities(disk_mesh, disk_matrices, p=1.0, count=1, dp=0.01)
+def test_norm_identity_against_bessel_derivative(disk_matrices):
+    rows = norm_identities(disk_matrices, p=1.0, count=1, dp=0.01)
     mpmath.mp.dps = 30
     dmu = float(mpmath.diff(
         lambda p: mpmath.sqrt(p) * mpmath.besseli(1, mpmath.sqrt(p)) / mpmath.besseli(0, mpmath.sqrt(p)),
@@ -224,9 +226,9 @@ def test_norm_identity_against_bessel_derivative(disk_mesh, disk_matrices):
     assert abs(rows[0]["l2_volume"] - dmu) <= 1e-2 * abs(dmu)
 
 
-def test_norm_identities_validates_dp(disk_mesh, disk_matrices):
+def test_norm_identities_validates_dp(disk_matrices):
     with pytest.raises(AnalysisError):
-        norm_identities(disk_mesh, disk_matrices, p=0.005, count=2, dp=0.01)
+        norm_identities(disk_matrices, p=0.005, count=2, dp=0.01)
 
 
 def test_match_branches_identity(disk_solution, disk_matrices):
@@ -234,21 +236,21 @@ def test_match_branches_identity(disk_solution, disk_matrices):
     assert np.array_equal(idx, np.arange(disk_solution.spectrum.count))
 
 
-def test_p_sweep_small_p_asymptote(disk_domain, disk_mesh, disk_matrices):
-    sweep = p_sweep(disk_domain, disk_mesh, disk_matrices, [1e-2, 1e-1, 1.0], 3)
+def test_p_sweep_small_p_asymptote(disk_domain, disk_matrices):
+    sweep = p_sweep(disk_domain, disk_matrices, [1e-2, 1e-1, 1.0], 3)
     assert abs(sweep.eigenvalues[0, 0] / (1e-2 * sweep.small_p_slope) - 1) < 0.02
     assert sweep.conjecture_c is None
     assert np.allclose(sweep.sqrt_reference(), np.sqrt([1e-2, 1e-1, 1.0]))
 
 
-def test_p_sweep_polygon_carries_conjecture(square_domain, square_mesh, square_matrices):
-    sweep = p_sweep(square_domain, square_mesh, square_matrices, [0.5, 1.0], 4)
+def test_p_sweep_polygon_carries_conjecture(square_domain, square_matrices):
+    sweep = p_sweep(square_domain, square_matrices, [0.5, 1.0], 4)
     assert np.allclose(sweep.conjecture_c, math.sin(math.pi / 4))
 
 
-def test_p_sweep_grid_validation(disk_domain, disk_mesh, disk_matrices):
+def test_p_sweep_grid_validation(disk_domain, disk_matrices):
     with pytest.raises(AnalysisError):
-        p_sweep(disk_domain, disk_mesh, disk_matrices, [1.0, 0.5], 2)
+        p_sweep(disk_domain, disk_matrices, [1.0, 0.5], 2)
 
 
 def test_csv_writers(tmp_path, disk_domain, disk_mesh, disk_matrices):
@@ -278,4 +280,4 @@ def test_requires_extensions(disk_domain, disk_mesh, disk_matrices):
     with pytest.raises(AnalysisError):
         uk_profile(res.spectrum, 0, disk_mesh, disk_domain)
     with pytest.raises(AnalysisError):
-        ak_via_volume(res.spectrum, disk_matrices, 1.0)
+        ak_via_volume(res.spectrum, disk_matrices)

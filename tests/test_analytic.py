@@ -19,6 +19,7 @@ from dtnlab.analytic import (
     rectangle_eigenfunction,
     rectangle_spectrum,
 )
+from dtnlab.pipeline import solve_steklov
 
 mpmath.mp.dps = 30
 
@@ -128,6 +129,25 @@ def test_rectangle_reference_eigenvalues():
 def test_rectangle_residuals_small():
     for e in rectangle_spectrum(1.0, 2.0, 1.0, 11):
         assert e.residual <= 1e-10
+
+
+def test_square_corner_modes_at_large_p():
+    """At p = 100 the four lowest modes of the 2x2 square have both axis
+    factors real, one per branch pair, near sqrt(p/2); the oracle finds all
+    four and agrees with a FEM solve to the benchmark's rectangle bound."""
+    p, count = 100.0, 12
+    pairs = rectangle_spectrum(2.0, 2.0, p, count)
+    corner = pairs[:4]
+    assert all(not any(f.imaginary for f in e.factors) for e in corner)
+    assert {tuple(f.branch for f in e.factors) for e in corner} == {
+        (bx, by) for bx in ("plus", "minus") for by in ("plus", "minus")
+    }
+    for e in corner:
+        assert e.residual <= 1e-10
+        assert abs(e.mu - math.sqrt(p / 2)) < 1e-4
+    exact = np.array([e.mu for e in pairs])
+    fem = solve_steklov(geometry.RectangleSpec(2.0, 2.0), 0.04, p, count).spectrum.eigenvalues
+    assert np.max(np.abs(fem - exact) / exact) <= 7e-3
 
 
 def test_rectangle_p0_constant_mode_first():

@@ -167,6 +167,19 @@ def test_unknown_config_key_rejected(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"domain": "disk:R=1", "wibble": 1}))
     assert run_cli("solve", "--config", str(cfg)) == 2
+    # a key of another command is unknown to this one
+    cfg.write_text(json.dumps({"domain": "disk:R=1", "p_list": "1,2"}))
+    assert run_cli("solve", "--config", str(cfg)) == 2
+
+
+def test_flag_of_another_command_rejected(tmp_path, capsys):
+    """Each command takes only the flags it reads: ``solve --p-list`` is an
+    argparse error (exit 2), not a solve at the default p."""
+    with pytest.raises(SystemExit) as exc:
+        run_cli("solve", "--domain", "disk:R=1", "--p-list", "1,2", "--out", str(tmp_path))
+    assert exc.value.code == 2
+    assert "--p-list" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_report_echoes_tolerances(tmp_path):
@@ -175,4 +188,6 @@ def test_report_echoes_tolerances(tmp_path):
     assert rc == 0
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["tolerances"]["root_residual"] == 1e-10
-    assert report["tolerances"]["multiplicity_tol"] == 1e-6
+    # nothing reads or measures these two, so the report does not claim them
+    assert "multiplicity_tol" not in report["tolerances"]
+    assert "schur_symmetry_abs" not in report["tolerances"]

@@ -110,17 +110,13 @@ def test_compare_conjecture_with_stub_solver():
     dom = geometry.build_domain(geometry.RegularPolygonSpec(5))
     trace = effective_angle_sequence(dom.angle_sequence(), 7)
 
-    def perfect(domain, p, count):
-        return trace.coefficients[:count] * math.sqrt(p)
-
-    report = compare_conjecture(dom, 1e3, 7, perfect)
+    perfect = trace.coefficients * math.sqrt(1e3)
+    report = compare_conjecture(dom, 1e3, perfect)
     assert report.max_abs_diff() < 1e-12
     assert not report.flagged()
 
-    def off(domain, p, count):
-        return (trace.coefficients[:count] + 0.05) * math.sqrt(p)
-
-    report2 = compare_conjecture(dom, 1e3, 7, off, tolerance=1e-2)
+    off = (trace.coefficients + 0.05) * math.sqrt(1e3)
+    report2 = compare_conjecture(dom, 1e3, off, tolerance=1e-2)
     assert len(report2.flagged()) == 7
     assert "*" in report2.format_table()
 
@@ -128,12 +124,12 @@ def test_compare_conjecture_with_stub_solver():
 def test_compare_conjecture_rejects_smooth_domain():
     disk = geometry.build_domain(geometry.DiskSpec())
     with pytest.raises(ConjectureError):
-        compare_conjecture(disk, 1e3, 3, lambda d, p, c: np.ones(c))
+        compare_conjecture(disk, 1e3, np.ones(3))
 
 
 def test_report_csv(tmp_path):
     dom = geometry.build_domain(geometry.RegularPolygonSpec(4))
-    report = compare_conjecture(dom, 1e3, 3, lambda d, p, c: np.full(c, 0.7) * math.sqrt(p))
+    report = compare_conjecture(dom, 1e3, np.full(3, 0.7) * math.sqrt(1e3))
     path = tmp_path / "ck.csv"
     write_csv(path, ["k", "c_conjecture", "c_numeric", "abs_diff"],
               ((r.k, r.c_conjecture, r.c_numeric, r.abs_diff) for r in report.rows))

@@ -55,7 +55,7 @@ def test_schur_matches_dense_brute_force():
     ]
     for mesh, p in cases:
         mats = assemble(mesh)
-        op = build_dtn(mats, factor_interior(mats, p), p)
+        op = build_dtn(factor_interior(mats, p))
         A = (p * mats.mass + mats.stiffness).toarray()
         ii = slice(0, mesh.n_interior)
         ee = slice(mesh.n_interior, mesh.n_nodes)
@@ -73,7 +73,7 @@ def test_schur_elimination_matches_interior_solves(disk_matrices, arcs):
     fac = factor_interior(disk_matrices, 1.0, partition_roles(disk_matrices.n_boundary, arcs))
     a_uu, a_ud, a_dd = reference_blocks(disk_matrices, fac)
     s_solve = a_dd - a_ud.T @ splu(a_uu).solve(a_ud.toarray())
-    s_elim = build_dtn(disk_matrices, fac, 1.0).schur
+    s_elim = build_dtn(fac).schur
     assert np.array_equal(s_elim, s_elim.T)
     assert np.abs(s_elim - s_solve).max() <= 1e-12 * np.abs(s_solve).max()
 
@@ -87,7 +87,7 @@ def test_extensions_match_independent_solve(disk_matrices, rng, p, arcs):
     fac = factor_interior(disk_matrices, p, partition_roles(disk_matrices.n_boundary, arcs))
     a_uu, a_ud, _ = reference_blocks(disk_matrices, fac)
     f = rng.standard_normal((len(fac.data_nodes), 3))
-    u = solve_dirichlet(disk_matrices, fac, p, f)
+    u = solve_dirichlet(fac, f)
     expected = splu(a_uu).solve(-(a_ud @ f))
     got = u[fac.unknown_nodes]
     assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
@@ -124,7 +124,7 @@ def test_schur_on_disconnected_mesh():
                 boundary_edges=bedges, h_max=1.5)
     mats = assemble(mesh)
     p = 0.7
-    op = build_dtn(mats, factor_interior(mats, p), p)
+    op = build_dtn(factor_interior(mats, p))
     A = (p * mats.mass + mats.stiffness).toarray()
     ii, ee = slice(0, 2), slice(2, 10)
     s_dense = A[ee, ee] - A[ee, ii] @ np.linalg.solve(A[ii, ii], A[ii, ee])
@@ -133,7 +133,7 @@ def test_schur_on_disconnected_mesh():
 
 def test_constants_in_kernel_at_p0(disk_matrices):
     fac = factor_interior(disk_matrices, 0.0)
-    op = build_dtn(disk_matrices, fac, 0.0)
+    op = build_dtn(fac)
     ones = np.ones(op.n_steklov)
     norm = np.abs(op.schur).max()
     assert np.abs(op.schur @ ones).max() <= 1e-9 * norm
@@ -141,7 +141,7 @@ def test_constants_in_kernel_at_p0(disk_matrices):
 
 def test_schur_symmetric(disk_matrices):
     fac = factor_interior(disk_matrices, 1.0)
-    op = build_dtn(disk_matrices, fac, 1.0)
+    op = build_dtn(fac)
     assert np.abs(op.schur - op.schur.T).max() < 1e-10
 
 
@@ -186,7 +186,7 @@ def test_sign_convention(disk_solution, disk_matrices):
 def test_extension_constant_at_p0(disk_matrices):
     fac = factor_interior(disk_matrices, 0.0)
     v = np.full(disk_matrices.n_boundary, 2.5)
-    V = solve_dirichlet(disk_matrices, fac, 0.0, v)
+    V = solve_dirichlet(fac, v)
     assert np.abs(V - 2.5).max() < 1e-9
 
 
@@ -220,7 +220,7 @@ def test_mixed_dirichlet_lifts_kernel(disk_matrices):
     n = disk_matrices.n_boundary
     part = BoundaryPartition.from_arcs(n, [(0, n // 4, "dirichlet_zero"), (n // 4, n, "steklov")])
     fac = factor_interior(disk_matrices, 0.0, part.roles)
-    op = build_dtn(disk_matrices, fac, 0.0, part)
+    op = build_dtn(fac)
     sp = eigensolve(op, 3)
     assert sp.eigenvalues[0] > 1e-3
 
@@ -229,7 +229,7 @@ def test_mixed_neumann_keeps_constant_mode(disk_matrices):
     n = disk_matrices.n_boundary
     part = BoundaryPartition.from_arcs(n, [(0, n // 4, "neumann_zero"), (n // 4, n, "steklov")])
     fac = factor_interior(disk_matrices, 0.0, part.roles)
-    op = build_dtn(disk_matrices, fac, 0.0, part)
+    op = build_dtn(fac)
     sp = eigensolve(op, 3)
     assert abs(sp.eigenvalues[0]) < 1e-6  # constants still satisfy the Neumann condition
 

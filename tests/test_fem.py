@@ -197,14 +197,14 @@ def test_factor_arrays_unchanged_by_extensions(disk_matrices, rng):
         entry += [entry[0].data.copy(), entry[0].indices.copy(), entry[0].indptr.copy()]
     d11 = fac.d11.copy()
     f = rng.standard_normal((disk_matrices.n_boundary, 4))
-    first = solve_dirichlet(disk_matrices, fac, 1.0, f)
-    second = solve_dirichlet(disk_matrices, fac, 1.0, f)
+    first = solve_dirichlet(fac, f)
+    second = solve_dirichlet(fac, f)
     assert np.array_equal(first, second)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=4) as pool:
-            futures = [pool.submit(solve_dirichlet, disk_matrices, fac, 1.0, f) for _ in range(8)]
+            futures = [pool.submit(solve_dirichlet, fac, f) for _ in range(8)]
             results = [fut.result(timeout=60) for fut in futures]
     finally:
         sys.setswitchinterval(interval)
@@ -222,20 +222,20 @@ def test_negative_p_rejected(disk_matrices):
 
 def test_zero_data_gives_zero_solution(disk_matrices):
     fac = factor_interior(disk_matrices, p=1.0)
-    u = solve_dirichlet(disk_matrices, fac, 1.0, np.zeros(disk_matrices.n_boundary))
+    u = solve_dirichlet(fac, np.zeros(disk_matrices.n_boundary))
     assert np.abs(u).max() == 0.0
 
 
 def test_constant_is_discrete_harmonic(disk_matrices):
     fac = factor_interior(disk_matrices, p=0.0)
-    u = solve_dirichlet(disk_matrices, fac, 0.0, np.ones(disk_matrices.n_boundary))
+    u = solve_dirichlet(fac, np.ones(disk_matrices.n_boundary))
     assert np.abs(u - 1.0).max() < 1e-10
 
 
 def test_boundary_values_reproduced_exactly(disk_matrices, rng):
     fac = factor_interior(disk_matrices, p=2.0)
     f = rng.standard_normal(disk_matrices.n_boundary)
-    u = solve_dirichlet(disk_matrices, fac, 2.0, f)
+    u = solve_dirichlet(fac, f)
     bidx = disk_matrices.n_interior + np.arange(disk_matrices.n_boundary)
     assert np.array_equal(u[bidx], f)
 
@@ -246,7 +246,7 @@ def test_disk_harmonic_extension_matches_bessel(disk_mesh, disk_matrices):
     pair = analytic.disk_spectrum(1.0, 1.0, 1)[0]
     bpts = disk_mesh.nodes[disk_mesh.boundary_indices]
     f = pair.value(bpts)
-    u = solve_dirichlet(disk_matrices, fac, 1.0, f)
+    u = solve_dirichlet(fac, f)
     exact = pair.value(disk_mesh.nodes)
     rms = np.sqrt(np.mean((u - exact) ** 2))
     assert rms < 5e-3
@@ -256,7 +256,7 @@ def test_dirichlet_energy_minimality(disk_matrices, rng):
     p = 1.0
     fac = factor_interior(disk_matrices, p=p)
     f = rng.standard_normal(disk_matrices.n_boundary)
-    u = solve_dirichlet(disk_matrices, fac, p, f)
+    u = solve_dirichlet(fac, f)
     A = p * disk_matrices.mass + disk_matrices.stiffness
     e0 = u @ (A @ u)
     pert = u.copy()
@@ -267,17 +267,13 @@ def test_dirichlet_energy_minimality(disk_matrices, rng):
 def test_discrete_maximum_principle_sane(disk_matrices, rng):
     fac = factor_interior(disk_matrices, p=0.0)
     f = np.abs(rng.standard_normal(disk_matrices.n_boundary))
-    u = solve_dirichlet(disk_matrices, fac, 0.0, f)
+    u = solve_dirichlet(fac, f)
     assert u.min() >= -1e-10
 
 
 def test_dimension_mismatch(disk_matrices):
     fac = factor_interior(disk_matrices, p=1.0)
     with pytest.raises(FemError):
-        solve_dirichlet(disk_matrices, fac, 1.0, np.zeros(3))
+        solve_dirichlet(fac, np.zeros(3))
     with pytest.raises(FemError):
-        solve_dirichlet(disk_matrices, fac, 2.0, np.zeros(disk_matrices.n_boundary))
-    with pytest.raises(FemError):
-        solve_dirichlet(
-            disk_matrices, fac, 1.0, np.full(disk_matrices.n_boundary, np.nan)
-        )
+        solve_dirichlet(fac, np.full(disk_matrices.n_boundary, np.nan))

@@ -121,7 +121,7 @@ def test_extend_via_green_disk_profile(disk_matrices, disk_mesh):
     basis0 = robin_eigenbasis(disk_matrices, 0.0, m)
     basis_q = robin_eigenbasis(disk_matrices, 1.0, m)
     spec = dtn_spectrum_via_green(disk_matrices, 1.0, 1.0, m, 3, basis0, basis_q)
-    V0 = extend_via_green(basis0, disk_matrices, spec, 0, 1.0)
+    V0 = extend_via_green(basis0, disk_matrices, spec, 0)
     pair = analytic.disk_spectrum(1.0, 1.0, 1)[0]
     exact = pair.value(disk_mesh.nodes)
     if np.dot(V0, exact) < 0:
@@ -138,12 +138,12 @@ def test_extend_via_green_p0_k0_excluded(disk_matrices, neumann_basis):
     spec = dtn_spectrum_via_green(disk_matrices, 1.0, 1.0, 40, 2, neumann_basis)
     spec.p = 0.0
     with pytest.raises(GreensError):
-        extend_via_green(neumann_basis, disk_matrices, spec, 0, 0.0)
+        extend_via_green(neumann_basis, disk_matrices, spec, 0)
 
 
 def test_kernel_consistency_diagnostic(disk_matrices, disk_solution, neumann_basis, robin_basis):
     rep = kernel_consistency_report(
-        disk_matrices, neumann_basis, robin_basis, disk_solution.spectrum, 1.0, 1.0
+        disk_matrices, neumann_basis, robin_basis, disk_solution.spectrum
     )
     assert rep["max_abs_deviation"] < np.inf
     assert rep["kernel_scale"] > 0
