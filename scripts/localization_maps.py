@@ -2,12 +2,14 @@
 
 Runs ``dtnlab localize`` at p = 0 per shape into --out (bkmap.csv,
 profile.csv, report.json) and emits standalone plot scripts next to them.
+Exits with the CLI's exit code when a command fails.
 """
 import argparse
 import json
+import sys
 from pathlib import Path
 
-from dtnlab.cli import RunConfig, run
+from dtnlab import cli
 
 
 CASES = {
@@ -18,7 +20,7 @@ CASES = {
 }
 
 
-def main() -> None:
+def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--h", type=float, default=0.0075)
     ap.add_argument("--out", default="localization_out")
@@ -28,11 +30,15 @@ def main() -> None:
     for name in args.cases:
         domain, k = CASES[name]
         out = str(Path(args.out) / name)
-        run(RunConfig(command="localize", domain=domain, h=args.h, p=0.0, k=k, out=out))
+        rc = cli.main(["localize", "--domain", domain, "--h", repr(args.h), "--p", "0",
+                       "--k", str(k), "--out", out])
+        rc = rc or cli.main(["emit-plots", "--artifacts", out, "--out", out])
+        if rc:
+            return rc
         report = json.loads((Path(out) / "report.json").read_text())
-        run(RunConfig(command="emit-plots", out=out, artifacts=out))
         print(f"{name}: mu_{k} = {report['mu_k']:.4f}, max B = {report['max_B']:.3f} -> {out}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -1,23 +1,26 @@
 """Command-line driver: meshes, solves, validations, sweeps, figure-data export.
 
-Every run writes ``report.json`` (config echo, domain metrics, node counts,
+Each setting is declared once, in ``_FLAGS`` (flag, argparse keywords,
+default); ``_COMMANDS`` names the settings each command reads, and those are
+its only flags and ``--config`` keys. Every run writes ``report.json``
+(``config``: the command and its settings; domain metrics, node counts,
 timings, tolerances) plus command-specific CSVs into the output directory.
 Exit codes: 0 success, 2 bad configuration, 3 solver failure, 4 I/O failure.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
 import time
-from dataclasses import dataclass, asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import analysis, analytic, conjecture, dtn, fem, geometry, greens, mesh as meshmod
-from .pipeline import solve_steklov
+from .pipeline import solve, solve_steklov
 
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
@@ -37,86 +40,46 @@ class CliError(Exception):
         self.exit_code = exit_code
 
 
-@dataclass
-class RunConfig:
-    command: str
-    domain: str | None = None
-    h: float = 0.05
-    p: float = 1.0
-    count: int = 11
-    q: float = 1.0
-    m: int = 131
-    out: str = "."
-    p_min: float = 1e-2
-    p_max: float = 1e3
-    n_p: int = 11
-    p_list: str | None = None
-    k: int = 0
-    dp: float | None = None
-    bin_width: float | None = None
-    radius: float = 1.0
-    b1: float = 1.0
-    b2: float = 2.0
-    vectors: bool = False
-    artifacts: str | None = None
-
-
 # ---------------------------------------------------------------------------
 # domain string syntax
 # ---------------------------------------------------------------------------
 
+# tag -> (spec tag, short key -> spec field, defaults that differ from the spec's)
+_SHAPES = {
+    "disk": ("disk", {"R": "radius"}, {}),
+    "ellipse": ("ellipse", {}, {}),
+    "rect": ("rectangle", {}, {}),
+    "ngon": ("regular_polygon", {"N": "n_sides", "R": "circumradius"}, {}),
+    "triangle": ("triangle", {"a1": "angle1", "a2": "angle2"}, {}),
+    "koch": ("koch_snowflake", {"g": "generation"}, {}),
+    "deformed": ("deformed_disk", {"gamma": "amplitude", "m": "mode"}, {"amplitude": 0.02}),
+}
+_SHAPES.update(rectangle=_SHAPES["rect"], regular_polygon=_SHAPES["ngon"])
+
+
 def parse_domain(text: str) -> geometry.DomainSpec:
-    """Compact shape syntax, e.g. disk:R=1, rect:b1=1,b2=2, poly:file=v.json."""
-    if ":" in text:
-        tag, _, rest = text.partition(":")
-    else:
-        tag, rest = text, ""
-    kv = {}
-    if rest:
-        for part in rest.split(","):
-            key, _, val = part.partition("=")
-            kv[key.strip()] = val.strip()
-    try:
-        if tag == "disk":
-            return geometry.DiskSpec(radius=float(kv.get("R", kv.get("radius", 1.0))))
-        if tag == "ellipse":
-            return geometry.EllipseSpec(a=float(kv["a"]), b=float(kv["b"]))
-        if tag in ("rect", "rectangle"):
-            return geometry.RectangleSpec(b1=float(kv["b1"]), b2=float(kv["b2"]))
-        if tag in ("ngon", "regular_polygon"):
-            return geometry.RegularPolygonSpec(
-                n_sides=int(kv["N"]), circumradius=float(kv.get("R", 1.0))
-            )
-        if tag == "triangle":
-            return geometry.TriangleSpec(
-                side=float(kv.get("side", 2.0)),
-                angle1=float(kv.get("a1", math.pi / 12)),
-                angle2=float(kv.get("a2", math.pi / 3)),
-            )
-        if tag in ("poly", "polygon"):
-            if "file" in kv:
-                spec = geometry.spec_from_json(Path(kv["file"]).read_text())
-                if not isinstance(spec, geometry.PolygonSpec):
-                    raise CliError("polygon file must hold a polygon spec", EXIT_CONFIG)
-                return spec
-            raise CliError("poly domain needs file=<path.json>", EXIT_CONFIG)
-        if tag == "octagon":
-            return geometry.PolygonSpec(
-                vertices=tuple(map(tuple, geometry.reflex_octagon_vertices()))
-            )
-        if tag == "koch":
-            return geometry.KochSpec(generation=int(kv["g"]), side=float(kv.get("side", 2.0)))
-        if tag == "deformed":
-            return geometry.DeformedDiskSpec(
-                amplitude=float(kv.get("gamma", 0.02)), mode=int(kv.get("m", 5))
-            )
-    except CliError:
-        raise
-    except FileNotFoundError as exc:
-        raise CliError(f"domain file not found: {exc}", EXIT_IO) from exc
-    except (KeyError, ValueError) as exc:
-        raise CliError(f"bad domain parameters in {text!r}: {exc}", EXIT_CONFIG) from exc
-    raise CliError(f"unknown domain tag {tag!r}", EXIT_CONFIG)
+    """Compact shape syntax, e.g. disk:R=1, rect:b1=1,b2=2, poly:file=v.json.
+
+    Keys are the short names of ``_SHAPES`` or the spec's field names; an
+    unknown key raises ``GeometryError``."""
+    tag, _, rest = text.partition(":")
+    pairs = (part.partition("=") for part in rest.split(",")) if rest else ()
+    kv = {key.strip(): val.strip() for key, _, val in pairs}
+    if tag == "octagon":
+        if kv:
+            raise CliError("octagon takes no keys", EXIT_CONFIG)
+        return geometry.PolygonSpec(vertices=tuple(map(tuple, geometry.reflex_octagon_vertices())))
+    if tag in ("poly", "polygon"):
+        if list(kv) != ["file"]:
+            raise CliError("poly domain needs file=<path.json> and no other key", EXIT_CONFIG)
+        spec = geometry.spec_from_json(Path(kv["file"]).read_text())
+        if not isinstance(spec, geometry.PolygonSpec):
+            raise CliError("polygon file must hold a polygon spec", EXIT_CONFIG)
+        return spec
+    if tag not in _SHAPES:
+        raise CliError(f"unknown domain tag {tag!r}", EXIT_CONFIG)
+    spec_tag, short, defaults = _SHAPES[tag]
+    return geometry.make_spec(spec_tag, {**defaults, **{short.get(k, k): v for k, v in kv.items()}})
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +87,7 @@ def parse_domain(text: str) -> geometry.DomainSpec:
 # ---------------------------------------------------------------------------
 
 class Reporter:
-    def __init__(self, config: RunConfig):
+    def __init__(self, config: argparse.Namespace):
         self.config = config
         self.out = Path(config.out)
         self.timings: dict[str, float] = {}
@@ -134,19 +97,11 @@ class Reporter:
     def path(self, name: str) -> Path:
         return self.out / name
 
+    @contextlib.contextmanager
     def time(self, label: str):
-        reporter = self
-
-        class _Timer:
-            def __enter__(self):
-                self.start = time.perf_counter()
-
-            def __exit__(self, *exc):
-                reporter.timings[label] = reporter.timings.get(label, 0.0) + (
-                    time.perf_counter() - self.start
-                )
-
-        return _Timer()
+        start = time.perf_counter()
+        yield
+        self.timings[label] = self.timings.get(label, 0.0) + time.perf_counter() - start
 
     def domain_metrics(self, domain: geometry.Domain, msh=None):
         self.payload["domain"] = json.loads(geometry.spec_to_json(domain.spec))
@@ -160,7 +115,7 @@ class Reporter:
     def finish(self) -> None:
         self.timings["total"] = time.perf_counter() - self._t0
         report = {
-            "config": asdict(self.config),
+            "config": vars(self.config),
             "tolerances": TOLERANCES,
             "timings_s": self.timings,
             **self.payload,
@@ -172,7 +127,15 @@ class Reporter:
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_mesh(cfg: RunConfig, rep: Reporter) -> None:
+def _mesh(cfg: argparse.Namespace, rep: Reporter):
+    """The command's domain, its mesh (timed as "mesh") and the assembled matrices."""
+    domain = geometry.build_domain(parse_domain(cfg.domain))
+    with rep.time("mesh"):
+        msh = meshmod.generate_mesh(domain, cfg.h)
+    return domain, msh, fem.assemble(msh)
+
+
+def cmd_mesh(cfg: argparse.Namespace, rep: Reporter) -> None:
     domain = geometry.build_domain(parse_domain(cfg.domain))
     with rep.time("mesh"):
         msh = meshmod.generate_mesh(domain, cfg.h)
@@ -183,7 +146,7 @@ def cmd_mesh(cfg: RunConfig, rep: Reporter) -> None:
     rep.payload["mesh_violations"] = report.violations
 
 
-def cmd_solve(cfg: RunConfig, rep: Reporter) -> None:
+def cmd_solve(cfg: argparse.Namespace, rep: Reporter) -> None:
     domain = geometry.build_domain(parse_domain(cfg.domain))
     with rep.time("solve"):
         res = solve_steklov(domain, cfg.h, cfg.p, cfg.count, extensions=cfg.vectors)
@@ -199,11 +162,8 @@ def cmd_solve(cfg: RunConfig, rep: Reporter) -> None:
     rep.payload["method"] = "fem"
 
 
-def cmd_green_solve(cfg: RunConfig, rep: Reporter) -> None:
-    domain = geometry.build_domain(parse_domain(cfg.domain))
-    with rep.time("mesh"):
-        msh = meshmod.generate_mesh(domain, cfg.h)
-    matrices = fem.assemble(msh)
+def cmd_green_solve(cfg: argparse.Namespace, rep: Reporter) -> None:
+    domain, msh, matrices = _mesh(cfg, rep)
     with rep.time("robin_bases"):
         basis0 = greens.robin_eigenbasis(matrices, 0.0, cfg.m)
         basis_q = greens.robin_eigenbasis(matrices, cfg.q, cfg.m)
@@ -219,7 +179,7 @@ def cmd_green_solve(cfg: RunConfig, rep: Reporter) -> None:
     rep.payload["green_m"] = cfg.m
 
 
-def cmd_validate_disk(cfg: RunConfig, rep: Reporter) -> None:
+def cmd_validate_disk(cfg: argparse.Namespace, rep: Reporter) -> None:
     domain = geometry.build_domain(geometry.DiskSpec(radius=cfg.radius))
     with rep.time("solve"):
         res = solve_steklov(domain, cfg.h, cfg.p, cfg.count)
@@ -238,7 +198,7 @@ def cmd_validate_disk(cfg: RunConfig, rep: Reporter) -> None:
     rep.payload["max_rmse"] = float(rmse.max())
 
 
-def cmd_validate_rect(cfg: RunConfig, rep: Reporter) -> None:
+def cmd_validate_rect(cfg: argparse.Namespace, rep: Reporter) -> None:
     domain = geometry.build_domain(geometry.RectangleSpec(b1=cfg.b1, b2=cfg.b2))
     with rep.time("roots"):
         pairs = analytic.rectangle_spectrum(cfg.b1, cfg.b2, cfg.p, cfg.count)
@@ -256,11 +216,8 @@ def cmd_validate_rect(cfg: RunConfig, rep: Reporter) -> None:
     rep.payload["max_root_residual"] = float(max(e.residual for e in pairs))
 
 
-def cmd_sweep(cfg: RunConfig, rep: Reporter) -> None:
-    domain = geometry.build_domain(parse_domain(cfg.domain))
-    with rep.time("mesh"):
-        msh = meshmod.generate_mesh(domain, cfg.h)
-    matrices = fem.assemble(msh)
+def cmd_sweep(cfg: argparse.Namespace, rep: Reporter) -> None:
+    domain, msh, matrices = _mesh(cfg, rep)
     grid = np.logspace(math.log10(cfg.p_min), math.log10(cfg.p_max), cfg.n_p)
     with rep.time("sweep"):
         sweep = analysis.p_sweep(domain, matrices, grid, cfg.count)
@@ -273,7 +230,7 @@ def cmd_sweep(cfg: RunConfig, rep: Reporter) -> None:
     rep.payload["small_p_slope"] = sweep.small_p_slope
 
 
-def cmd_ck(cfg: RunConfig, rep: Reporter) -> None:
+def cmd_ck(cfg: argparse.Namespace, rep: Reporter) -> None:
     domain = geometry.build_domain(parse_domain(cfg.domain))
     with rep.time("ck"):
         eigenvalues = solve_steklov(domain, cfg.h, cfg.p, cfg.count).spectrum.eigenvalues
@@ -289,22 +246,14 @@ def cmd_ck(cfg: RunConfig, rep: Reporter) -> None:
     rep.payload["flagged"] = [r.k for r in report.flagged()]
 
 
-def cmd_ak(cfg: RunConfig, rep: Reporter) -> None:
-    domain = geometry.build_domain(parse_domain(cfg.domain))
-    with rep.time("mesh"):
-        msh = meshmod.generate_mesh(domain, cfg.h)
-    matrices = fem.assemble(msh)
-    p_values = (
-        [float(t) for t in cfg.p_list.split(",")] if cfg.p_list else [cfg.p]
-    )
+def cmd_ak(cfg: argparse.Namespace, rep: Reporter) -> None:
+    domain, msh, matrices = _mesh(cfg, rep)
+    p_values = [float(t) for t in cfg.p_list.split(",")] if cfg.p_list else [cfg.p]
     rows = []
     survivors = {}
     with rep.time("ak"):
         for p in p_values:
-            res = solve_steklov(
-                domain, cfg.h, p, cfg.count, mesh=msh, matrices=matrices
-            )
-            ak = analysis.ak_coefficients(res.spectrum, matrices)
+            ak = analysis.ak_coefficients(solve(matrices, p, cfg.count)[2], matrices)
             rows.append((p, ak))
             survivors[str(p)] = analysis.symmetry_audit(ak).survivors
     dtn.write_csv(
@@ -316,7 +265,7 @@ def cmd_ak(cfg: RunConfig, rep: Reporter) -> None:
     rep.payload["survivors"] = survivors
 
 
-def cmd_localize(cfg: RunConfig, rep: Reporter) -> None:
+def cmd_localize(cfg: argparse.Namespace, rep: Reporter) -> None:
     domain = geometry.build_domain(parse_domain(cfg.domain))
     with rep.time("solve"):
         res = solve_steklov(domain, cfg.h, cfg.p, cfg.k + 1, extensions=True)
@@ -339,11 +288,8 @@ def cmd_localize(cfg: RunConfig, rep: Reporter) -> None:
     rep.payload["max_B"] = loc.max_amplified()
 
 
-def cmd_norms(cfg: RunConfig, rep: Reporter) -> None:
-    domain = geometry.build_domain(parse_domain(cfg.domain))
-    with rep.time("mesh"):
-        msh = meshmod.generate_mesh(domain, cfg.h)
-    matrices = fem.assemble(msh)
+def cmd_norms(cfg: argparse.Namespace, rep: Reporter) -> None:
+    domain, msh, matrices = _mesh(cfg, rep)
     with rep.time("norms"):
         rows = analysis.norm_identities(matrices, cfg.p, cfg.count, cfg.dp)
     header = ["k", "mu", "energy_residual_rel", "l2_volume", "dmu_dp", "l2_residual_rel",
@@ -432,22 +378,21 @@ fig.savefig("bkmap.png", dpi=150)
 '''
 
 
-def cmd_emit_plots(cfg: RunConfig, rep: Reporter) -> None:
+def cmd_emit_plots(cfg: argparse.Namespace, rep: Reporter) -> None:
     art = Path(cfg.artifacts or cfg.out)
+    # carry the artifacts' report forward: with --out equal to --artifacts this one replaces it
+    report = art / "report.json"
+    previous = json.loads(report.read_text()) if report.exists() else {}
+    for key in ("config", "timings_s", "tolerances"):
+        previous.pop(key, None)
+    rep.payload.update(previous)
     written = []
     if (art / "sweep.csv").exists():
-        slope = 0.0
-        report = art / "report.json"
-        if report.exists():
-            slope = json.loads(report.read_text()).get("small_p_slope", 0.0)
+        slope = previous.get("small_p_slope", 0.0)
         (art / "plot_sweep.py").write_text(_PLOT_SWEEP.format(slope=slope))
         written.append("plot_sweep.py")
     if (art / "profile.csv").exists():
-        mu = 1.0
-        report = art / "report.json"
-        if report.exists():
-            mu = json.loads(report.read_text()).get("mu_k", 1.0)
-        (art / "plot_profile.py").write_text(_PLOT_PROFILE.format(mu=mu))
+        (art / "plot_profile.py").write_text(_PLOT_PROFILE.format(mu=previous.get("mu_k", 1.0)))
         written.append("plot_profile.py")
     if (art / "bkmap.csv").exists():
         (art / "plot_bkmap.py").write_text(_PLOT_BKMAP)
@@ -460,8 +405,8 @@ def cmd_emit_plots(cfg: RunConfig, rep: Reporter) -> None:
     rep.payload["plot_scripts"] = written
 
 
-# command -> (function, the RunConfig fields it reads besides ``out``); each
-# field is a flag of that command and a key of its --config file
+# command -> (function, the settings it reads besides ``out``); each setting is
+# a flag of that command and a key of its --config file
 _COMMANDS = {
     "mesh": (cmd_mesh, ("domain", "h")),
     "solve": (cmd_solve, ("domain", "h", "p", "count", "vectors")),
@@ -476,28 +421,38 @@ _COMMANDS = {
     "emit-plots": (cmd_emit_plots, ("artifacts",)),
 }
 
-# RunConfig field -> (flag, argparse keywords); the defaults are RunConfig's
+# setting -> (flag, argparse keywords, default): the one table of settings
 _FLAGS = {
-    "domain": ("--domain", dict(help="shape, e.g. disk:R=1 or rect:b1=1,b2=2")),
-    "h": ("--h", dict(type=float)),
-    "p": ("--p", dict(type=float)),
-    "count": ("--count", dict(type=int)),
-    "q": ("--q", dict(type=float)),
-    "m": ("--m", dict(type=int)),
-    "out": ("--out", {}),
-    "p_min": ("--p-min", dict(type=float)),
-    "p_max": ("--p-max", dict(type=float)),
-    "n_p": ("--n-p", dict(type=int)),
-    "p_list": ("--p-list", {}),
-    "k": ("--k", dict(type=int)),
-    "dp": ("--dp", dict(type=float)),
-    "bin_width": ("--bin-width", dict(type=float)),
-    "radius": ("--R", dict(type=float)),
-    "b1": ("--b1", dict(type=float)),
-    "b2": ("--b2", dict(type=float)),
-    "vectors": ("--vectors", dict(action="store_true")),
-    "artifacts": ("--artifacts", {}),
+    "domain": ("--domain", dict(help="shape, e.g. disk:R=1 or rect:b1=1,b2=2"), None),
+    "h": ("--h", dict(type=float), 0.05),
+    "p": ("--p", dict(type=float), 1.0),
+    "count": ("--count", dict(type=int), 11),
+    "q": ("--q", dict(type=float), 1.0),
+    "m": ("--m", dict(type=int), 131),
+    "out": ("--out", {}, "."),
+    "p_min": ("--p-min", dict(type=float), 1e-2),
+    "p_max": ("--p-max", dict(type=float), 1e3),
+    "n_p": ("--n-p", dict(type=int), 11),
+    "p_list": ("--p-list", {}, None),
+    "k": ("--k", dict(type=int), 0),
+    "dp": ("--dp", dict(type=float), None),
+    "bin_width": ("--bin-width", dict(type=float), None),
+    "radius": ("--R", dict(type=float), 1.0),
+    "b1": ("--b1", dict(type=float), 1.0),
+    "b2": ("--b2", dict(type=float), 2.0),
+    "vectors": ("--vectors", dict(action="store_true"), False),
+    "artifacts": ("--artifacts", {}, None),
 }
+
+# fail-fast checks, each applied when the command has the setting
+_CHECKS = (
+    ("domain", lambda c: bool(c.domain), "this command requires --domain"),
+    ("h", lambda c: c.h > 0, "h must be positive"),
+    ("count", lambda c: c.count >= 1, "count must be >= 1"),
+    ("p", lambda c: c.p >= 0, "p must be >= 0"),
+    ("p_min", lambda c: 0 < c.p_min < c.p_max, "the sweep needs 0 < p-min < p-max"),
+    ("n_p", lambda c: c.n_p >= 1, "n-p must be >= 1"),
+)
 
 
 def _fields(command: str) -> tuple[str, ...]:
@@ -508,18 +463,21 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="dtnlab", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
-        # a flag left out is absent from the namespace, so RunConfig's default holds
+        # a flag left out is absent from the namespace, so its default holds
         sp = sub.add_parser(name, argument_default=argparse.SUPPRESS)
         sp.add_argument("--config", help="JSON file with the flag values")
         for dest in _fields(name):
-            flag, kwargs = _FLAGS[dest]
+            flag, kwargs, _ = _FLAGS[dest]
             sp.add_argument(flag, dest=dest, **kwargs)
     return ap
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    values = vars(args).copy()
-    config = values.pop("config", None)
+def config_from_args(args: argparse.Namespace) -> argparse.Namespace:
+    """The command and its own settings: defaults, then flags, then ``--config``."""
+    given = vars(args).copy()
+    config = given.pop("config", None)
+    names = _fields(args.command)
+    values = {name: _FLAGS[name][2] for name in names} | given
     if config:
         try:
             overrides = json.loads(Path(config).read_text())
@@ -527,33 +485,22 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
             raise CliError(f"config file not found: {exc}", EXIT_IO) from exc
         except json.JSONDecodeError as exc:
             raise CliError(f"malformed config JSON: {exc}", EXIT_CONFIG) from exc
-        unknown = set(overrides) - set(_fields(args.command))
+        unknown = set(overrides) - set(names)
         if unknown:
             raise CliError(f"unknown config keys: {sorted(unknown)}", EXIT_CONFIG)
         values.update(overrides)
-    cfg = RunConfig(**values)
-    if "domain" in _fields(cfg.command) and not cfg.domain:
-        raise CliError(f"command {cfg.command!r} requires --domain", EXIT_CONFIG)
-    if cfg.h <= 0:
-        raise CliError("h must be positive", EXIT_CONFIG)
-    if cfg.count < 1:
-        raise CliError("count must be >= 1", EXIT_CONFIG)
-    if cfg.p < 0:
-        raise CliError("p must be >= 0", EXIT_CONFIG)
+    cfg = argparse.Namespace(**values)
+    for name, ok, message in _CHECKS:
+        if name in names and not ok(cfg):
+            raise CliError(message, EXIT_CONFIG)
     return cfg
 
 
-def run(cfg: RunConfig) -> int:
-    out = Path(cfg.out)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise CliError(f"cannot create output directory: {exc}", EXIT_IO) from exc
+def run(cfg: argparse.Namespace) -> int:
     rep = Reporter(cfg)
     try:
+        rep.out.mkdir(parents=True, exist_ok=True)
         _COMMANDS[cfg.command][0](cfg, rep)
-    except CliError:
-        raise
     except (geometry.GeometryError, dtn.DtnError, conjecture.ConjectureError) as exc:
         raise CliError(str(exc), EXIT_CONFIG) from exc
     except (meshmod.MeshError, fem.FemError, greens.GreensError,
@@ -568,8 +515,7 @@ def run(cfg: RunConfig) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = config_from_args(args)
-        return run(cfg)
+        return run(config_from_args(args))
     except CliError as exc:
         record = {"error": str(exc), "exit_code": exc.exit_code, "command": args.command}
         print(json.dumps(record), file=sys.stderr)

@@ -42,10 +42,6 @@ class BoundaryPartition:
             raise DtnError("partition needs at least one steklov node")
 
     @classmethod
-    def full_steklov(cls, n_boundary: int) -> "BoundaryPartition":
-        return cls(np.zeros(n_boundary, dtype=np.int8))
-
-    @classmethod
     def from_arcs(cls, n_boundary: int, arcs) -> "BoundaryPartition":
         """``arcs`` is a list of (start, stop, role_name) with stop exclusive,
         wrapping allowed (start > stop wraps past node 0)."""
@@ -61,10 +57,6 @@ class BoundaryPartition:
         if (roles < 0).any():
             raise DtnError("arcs do not cover every boundary node")
         return cls(roles)
-
-    @property
-    def steklov_mask(self) -> np.ndarray:
-        return self.roles == STEKLOV
 
 
 @dataclass

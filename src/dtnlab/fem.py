@@ -194,10 +194,9 @@ class InteriorFactor:
     boundary node carries Dirichlet data.
 
     The factor is the one record of the problem it was built for: ``p``, the
-    boundary ``roles``, the ``data_nodes`` (global indices), their boundary
-    mass ``boundary_mass_s`` and ``n_nodes``. ``solve_dirichlet``,
-    ``dtn.build_dtn`` and ``dtn.DtnOperator`` read them from here and take no
-    copy of their own.
+    ``data_nodes`` (global indices), their boundary mass ``boundary_mass_s``
+    and ``n_nodes``. ``solve_dirichlet``, ``dtn.build_dtn`` and
+    ``dtn.DtnOperator`` read them from here and take no copy of their own.
 
     The unknowns (``unknown_nodes``) are eliminated in the mesh's
     nested-dissection order (``FemMatrices.elimination_rank``; neumann_zero
@@ -232,7 +231,6 @@ class InteriorFactor:
         )
         if roles.shape != (matrices.n_boundary,):
             raise FemError("partition must assign one role per boundary node")
-        self.roles = roles
         bidx = ni + np.arange(matrices.n_boundary)
         self.data_nodes = bidx[roles == 0]       # steklov: carries Dirichlet data
         self.zero_nodes = bidx[roles == 1]       # dirichlet_zero: eliminated

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Callable, Union
 
 import numpy as np
@@ -104,50 +104,42 @@ _SHAPE_TAGS = {
     KochSpec: "koch_snowflake",
     DeformedDiskSpec: "deformed_disk",
 }
+_SPEC_BY_TAG = {tag: cls for cls, tag in _SHAPE_TAGS.items()}
+# declared field type (a string: annotations are postponed) -> value conversion
+_CONVERT = {"float": float, "int": int,
+            "tuple[tuple[float, float], ...]": lambda v: tuple((float(x), float(y)) for x, y in v)}
+
+
+def make_spec(tag: str, values: dict) -> DomainSpec:
+    """The spec of shape ``tag`` from its field values, each converted by the
+    field's declared type (so strings parse). An unknown tag, an unknown or
+    missing field, or a value that does not convert raises ``GeometryError``."""
+    cls = _SPEC_BY_TAG.get(tag)
+    if cls is None:
+        raise GeometryError(f"unknown shape tag {tag!r}")
+    types = {f.name: f.type for f in fields(cls)}
+    try:
+        return cls(**{name: _CONVERT[types[name]](v) for name, v in values.items()})
+    except KeyError as exc:
+        raise GeometryError(f"unknown {tag} field {exc}; its fields are {list(types)}") from None
+    except (TypeError, ValueError) as exc:  # a missing field, or a value that does not convert
+        raise GeometryError(f"bad {tag} fields: {exc}") from None
 
 
 def spec_to_json(spec: DomainSpec) -> str:
     """Serialize a shape spec to a JSON object with a "shape" tag."""
-    d = {"shape": _SHAPE_TAGS[type(spec)]}
-    if isinstance(spec, DiskSpec):
-        d["radius"] = spec.radius
-    elif isinstance(spec, EllipseSpec):
-        d.update(a=spec.a, b=spec.b)
-    elif isinstance(spec, RectangleSpec):
-        d.update(b1=spec.b1, b2=spec.b2)
-    elif isinstance(spec, RegularPolygonSpec):
-        d.update(n_sides=spec.n_sides, circumradius=spec.circumradius)
-    elif isinstance(spec, TriangleSpec):
-        d.update(side=spec.side, angle1=spec.angle1, angle2=spec.angle2)
-    elif isinstance(spec, PolygonSpec):
-        d["vertices"] = [list(v) for v in spec.vertices]
-    elif isinstance(spec, KochSpec):
-        d.update(generation=spec.generation, side=spec.side)
-    elif isinstance(spec, DeformedDiskSpec):
-        d.update(amplitude=spec.amplitude, mode=spec.mode)
-    return json.dumps(d)
+    return json.dumps({"shape": _SHAPE_TAGS[type(spec)], **asdict(spec)})
 
 
 def spec_from_json(text: str) -> DomainSpec:
     """Inverse of :func:`spec_to_json`."""
-    d = json.loads(text)
     try:
-        tag = d.pop("shape")
-    except KeyError:
-        raise GeometryError("domain JSON must carry a 'shape' tag") from None
-    by_tag = {v: k for k, v in _SHAPE_TAGS.items()}
-    if tag not in by_tag:
-        raise GeometryError(f"unknown shape tag {tag!r}")
-    cls = by_tag[tag]
-    if cls is PolygonSpec:
-        return PolygonSpec(vertices=tuple(tuple(map(float, v)) for v in d["vertices"]))
-    if cls is RegularPolygonSpec:
-        d["n_sides"] = int(d["n_sides"])
-    if cls is KochSpec:
-        d["generation"] = int(d["generation"])
-    if cls is DeformedDiskSpec:
-        d["mode"] = int(d["mode"])
-    return cls(**d)
+        d = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise GeometryError(f"malformed domain JSON: {exc}") from None
+    if not isinstance(d, dict) or "shape" not in d:
+        raise GeometryError("domain JSON must be an object with a 'shape' tag")
+    return make_spec(d.pop("shape"), d)
 
 
 # ---------------------------------------------------------------------------

@@ -191,3 +191,66 @@ def test_report_echoes_tolerances(tmp_path):
     # nothing reads or measures these two, so the report does not claim them
     assert "multiplicity_tol" not in report["tolerances"]
     assert "schur_symmetry_abs" not in report["tolerances"]
+
+
+def test_domain_keys_accept_spec_field_names():
+    assert parse_domain("disk:radius=2") == geometry.DiskSpec(2.0)
+    assert parse_domain("ngon:n_sides=5,circumradius=2") == geometry.RegularPolygonSpec(5, 2.0)
+    assert parse_domain("deformed") == geometry.DeformedDiskSpec(0.02, 5)
+    assert parse_domain("deformed:amplitude=0.1,m=3") == geometry.DeformedDiskSpec(0.1, 3)
+
+
+@pytest.mark.parametrize(
+    "command, settings",
+    [
+        (["mesh", "--domain", "disk:R=1", "--h", "0.3"], {"command", "domain", "h", "out"}),
+        (["solve", "--domain", "disk:R=1", "--h", "0.3", "--count", "2"],
+         {"command", "domain", "h", "p", "count", "vectors", "out"}),
+    ],
+)
+def test_report_config_is_the_commands_own_settings(tmp_path, command, settings):
+    assert run_cli(*command, "--out", str(tmp_path)) == 0
+    config = json.loads((tmp_path / "report.json").read_text())["config"]
+    assert set(config) == settings
+    assert config["h"] == 0.3 and config["out"] == str(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "domain", ["disk:radus=2", "ngon:N=5,r=3", "octagon:R=2", "poly:file={},R=2", "poly:file={}"]
+)
+def test_unknown_shape_keys_exit_2(tmp_path, capsys, domain):
+    shape = tmp_path / "shape.json"  # a polygon file holding a disk with a misspelt key
+    shape.write_text(json.dumps({"shape": "disk", "radus": 2}))
+    domain = domain.format(shape)
+    out = tmp_path / "out"
+    assert run_cli("mesh", "--domain", domain, "--h", "0.3", "--out", str(out)) == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["exit_code"] == 2 and record["command"] == "mesh"
+    assert not (out / "report.json").exists()
+
+
+def test_emit_plots_carries_the_report_forward(tmp_path):
+    assert run_cli("sweep", "--domain", "disk:R=1", "--h", "0.3", "--count", "2",
+                   "--p-min", "0.1", "--p-max", "10", "--n-p", "2", "--out", str(tmp_path)) == 0
+    slope = json.loads((tmp_path / "report.json").read_text())["small_p_slope"]
+    scripts = []
+    for _ in range(2):
+        assert run_cli("emit-plots", "--artifacts", str(tmp_path), "--out", str(tmp_path)) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["small_p_slope"] == slope
+        assert report["config"]["command"] == "emit-plots"
+        assert report["plot_scripts"] == ["plot_sweep.py"]
+        scripts.append((tmp_path / "plot_sweep.py").read_text())
+    assert scripts[0] == scripts[1]
+    assert f"SLOPE = {slope}\n" in scripts[1]
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [["--p-min", "0"], ["--p-min", "10", "--p-max", "1"], ["--n-p", "0"]],
+)
+def test_bad_sweep_grid_exits_2(tmp_path, capsys, grid):
+    assert run_cli("sweep", "--domain", "disk:R=1", "--h", "0.3", *grid,
+                   "--out", str(tmp_path)) == 2
+    assert json.loads(capsys.readouterr().err.strip())["exit_code"] == 2
+    assert not (tmp_path / "sweep.csv").exists()

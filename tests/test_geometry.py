@@ -250,3 +250,30 @@ def test_spec_json_round_trip(spec):
 def test_spec_json_rejects_missing_tag():
     with pytest.raises(GeometryError):
         spec_from_json('{"radius": 1.0}')
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"shape": "disk", "radus": 2}',  # unknown field
+        '{"shape": "regular_polygon", "n_sides": 5, "r": 3}',  # unknown beside known
+        '{"shape": "ellipse", "a": 1.0}',  # missing field
+        '{"shape": "polygon"}',  # missing vertices
+        '{"shape": "koch_snowflake", "generation": "two"}',  # malformed value
+        '{"shape": "polygon", "vertices": [[0, 0], [1], [0, 1]]}',  # malformed vertex
+        '["disk"]',  # not an object
+        '{"shape": "disk", ',  # not JSON
+    ],
+)
+def test_spec_json_rejects_bad_fields(text):
+    with pytest.raises(GeometryError):
+        spec_from_json(text)
+
+
+def test_make_spec_converts_by_declared_type():
+    spec = geometry.make_spec("regular_polygon", {"n_sides": "5", "circumradius": "2"})
+    assert spec == RegularPolygonSpec(5, 2.0)
+    assert isinstance(spec.n_sides, int) and isinstance(spec.circumradius, float)
+    assert geometry.make_spec("disk", {}) == DiskSpec(1.0)
+    with pytest.raises(GeometryError):
+        geometry.make_spec("blob", {})
