@@ -248,7 +248,7 @@ def cmd_ck(cfg: argparse.Namespace, rep: Reporter) -> None:
 
 def cmd_ak(cfg: argparse.Namespace, rep: Reporter) -> None:
     domain, msh, matrices = _mesh(cfg, rep)
-    p_values = [float(t) for t in cfg.p_list.split(",")] if cfg.p_list else [cfg.p]
+    p_values = cfg.p_list or [cfg.p]
     rows = []
     survivors = {}
     with rep.time("ak"):
@@ -421,6 +421,18 @@ _COMMANDS = {
     "emit-plots": (cmd_emit_plots, ("artifacts",)),
 }
 
+
+def _p_list(text: str) -> list[float]:
+    """A comma-separated list of pressures, each >= 0."""
+    try:
+        values = [float(t) for t in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma list of numbers: {text!r}") from None
+    if not all(p >= 0 for p in values):
+        raise argparse.ArgumentTypeError(f"every p must be >= 0: {text!r}")
+    return values
+
+
 # setting -> (flag, argparse keywords, default): the one table of settings
 _FLAGS = {
     "domain": ("--domain", dict(help="shape, e.g. disk:R=1 or rect:b1=1,b2=2"), None),
@@ -433,7 +445,7 @@ _FLAGS = {
     "p_min": ("--p-min", dict(type=float), 1e-2),
     "p_max": ("--p-max", dict(type=float), 1e3),
     "n_p": ("--n-p", dict(type=int), 11),
-    "p_list": ("--p-list", {}, None),
+    "p_list": ("--p-list", dict(type=_p_list), None),
     "k": ("--k", dict(type=int), 0),
     "dp": ("--dp", dict(type=float), None),
     "bin_width": ("--bin-width", dict(type=float), None),
@@ -472,6 +484,23 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _config_value(name: str, value):
+    """A ``--config`` value converted as the flag's text would be; null
+    stands for a default of None."""
+    _, kwargs, default = _FLAGS[name]
+    if value is None and default is None:
+        return None
+    if kwargs.get("action") == "store_true":
+        if isinstance(value, bool):
+            return value
+    else:
+        try:
+            return kwargs.get("type", str)(str(value))
+        except (ValueError, argparse.ArgumentTypeError):
+            pass
+    raise CliError(f"bad value for config key {name!r}: {value!r}", EXIT_CONFIG)
+
+
 def config_from_args(args: argparse.Namespace) -> argparse.Namespace:
     """The command and its own settings: defaults, then flags, then ``--config``."""
     given = vars(args).copy()
@@ -485,10 +514,12 @@ def config_from_args(args: argparse.Namespace) -> argparse.Namespace:
             raise CliError(f"config file not found: {exc}", EXIT_IO) from exc
         except json.JSONDecodeError as exc:
             raise CliError(f"malformed config JSON: {exc}", EXIT_CONFIG) from exc
+        if not isinstance(overrides, dict):
+            raise CliError("config JSON must be an object of flag values", EXIT_CONFIG)
         unknown = set(overrides) - set(names)
         if unknown:
             raise CliError(f"unknown config keys: {sorted(unknown)}", EXIT_CONFIG)
-        values.update(overrides)
+        values.update((name, _config_value(name, v)) for name, v in overrides.items())
     cfg = argparse.Namespace(**values)
     for name, ok, message in _CHECKS:
         if name in names and not ok(cfg):

@@ -350,9 +350,14 @@ class Domain:
             return points_in_polygon(self.vertices, points)
         return self._contains_fn(points)
 
-    def distance_to_boundary(self, points: np.ndarray) -> np.ndarray:
+    def distance_to_boundary(self, points: np.ndarray, upper: float = np.inf) -> np.ndarray:
         """Unsigned distance to the boundary; exact for polygons, polyline-based
-        for smooth shapes (error <= spacing^2 / (2 * min curvature radius))."""
+        for smooth shapes (error <= spacing^2 / (2 * min curvature radius)).
+
+        Distances up to ``upper`` are the unbounded ones bit for bit; larger
+        ones read ``inf``. On smooth shapes other than the disk a finite
+        ``upper`` bounds the nearest-vertex search, which is what makes deep
+        interior points cheap."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         scalar = np.asarray(points).ndim == 1
         if self.is_polygon:
@@ -363,11 +368,19 @@ class Domain:
             d = np.abs(self.spec.radius - np.hypot(pts[:, 0], pts[:, 1]))
         else:
             poly = self._polyline
-            _, idx = self._polyline_tree.query(pts)
             n = len(poly)
+            # the distance found below is at least the nearest-vertex distance
+            # less half the longest segment, so a search bounded by upper plus
+            # that half misses no point whose distance is under upper
+            half_seg = 0.5 * np.hypot(*(np.roll(poly, -1, axis=0) - poly).T).max()
+            near, idx = self._polyline_tree.query(
+                pts, distance_upper_bound=(upper + half_seg) * (1 + 1e-12)
+            )
+            found = np.isfinite(near)
+            pts, idx = pts[found], idx[found]
             # exact distance to the two polyline segments adjacent to the
             # nearest polyline vertex
-            d = np.full(len(pts), np.inf)
+            d_found = np.full(len(pts), np.inf)
             for off in (-1, 0):
                 a = poly[(idx + off) % n]
                 b = poly[(idx + off + 1) % n]
@@ -375,7 +388,10 @@ class Domain:
                 len2 = np.maximum((ab * ab).sum(axis=1), 1e-300)
                 t = np.clip(((pts - a) * ab).sum(axis=1) / len2, 0.0, 1.0)
                 proj = a + t[:, None] * ab
-                d = np.minimum(d, np.hypot(*(pts - proj).T))
+                d_found = np.minimum(d_found, np.hypot(*(pts - proj).T))
+            d = np.full(len(found), np.inf)
+            d[found] = d_found
+        d[d > upper] = np.inf
         return float(d[0]) if scalar else d
 
     def boundary_loop(self, spacing: float) -> np.ndarray:

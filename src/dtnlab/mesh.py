@@ -10,15 +10,19 @@ centroid is inside the domain, and relaxes interior nodes by neighbor
 averaging. Constants are tuned so that edge lengths stay below the requested
 h and the min-angle floor holds away from sharp input corners.
 
-Smoothing moves the interior nodes a little at a time, so the Delaunay
-triangulation is kept from one pass to the next and qhull runs again only
-when the moved nodes break it: when a triangle changes or loses its
-orientation, or an interior edge with a moving endpoint fails the incircle
-test (an exact form of the DistMesh rule, Persson & Strang, SIAM Review 46,
-2004). By the Delaunay lemma a kept triangulation that passes both checks is
-the Delaunay triangulation of the moved nodes, so meshes are the ones a fresh
+Lattice triangles around a lattice point far enough from the boundary are in
+every Delaunay triangulation, so the first triangulation takes those in closed
+form and runs qhull on the band of points near the boundary only
+(``_band_delaunay``). Smoothing moves the interior nodes a little at a time,
+so the triangulation is then kept from one pass to the next and repaired where
+the moved nodes break it: edges that fail the incircle test (an exact form of
+the DistMesh rule, Persson & Strang, SIAM Review 46, 2004) are flipped until
+all pass (Lawson 1977), and qhull runs on all points only when a triangle
+loses its orientation, the hull moves or the flips do not converge. By the
+Delaunay lemma a triangulation that passes both checks is the Delaunay
+triangulation of the moved nodes, so meshes are the ones a fresh qhull
 triangulation per pass gives, up to the order of the triangles, rounding in
-the smoothing sums and the diagonal of near-cocircular quads.
+the smoothing sums and the diagonal of cocircular quads.
 """
 from __future__ import annotations
 
@@ -27,7 +31,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import Delaunay
+from scipy.spatial import Delaunay, cKDTree
 
 from .geometry import Domain
 
@@ -36,6 +40,9 @@ SHARP_CORNER_DEG = 40.0  # corners below this cannot host 20-degree triangles
 # an edge stays Delaunay unless the opposite vertex is inside the circumcircle
 # by more than this, relative to |a - d|^2 |b - d|^2: near-ties are kept
 INCIRCLE_MARGIN = 1e-9
+# rounds of edge flips before a refresh gives up and runs qhull on all points;
+# the refreshes measured on the catalog meshes took 1-2
+MAX_FLIP_ROUNDS = 20
 
 log = logging.getLogger("dtnlab")
 
@@ -92,11 +99,9 @@ class Mesh:
 
 def _orientation(pts: np.ndarray, tris: np.ndarray) -> np.ndarray:
     """Twice the signed area of each triangle; positive when it is CCW."""
-    p = pts[tris]
-    return (
-        (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-        - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1])
-    )
+    x, y = pts[:, 0], pts[:, 1]
+    i, j, k = tris[:, 0], tris[:, 1], tris[:, 2]
+    return (x[j] - x[i]) * (y[k] - y[i]) - (x[k] - x[i]) * (y[j] - y[i])
 
 
 def _edge_keys(pairs: np.ndarray, base: int) -> np.ndarray:
@@ -126,66 +131,192 @@ def _edge_incidence(edges: np.ndarray, counts: np.ndarray, pairs: np.ndarray):
 # generation
 # ---------------------------------------------------------------------------
 
-def _hex_lattice(lo: np.ndarray, hi: np.ndarray, a: float) -> np.ndarray:
+def _hex_lattice(lo: np.ndarray, hi: np.ndarray, a: float) -> tuple[np.ndarray, tuple[int, int]]:
+    """Hexagonal lattice points over the box, row by row, and the grid shape
+    (rows, columns): point ``r * columns + c`` sits in row r, column c, and
+    even rows are shifted right by a / 2."""
     xs = np.arange(lo[0] - a, hi[0] + a, a)
     ys = np.arange(lo[1] - a, hi[1] + a, a * math.sqrt(3) / 2)
     gx, gy = np.meshgrid(xs, ys)
     gx[::2] += a / 2
-    return np.stack([gx.ravel(), gy.ravel()], axis=1)
+    return np.stack([gx.ravel(), gy.ravel()], axis=1), gx.shape
+
+
+def _lattice_triangles(shape: tuple[int, int]) -> np.ndarray:
+    """Every triangle of the hexagonal lattice of grid ``shape``, CCW, as
+    grid indices: two per cell of rows r, r + 1 and columns c, c + 1."""
+    ny, nx = shape
+    r, c = np.meshgrid(np.arange(ny - 1), np.arange(nx - 1), indexing="ij")
+    r, c = r.ravel(), c.ravel()
+    lo, up = r * nx + c, (r + 1) * nx + c
+    even = (r % 2 == 0)[:, None]
+    # even rows sit a / 2 right of the odd rows next to them
+    return np.concatenate([
+        np.where(even, np.stack([lo, up + 1, up], axis=1), np.stack([lo, lo + 1, up], axis=1)),
+        np.where(even, np.stack([lo, lo + 1, up + 1], axis=1), np.stack([lo + 1, up + 1, up], axis=1)),
+    ])
+
+
+def _circumcircles(pts: np.ndarray, tris: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Circumcenters and circumradii of triangles of nonzero area."""
+    a = pts[tris[:, 0]]
+    b, c = pts[tris[:, 1]] - a, pts[tris[:, 2]] - a
+    den = 2.0 * (b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0])
+    lb, lc = (b * b).sum(axis=1), (c * c).sum(axis=1)
+    u = np.stack([c[:, 1] * lb - b[:, 1] * lc, b[:, 0] * lc - c[:, 0] * lb], axis=1) / den[:, None]
+    return a + u, np.hypot(u[:, 0], u[:, 1])
+
+
+def _band_delaunay(pts: np.ndarray, grid: np.ndarray, shape: tuple[int, int],
+                   core: np.ndarray) -> np.ndarray | None:
+    """The Delaunay triangles of ``pts`` with qhull run on the band near the
+    boundary only, or None when the pieces do not fit together.
+
+    The first ``len(grid)`` points are lattice points (grid indices ``grid``),
+    the rest boundary samples. A *core* lattice point is so far from the
+    boundary that its six neighbours are lattice points and the circumcircles
+    of the six lattice triangles around it (radius a / sqrt(3), within
+    2a / sqrt(3) of the point) hold no other point: those triangles are in
+    every Delaunay triangulation. qhull triangulates the other points; its
+    simplices whose circumcircle strictly contains a core point span the hole
+    and are dropped, and the lattice triangles with a core vertex fill it.
+    """
+    n_free = len(grid)
+    band = np.concatenate([np.flatnonzero(~core), np.arange(n_free, len(pts))])
+    sub = band[Delaunay(pts[band]).simplices]
+    keep = np.ones(len(sub), dtype=bool)
+    if core.any():
+        # flat simplices of collinear samples have no circumcircle; they lie
+        # on the hull, far from the core, and stay
+        solid = np.flatnonzero(_orientation(pts, sub) != 0)
+        center, radius = _circumcircles(pts, sub[solid])
+        dist, _ = cKDTree(pts[:n_free][core]).query(center)
+        keep[solid[dist < radius]] = False
+    local = np.full(shape[0] * shape[1], -1, dtype=np.int64)
+    local[grid] = np.arange(n_free)
+    core_grid = np.zeros(len(local), dtype=bool)
+    core_grid[grid[core]] = True
+    lattice = _lattice_triangles(shape)
+    lattice = local[lattice[core_grid[lattice].any(axis=1)]]
+    # each point added inside the hull adds two triangles: a tie that left a
+    # gap or an overlap changes the count
+    if (lattice < 0).any() or keep.sum() + len(lattice) != len(sub) + 2 * int(core.sum()):
+        return None
+    return np.concatenate([sub[keep], lattice])
 
 
 @dataclass
 class _KeptDelaunay:
-    """A qhull Delaunay triangulation, kept to be tested against moved points.
+    """A Delaunay triangulation, kept to be tested against moved points.
 
     ``quads`` holds each interior edge (a, b) with a moving endpoint or
     opposite vertex (index < n_free) as a row (a, b, c, d): c and d are the
-    vertices opposite the edge, (a, b, c) a rotation of a simplex whose
-    orientation sign is the row's ``quad_signs`` entry. Edges among fixed
-    boundary samples are left out: they never change, and they hold exact
-    cocircular ties (symmetric graded points around a sharp corner, equally
-    spaced points on straight sides) that rounding would flag at random.
+    vertices opposite the edge, (a, b, c) a rotation of simplex ``quad_tris[:,
+    0]`` whose orientation sign is the row's ``quad_signs`` entry, and d a
+    vertex of simplex ``quad_tris[:, 1]``. Edges among fixed boundary samples
+    are left out: they never change, and they hold exact cocircular ties
+    (symmetric graded points around a sharp corner, equally spaced points on
+    straight sides) that rounding would flag at random.
     """
 
     simplices: np.ndarray
     signs: np.ndarray
     quads: np.ndarray
     quad_signs: np.ndarray
+    quad_tris: np.ndarray
     hull_fixed: bool
+    n_free: int
 
     @classmethod
-    def build(cls, pts: np.ndarray, n_free: int) -> "_KeptDelaunay":
-        tri = Delaunay(pts)
-        s, nb = tri.simplices, tri.neighbors
-        # neighbor j of simplex i lies across the edge opposite its vertex j;
-        # i < neighbor takes each interior edge once
-        i, j = np.nonzero(nb > np.arange(len(s))[:, None])
-        n = nb[i, j]
-        d = s[n, np.argmax(nb[n] == i[:, None], axis=1)]
-        quads = np.stack([s[i, (j + 1) % 3], s[i, (j + 2) % 3], s[i, j], d], axis=1)
+    def from_simplices(cls, pts: np.ndarray, n_free: int, simplices: np.ndarray) -> "_KeptDelaunay":
+        """Neighbours, quads, signs and hull of a triangulation, matched by
+        the integer keys of its edges."""
+        # qhull's index type: the mesh keeps its triangles' dtype, and the
+        # temporaries below stay half the size
+        s = np.asarray(simplices, dtype=np.int32)
+        # row 3 i + j: the edge of simplex i opposite its vertex j
+        opp = np.stack([s[:, [1, 2, 0]], s[:, [2, 0, 1]]], axis=2).reshape(-1, 2)
+        keys = _edge_keys(opp, len(pts))
+        order = np.argsort(keys, kind="stable")
+        same = np.flatnonzero(keys[order[1:]] == keys[order[:-1]])
+        # the stable sort puts the lower simplex of an interior edge first
+        first, second = order[same], order[same + 1]
+        single = np.ones(len(opp), dtype=bool)
+        single[first] = single[second] = False
+        i, j = np.divmod(first, 3)
+        quads = np.stack([opp[first, 0], opp[first, 1], s[i, j], s.ravel()[second]], axis=1)
         signs = np.sign(_orientation(pts, s))
         moving = quads.min(axis=1) < n_free
         return cls(s, signs, quads[moving], signs[i[moving]],
-                   bool(tri.convex_hull.min() >= n_free))
+                   np.stack([i, second // 3], axis=1)[moving],
+                   bool(opp[single].min(initial=n_free) >= n_free), n_free)
+
+    @classmethod
+    def build(cls, pts: np.ndarray, n_free: int) -> "_KeptDelaunay":
+        """The qhull triangulation of all of ``pts``."""
+        return cls.from_simplices(pts, n_free, Delaunay(pts).simplices)
+
+    def failing_edges(self, pts: np.ndarray) -> np.ndarray | None:
+        """Mask of the tested edges that fail the incircle test at ``pts``, or
+        None when flips cannot repair the kept simplices: a moving point is
+        on the hull, or a simplex changed its orientation sign."""
+        if not self.hull_fixed:
+            return None
+        if not np.array_equal(np.sign(_orientation(pts, self.simplices)), self.signs):
+            return None
+        # gathers from contiguous columns are faster than row gathers of pts
+        x, y = pts[:, 0].copy(), pts[:, 1].copy()
+        q = self.quads
+        xd, yd = x[q[:, 3]], y[q[:, 3]]
+        adx, ady, bdx, bdy, cdx, cdy = (
+            v[q[:, k]] - vd for k in range(3) for v, vd in ((x, xd), (y, yd))
+        )
+        la, lb, lc = adx * adx + ady * ady, bdx * bdx + bdy * bdy, cdx * cdx + cdy * cdy
+        # > 0 iff d lies inside the circle through a, b, c taken CCW
+        incircle = (
+            adx * (bdy * lc - lb * cdy)
+            - ady * (bdx * lc - lb * cdx)
+            + la * (bdx * cdy - bdy * cdx)
+        )
+        return self.quad_signs * incircle > INCIRCLE_MARGIN * la * lb
 
     def still_delaunay(self, pts: np.ndarray) -> bool:
         """True when the kept simplices are a Delaunay triangulation of
         ``pts``: the hull is made of fixed points, every simplex keeps its
         orientation sign and every tested edge passes the incircle test."""
-        if not self.hull_fixed:
-            return False
-        if not np.array_equal(np.sign(_orientation(pts, self.simplices)), self.signs):
-            return False
-        a, b, c, d = (pts[self.quads[:, k]] for k in range(4))
-        ad, bd, cd = a - d, b - d, c - d
-        la, lb, lc = ((v * v).sum(axis=1) for v in (ad, bd, cd))
-        # > 0 iff d lies inside the circle through a, b, c taken CCW
-        incircle = (
-            ad[:, 0] * (bd[:, 1] * lc - lb * cd[:, 1])
-            - ad[:, 1] * (bd[:, 0] * lc - lb * cd[:, 0])
-            + la * (bd[:, 0] * cd[:, 1] - bd[:, 1] * cd[:, 0])
-        )
-        return not (self.quad_signs * incircle > INCIRCLE_MARGIN * la * lb).any()
+        bad = self.failing_edges(pts)
+        return bad is not None and not bad.any()
+
+    def refreshed(self, pts: np.ndarray) -> tuple["_KeptDelaunay", bool]:
+        """A Delaunay triangulation of the moved ``pts`` and whether qhull
+        made it. Edges that fail the incircle test are flipped, one per
+        simplex per round, until every edge passes (Lawson 1977); qhull runs
+        on all points only after an orientation change, a moving hull point
+        or ``MAX_FLIP_ROUNDS`` rounds of flips."""
+        kept = self
+        for _ in range(MAX_FLIP_ROUNDS):
+            bad = kept.failing_edges(pts)
+            if bad is None:
+                break
+            if not bad.any():
+                return kept, False
+            s, signs = kept.simplices.copy(), kept.signs.copy()
+            touched = np.zeros(len(s), dtype=bool)
+            for (a, b, c, d), sign, (t1, t2) in zip(
+                kept.quads[bad], kept.quad_signs[bad], kept.quad_tris[bad]
+            ):
+                if touched[t1] or touched[t2]:
+                    continue
+                touched[t1] = touched[t2] = True
+                # (a, b, c) and (b, a, d) become (a, d, c) and (d, b, c), with
+                # the orientation of (a, b, c): the quad is convex because d is
+                # inside the circle through a, b, c
+                s[t1], s[t2] = (a, d, c), (d, b, c)
+                signs[t1] = signs[t2] = sign
+            kept = _KeptDelaunay.from_simplices(pts, self.n_free, s)
+            if not np.array_equal(kept.signs, signs):
+                break
+        return _KeptDelaunay.build(pts, self.n_free), True
 
 
 def _neighbor_average(pts: np.ndarray, tris: np.ndarray, n_free: int) -> np.ndarray:
@@ -205,35 +336,44 @@ def _neighbor_average(pts: np.ndarray, tris: np.ndarray, n_free: int) -> np.ndar
     return new
 
 
+def _seed(domain: Domain, hb: float, a: float) -> tuple[np.ndarray, int, _KeptDelaunay, int]:
+    """The points of one mesh attempt before smoothing (clipped lattice first,
+    boundary samples at spacing ``hb`` last), the number of lattice points,
+    their Delaunay triangulation and the number of qhull calls it took."""
+    clip = 0.62 * hb
+    # 1 % over the distance that makes a lattice point core (_band_delaunay):
+    # smooth-boundary distances are measured to a polyline
+    core_dist = 1.01 * max(2 * a / math.sqrt(3), clip + a)
+    bpts = domain.boundary_loop(hb)
+    lattice, shape = _hex_lattice(bpts.min(axis=0), bpts.max(axis=0), a)
+    grid = np.flatnonzero(domain.contains(lattice))
+    dist = domain.distance_to_boundary(lattice[grid], upper=core_dist)
+    grid, dist = grid[dist > clip], dist[dist > clip]
+    pts = np.vstack([lattice[grid], bpts])
+    simplices = _band_delaunay(pts, grid, shape, dist > core_dist)
+    if simplices is None:
+        log.debug("band triangulation did not fit; qhull on all %d points", len(pts))
+        return pts, len(grid), _KeptDelaunay.build(pts, len(grid)), 2
+    return pts, len(grid), _KeptDelaunay.from_simplices(pts, len(grid), simplices), 1
+
+
 def _build_once(domain: Domain, h: float, scale: float, n_smooth: int = 8):
     """One mesh at boundary/lattice spacing ``scale`` times the nominal one,
     and the number of qhull calls it took."""
     hb = 0.66 * h * scale
-    a = 0.70 * h * scale
-    clip = 0.62 * hb
-
-    bpts = domain.boundary_loop(hb)
-    nb = len(bpts)
-
-    lo, hi = bpts.min(axis=0), bpts.max(axis=0)
-    lattice = _hex_lattice(lo, hi, a)
-    inside = domain.contains(lattice)
-    lattice = lattice[inside]
-    lattice = lattice[domain.distance_to_boundary(lattice) > clip]
-
-    pts = np.vstack([lattice, bpts])
-    n_free = len(lattice)
-    kept, n_qhull = None, 0
+    pts, n_free, kept, n_qhull = _seed(domain, hb, 0.70 * h * scale)
+    nb = len(pts) - n_free
     for step in range(n_smooth + 1):
-        if kept is None or not kept.still_delaunay(pts):
-            kept = _KeptDelaunay.build(pts, n_free)
-            n_qhull += 1
-        tris = kept.simplices[domain.contains(pts[kept.simplices].mean(axis=1))]
+        if step:
+            kept, qhull = kept.refreshed(pts)
+            n_qhull += qhull
+        s = kept.simplices
+        tris = s[domain.contains((pts[s[:, 0]] + pts[s[:, 1]] + pts[s[:, 2]]) / 3)]
         if step == n_smooth:
             break
         new = _neighbor_average(pts, tris, n_free)
         moved = new[:n_free]
-        bad = domain.distance_to_boundary(moved) < 0.45 * hb
+        bad = domain.distance_to_boundary(moved, upper=0.45 * hb) < 0.45 * hb
         bad |= ~domain.contains(moved)
         moved[bad] = pts[:n_free][bad]
         pts = new

@@ -172,6 +172,35 @@ def test_unknown_config_key_rejected(tmp_path):
     assert run_cli("solve", "--config", str(cfg)) == 2
 
 
+def test_config_values_converted_by_flag_type(tmp_path, capsys):
+    """``--config`` values go through the flag's argparse type, so a number
+    written as a string works and a value the flag would reject exits 2."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"domain": "disk:R=1", "h": "0.3", "count": "3",
+                               "out": str(tmp_path)}))
+    assert run_cli("solve", "--config", str(cfg)) == 0
+    config = json.loads((tmp_path / "report.json").read_text())["config"]
+    assert config["h"] == 0.3 and config["count"] == 3
+    for bad in ({"h": "abc"}, {"count": 3.5}, {"p": True}, {"vectors": "yes"}, {"h": None}):
+        cfg.write_text(json.dumps({"domain": "disk:R=1", **bad}))
+        assert run_cli("solve", "--config", str(cfg)) == 2, bad
+        assert json.loads(capsys.readouterr().err.strip())["exit_code"] == 2
+    for not_an_object in ("5", "null", '"h"'):
+        cfg.write_text(not_an_object)
+        assert run_cli("solve", "--config", str(cfg)) == 2, not_an_object
+
+
+@pytest.mark.parametrize("p_list", ["1,x", "1,-1", "", "nan"])
+def test_ak_bad_p_list_exits_2(tmp_path, capsys, p_list):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("ak", "--domain", "disk:R=1", "--p-list", p_list, "--out", str(tmp_path))
+    assert exc.value.code == 2
+    assert "--p-list" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"domain": "disk:R=1", "p_list": p_list}))
+    assert run_cli("ak", "--config", str(cfg), "--out", str(tmp_path)) == 2
+
+
 def test_flag_of_another_command_rejected(tmp_path, capsys):
     """Each command takes only the flags it reads: ``solve --p-list`` is an
     argparse error (exit 2), not a solve at the default p."""

@@ -128,6 +128,22 @@ def test_distance_is_one_lipschitz(x1, y1, x2, y2):
     assert abs(d1 - d2) <= np.linalg.norm(p1 - p2) + 1e-9
 
 
+@pytest.mark.parametrize("spec", [
+    EllipseSpec(1.0, 0.5), DeformedDiskSpec(0.02, 5), DiskSpec(1.0), KochSpec(1, 2.0),
+])
+@pytest.mark.parametrize("upper", [0.0, 0.013, 0.3])
+def test_bounded_distance_is_exact_up_to_the_bound(spec, upper, rng):
+    d = build_domain(spec)
+    pts = np.vstack([rng.uniform(-1.6, 1.6, (4000, 2)), d.boundary_loop(0.05)])
+    exact = d.distance_to_boundary(pts)
+    bounded = d.distance_to_boundary(pts, upper=upper)
+    near = exact <= upper
+    assert near.any() and (~near).any()
+    assert np.array_equal(bounded[near], exact[near])
+    assert np.isinf(bounded[~near]).all()
+    assert d.distance_to_boundary(pts[0], upper=upper) == bounded[0]
+
+
 def distance_to_segments_all_pairs(points, seg_a, seg_b):
     """The former formula, with (points x segments x 2) temporaries."""
     d = seg_b - seg_a

@@ -1,4 +1,5 @@
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -230,6 +231,96 @@ def test_kept_delaunay_with_moving_hull_point_is_never_reused():
     assert not kept.still_delaunay(QUAD[:4])
 
 
+def test_flip_repair_matches_fresh_qhull():
+    kept = meshmod._KeptDelaunay.build(QUAD, n_free=4)
+    flip = QUAD.copy()
+    flip[3] = [0.2, 0.5]
+    repaired, qhull = kept.refreshed(flip)
+    assert not qhull
+    assert repaired.still_delaunay(flip)
+    fresh = Delaunay(flip).simplices
+    assert np.array_equal(_canonical(repaired.simplices), _canonical(fresh))
+    # an inverted triangle is past repair by flips: qhull runs on all points
+    invert = QUAD.copy()
+    invert[1] = [3.2, 0.3]
+    rebuilt, qhull = kept.refreshed(invert)
+    assert qhull
+    assert np.array_equal(_canonical(rebuilt.simplices), _canonical(Delaunay(invert).simplices))
+
+
+def _step0(monkeypatch, dom, h, scale):
+    """The points and triangles of one mesh attempt before smoothing, and the
+    sizes of the point sets qhull saw."""
+    calls, seeds = [], []
+    real_seed = meshmod._seed
+
+    def counting_delaunay(pts):
+        calls.append(len(pts))
+        return Delaunay(pts)
+
+    monkeypatch.setattr(meshmod, "Delaunay", counting_delaunay)
+    monkeypatch.setattr(meshmod, "_seed", lambda *args: seeds.append(real_seed(*args)) or seeds[0])
+    meshmod._build_once(dom, h, scale, n_smooth=0)
+    monkeypatch.undo()
+    pts, _, kept, _ = seeds[0]
+    return pts, kept.simplices, calls
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.88])
+@pytest.mark.parametrize("spec, h", [
+    (geometry.DiskSpec(1.0), 0.04),
+    (geometry.RectangleSpec(1.0, 2.0), 0.04),
+    (geometry.TriangleSpec(2.0, np.pi / 12, np.pi / 3), 0.016),
+    (geometry.RegularPolygonSpec(5, 1.0), 0.02),
+    (geometry.KochSpec(1, 2.0), 0.04),
+])
+def test_band_step0_is_the_delaunay_triangulation(monkeypatch, spec, h, scale):
+    dom = geometry.build_domain(spec)
+    pts, simplices, calls = _step0(monkeypatch, dom, h, scale)
+    assert calls and max(calls) < len(pts) // 2  # qhull saw the band only
+    fresh = Delaunay(pts).simplices
+    assert len(simplices) == len(fresh)
+    # every interior edge passes the incircle test, fixed-point edges too
+    kept = meshmod._KeptDelaunay.from_simplices(pts, len(pts), simplices)
+    assert replace(kept, hull_fixed=True).still_delaunay(pts)
+
+    def inside(t):
+        return t[dom.contains(pts[t].mean(axis=1))]
+
+    assert np.array_equal(_canonical(inside(simplices)), _canonical(inside(fresh)))
+    if not isinstance(spec, geometry.KochSpec):
+        # Koch's notches hold cocircular boundary samples outside the domain,
+        # where qhull and the band may pick either diagonal
+        assert np.array_equal(_canonical(simplices), _canonical(fresh))
+
+
+def test_catalog_meshes_never_run_qhull_on_all_points(monkeypatch):
+    calls, full = [], []
+    real = meshmod._KeptDelaunay.from_simplices.__func__
+
+    def counting_delaunay(pts):
+        calls.append(len(pts))
+        return Delaunay(pts)
+
+    def from_simplices(cls, pts, n_free, simplices):
+        full.append(len(pts))
+        return real(cls, pts, n_free, simplices)
+
+    monkeypatch.setattr(meshmod, "Delaunay", counting_delaunay)
+    monkeypatch.setattr(meshmod._KeptDelaunay, "from_simplices", classmethod(from_simplices))
+    for spec, h in [
+        (geometry.DiskSpec(1.0), 0.04),
+        (geometry.RectangleSpec(1.0, 2.0), 0.04),
+        (geometry.TriangleSpec(2.0, np.pi / 12, np.pi / 3), 0.016),
+        (geometry.KochSpec(1, 2.0), 0.04),
+        (geometry.DiskSpec(1.0), 0.025),
+    ]:
+        calls.clear()
+        full.clear()
+        generate_mesh(geometry.build_domain(spec), h)
+        assert calls and max(calls) < min(full), (spec, calls, full)
+
+
 @pytest.mark.parametrize("spec, h", [
     (geometry.DiskSpec(1.0), 0.05),
     (geometry.RectangleSpec(1.0, 2.0), 0.08),
@@ -247,7 +338,11 @@ def test_reused_triangulation_matches_fresh_one_per_pass(monkeypatch, spec, h):
     monkeypatch.setattr(meshmod, "Delaunay", counting_delaunay)
     reused = generate_mesh(dom, h)
     n_reused = len(calls)
-    monkeypatch.setattr(meshmod._KeptDelaunay, "still_delaunay", lambda self, pts: False)
+    # the reference: qhull on all points, at every pass (a band that does not
+    # fit makes step 0 fall back to it)
+    monkeypatch.setattr(meshmod, "_band_delaunay", lambda *args: None)
+    monkeypatch.setattr(meshmod._KeptDelaunay, "refreshed",
+                        lambda self, pts: (meshmod._KeptDelaunay.build(pts, self.n_free), True))
     fresh = generate_mesh(dom, h)
     assert n_reused < len(calls) - n_reused  # the triangulation was reused
     assert reused.n_interior == fresh.n_interior
