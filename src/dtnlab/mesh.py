@@ -43,6 +43,9 @@ INCIRCLE_MARGIN = 1e-9
 # rounds of edge flips before a refresh gives up and runs qhull on all points;
 # the refreshes measured on the catalog meshes took 1-2
 MAX_FLIP_ROUNDS = 20
+# a triangle is flat when twice its area is under this times its longest edge
+# squared: qhull's zero-area simplices of collinear samples, to rounding
+FLAT_AREA = 1e-12
 
 log = logging.getLogger("dtnlab")
 
@@ -102,6 +105,13 @@ def _orientation(pts: np.ndarray, tris: np.ndarray) -> np.ndarray:
     x, y = pts[:, 0], pts[:, 1]
     i, j, k = tris[:, 0], tris[:, 1], tris[:, 2]
     return (x[j] - x[i]) * (y[k] - y[i]) - (x[k] - x[i]) * (y[j] - y[i])
+
+
+def _flat(pts: np.ndarray, tris: np.ndarray) -> np.ndarray:
+    """True for the triangles whose area is rounding noise (``FLAT_AREA``)."""
+    p = [pts[tris[:, k]] for k in range(3)]
+    longest = np.max([((p[k] - p[k - 1]) ** 2).sum(axis=1) for k in range(3)], axis=0)
+    return np.abs(_orientation(pts, tris)) <= FLAT_AREA * longest
 
 
 def _edge_keys(pairs: np.ndarray, base: int) -> np.ndarray:
@@ -186,9 +196,9 @@ def _band_delaunay(pts: np.ndarray, grid: np.ndarray, shape: tuple[int, int],
     sub = band[Delaunay(pts[band]).simplices]
     keep = np.ones(len(sub), dtype=bool)
     if core.any():
-        # flat simplices of collinear samples have no circumcircle; they lie
-        # on the hull, far from the core, and stay
-        solid = np.flatnonzero(_orientation(pts, sub) != 0)
+        # flat simplices of collinear samples have no circumcircle to speak
+        # of; they lie on the hull, far from the core, and stay
+        solid = np.flatnonzero(~_flat(pts, sub))
         center, radius = _circumcircles(pts, sub[solid])
         dist, _ = cKDTree(pts[:n_free][core]).query(center)
         keep[solid[dist < radius]] = False
@@ -216,7 +226,8 @@ class _KeptDelaunay:
     vertex of simplex ``quad_tris[:, 1]``. Edges among fixed boundary samples
     are left out: they never change, and they hold exact cocircular ties
     (symmetric graded points around a sharp corner, equally spaced points on
-    straight sides) that rounding would flag at random.
+    straight sides) that rounding would flag at random. ``flat`` marks the
+    flat simplices (``_flat``); only fixed samples on the hull make them.
     """
 
     simplices: np.ndarray
@@ -224,6 +235,7 @@ class _KeptDelaunay:
     quads: np.ndarray
     quad_signs: np.ndarray
     quad_tris: np.ndarray
+    flat: np.ndarray
     hull_fixed: bool
     n_free: int
 
@@ -247,8 +259,11 @@ class _KeptDelaunay:
         quads = np.stack([opp[first, 0], opp[first, 1], s[i, j], s.ravel()[second]], axis=1)
         signs = np.sign(_orientation(pts, s))
         moving = quads.min(axis=1) < n_free
+        flat = np.zeros(len(s), dtype=bool)
+        fixed = np.flatnonzero(s.min(axis=1) >= n_free)
+        flat[fixed] = _flat(pts, s[fixed])
         return cls(s, signs, quads[moving], signs[i[moving]],
-                   np.stack([i, second // 3], axis=1)[moving],
+                   np.stack([i, second // 3], axis=1)[moving], flat,
                    bool(opp[single].min(initial=n_free) >= n_free), n_free)
 
     @classmethod
@@ -291,8 +306,9 @@ class _KeptDelaunay:
         """A Delaunay triangulation of the moved ``pts`` and whether qhull
         made it. Edges that fail the incircle test are flipped, one per
         simplex per round, until every edge passes (Lawson 1977); qhull runs
-        on all points only after an orientation change, a moving hull point
-        or ``MAX_FLIP_ROUNDS`` rounds of flips."""
+        on all points only after an orientation change, a moving hull point,
+        a failing edge of a flat simplex (whose side is rounding noise) or
+        ``MAX_FLIP_ROUNDS`` rounds of flips."""
         kept = self
         for _ in range(MAX_FLIP_ROUNDS):
             bad = kept.failing_edges(pts)
@@ -300,6 +316,8 @@ class _KeptDelaunay:
                 break
             if not bad.any():
                 return kept, False
+            if kept.flat[kept.quad_tris[bad]].any():
+                break
             s, signs = kept.simplices.copy(), kept.signs.copy()
             touched = np.zeros(len(s), dtype=bool)
             for (a, b, c, d), sign, (t1, t2) in zip(
@@ -368,7 +386,8 @@ def _build_once(domain: Domain, h: float, scale: float, n_smooth: int = 8):
             kept, qhull = kept.refreshed(pts)
             n_qhull += qhull
         s = kept.simplices
-        tris = s[domain.contains((pts[s[:, 0]] + pts[s[:, 1]] + pts[s[:, 2]]) / 3)]
+        # a flat simplex on a straight side has its centroid on the boundary
+        tris = s[~kept.flat & domain.contains((pts[s[:, 0]] + pts[s[:, 1]] + pts[s[:, 2]]) / 3)]
         if step == n_smooth:
             break
         new = _neighbor_average(pts, tris, n_free)

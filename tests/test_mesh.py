@@ -248,6 +248,42 @@ def test_flip_repair_matches_fresh_qhull():
     assert np.array_equal(_canonical(rebuilt.simplices), _canonical(Delaunay(invert).simplices))
 
 
+def test_flat_simplex_is_marked_and_never_flipped():
+    # a free point (0) over a bottom side of collinear samples (1, 2, 3, 4); the
+    # flat simplex (1, 2, 3) on the hull is the kind qhull returns for them
+    pts = np.array([[1.0, 1.0], [0.0, 0.0], [0.5, 0.0], [1.0, 0.0], [2.0, 0.0],
+                    [2.0, 2.0], [0.0, 2.0]])
+    simplices = np.array([[1, 3, 0], [1, 2, 3], [3, 4, 0], [4, 5, 0], [5, 6, 0], [6, 1, 0]])
+    kept = meshmod._KeptDelaunay.from_simplices(pts, 1, simplices)
+    assert kept.hull_fixed
+    assert kept.flat.tolist() == [False, True, False, False, False, False]
+    # 2 lies inside the circle through 1, 3, 0: the failing edge (1, 3) borders
+    # the flat simplex, whose side is rounding noise, so qhull takes over
+    assert not kept.still_delaunay(pts)
+    rebuilt, qhull = kept.refreshed(pts)
+    assert qhull
+    assert np.array_equal(_canonical(rebuilt.simplices), _canonical(Delaunay(pts).simplices))
+
+
+def test_flat_hull_simplices_stay_out_of_the_mesh(caplog):
+    # straight sides on the convex hull: qhull returns flat simplices of their
+    # collinear samples, whose centroids lie on the boundary
+    dom = geometry.build_domain(geometry.PolygonSpec((
+        (0.7653, 0.4602), (0.8777, 0.7803), (0.7736, 0.8306), (-0.3944, 0.9082),
+        (-0.2476, 0.4874), (-0.6368, 0.853), (-0.7741, 0.5983), (-0.3916, -0.4555),
+        (-0.5122, -0.6473), (0.456, -0.2789),
+    )))
+    for h in (0.05, 0.04):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="dtnlab"):
+            msh = generate_mesh(dom, h)
+        assert validate_mesh(msh, dom).ok
+        for record in caplog.records:
+            # attempts fail only on long edges, never on a broken boundary
+            assert "boundary edges" not in record.getMessage(), record.getMessage()
+            assert "non-positive" not in record.getMessage(), record.getMessage()
+
+
 def _step0(monkeypatch, dom, h, scale):
     """The points and triangles of one mesh attempt before smoothing, and the
     sizes of the point sets qhull saw."""
