@@ -18,11 +18,13 @@ so the triangulation is then kept from one pass to the next and repaired where
 the moved nodes break it: edges that fail the incircle test (an exact form of
 the DistMesh rule, Persson & Strang, SIAM Review 46, 2004) are flipped until
 all pass (Lawson 1977), and qhull runs on all points only when a triangle
-loses its orientation, the hull moves or the flips do not converge. By the
-Delaunay lemma a triangulation that passes both checks is the Delaunay
-triangulation of the moved nodes, so meshes are the ones a fresh qhull
-triangulation per pass gives, up to the order of the triangles, rounding in
-the smoothing sums and the diagonal of cocircular quads.
+loses its orientation, the hull moves, an edge of a flat simplex fails or the
+flips do not converge. By the Delaunay lemma a triangulation that passes both
+checks is the Delaunay triangulation of the moved nodes, so meshes are the
+ones a fresh qhull triangulation per pass gives, up to the order of the
+triangles, rounding in the smoothing sums, the diagonal of cocircular quads
+and flat simplices: qhull makes those of collinear samples on the hull, and
+they stay out of the mesh.
 """
 from __future__ import annotations
 
