@@ -263,9 +263,9 @@ def norm_identities(
         raise AnalysisError("need p - dp >= 0 for the central difference")
 
     wide = min(count + 4, matrices.n_boundary)
-    spec0 = solve(matrices, p, count, partition, extensions=True)[2]
-    lo = solve(matrices, p - dp, wide, partition)[2]
-    hi = solve(matrices, p + dp, wide, partition)[2]
+    spec0 = solve(matrices, p, count, partition, extensions=True)[1]
+    lo = solve(matrices, p - dp, wide, partition)[1]
+    hi = solve(matrices, p + dp, wide, partition)[1]
     i_lo = match_branches(spec0, lo, matrices)
     i_hi = match_branches(spec0, hi, matrices)
 
@@ -313,9 +313,6 @@ class PSweep:
     def sqrt_reference(self) -> np.ndarray:
         return np.sqrt(self.p_grid)
 
-    def small_p_reference(self) -> np.ndarray:
-        return self.small_p_slope * self.p_grid
-
 
 def p_sweep(
     domain: Domain,
@@ -330,7 +327,7 @@ def p_sweep(
         raise AnalysisError("pressure grid must be nonnegative and strictly increasing")
     rows = np.empty((len(p_grid), count))
     for i, p in enumerate(p_grid):
-        rows[i] = solve(matrices, p, count, partition)[2].eigenvalues
+        rows[i] = solve(matrices, p, count, partition)[1].eigenvalues
     conj = None
     if domain.is_polygon:
         conj = effective_angle_sequence(domain.angle_sequence(), count).coefficients

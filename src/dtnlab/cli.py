@@ -253,7 +253,7 @@ def cmd_ak(cfg: argparse.Namespace, rep: Reporter) -> None:
     survivors = {}
     with rep.time("ak"):
         for p in p_values:
-            ak = analysis.ak_coefficients(solve(matrices, p, cfg.count)[2], matrices)
+            ak = analysis.ak_coefficients(solve(matrices, p, cfg.count)[1], matrices)
             rows.append((p, ak))
             survivors[str(p)] = analysis.symmetry_audit(ak).survivors
     dtn.write_csv(

@@ -1,4 +1,5 @@
-"""P1 assembly (stiffness, mass, boundary mass) and the one sparse LU of a solve.
+"""P1 assembly (stiffness, mass, boundary mass), the one sparse LU of a solve
+and its boundary Schur complement.
 
 Element integrals are exact closed forms (the integrands are polynomial), so
 the only numerical error downstream comes from the mesh and the linear solver.
@@ -10,8 +11,8 @@ first in that order and the data nodes last. The Robin term makes the matrix
 SPD for every p >= 0, so the factor never meets a zero pivot, and it touches
 only the trailing block: the leading blocks give the harmonic extensions of
 p*M + K by back substitution, and the trailing block gives the boundary Schur
-complement once the shift is subtracted again (``dtn.build_dtn``), exact up to
-eps * ROBIN_SHIFT * ||M_b||.
+complement once the shift is subtracted again (``InteriorFactor.schur``),
+exact up to eps * ROBIN_SHIFT * ||M_b||.
 """
 from __future__ import annotations
 
@@ -26,6 +27,12 @@ from .mesh import Mesh
 
 class FemError(RuntimeError):
     pass
+
+
+# boundary node roles, one per boundary node (``dtn.BoundaryPartition``)
+STEKLOV = 0          # carries Dirichlet data: a data node
+DIRICHLET_ZERO = 1   # u = 0, eliminated
+NEUMANN_ZERO = 2     # du/dn = 0, joins the unknowns
 
 
 @dataclass
@@ -188,15 +195,15 @@ class InteriorFactor:
     nodes last, with sigma = ``ROBIN_SHIFT`` and E the boundary mass on the
     data nodes (``boundary_mass_s``), a Robin term.
 
-    ``partition_roles`` (optional, one role per boundary node: 0 = steklov,
-    1 = dirichlet_zero, 2 = neumann_zero) moves neumann_zero nodes into the
+    ``partition_roles`` (optional, one role per boundary node: ``STEKLOV``,
+    ``DIRICHLET_ZERO`` or ``NEUMANN_ZERO``) moves neumann_zero nodes into the
     unknown set and eliminates dirichlet_zero nodes. With no partition every
     boundary node carries Dirichlet data.
 
     The factor is the one record of the problem it was built for: ``p``, the
     ``data_nodes`` (global indices), their boundary mass ``boundary_mass_s``
-    and ``n_nodes``. ``solve_dirichlet``, ``dtn.build_dtn`` and
-    ``dtn.DtnOperator`` read them from here and take no copy of their own.
+    and ``n_nodes``. ``solve_dirichlet`` and ``dtn`` read them from here and
+    take no copy of their own.
 
     The unknowns (``unknown_nodes``) are eliminated in the mesh's
     nested-dissection order (``FemMatrices.elimination_rank``; neumann_zero
@@ -211,12 +218,12 @@ class InteriorFactor:
       data nodes, S + sigma*E = U22^T D22^{-1} U22.
 
     The shift is exact: E touches only the data block, so the leading blocks
-    (and the extensions) are those of p*M + K, and ``dtn.build_dtn`` subtracts
+    (and the extensions) are those of p*M + K, and ``schur`` subtracts
     sigma*E again, at a rounding cost of at most eps * sigma * ||M_b|| in S.
     Unshifted, S is only positive semidefinite (at p = 0 the constants are in
     its kernel) and its last pivot is at rounding level or exactly zero;
     shifted, every trailing pivot is at least sigma * lambda_min(E).
-    Immutable; solves are reusable and thread-safe.
+    Immutable; solves and ``schur`` are reusable and thread-safe.
     """
 
     def __init__(self, matrices: FemMatrices, p: float, partition_roles=None):
@@ -225,16 +232,16 @@ class InteriorFactor:
         self.p = float(p)
         ni = matrices.n_interior
         roles = (
-            np.zeros(matrices.n_boundary, dtype=np.int8)
+            np.full(matrices.n_boundary, STEKLOV, dtype=np.int8)
             if partition_roles is None
             else np.asarray(partition_roles, dtype=np.int8)
         )
         if roles.shape != (matrices.n_boundary,):
             raise FemError("partition must assign one role per boundary node")
         bidx = ni + np.arange(matrices.n_boundary)
-        self.data_nodes = bidx[roles == 0]       # steklov: carries Dirichlet data
-        self.zero_nodes = bidx[roles == 1]       # dirichlet_zero: eliminated
-        unknown = np.concatenate([np.arange(ni), bidx[roles == 2]])  # neumann_zero joins
+        self.data_nodes = bidx[roles == STEKLOV]
+        self.zero_nodes = bidx[roles == DIRICHLET_ZERO]
+        unknown = np.concatenate([np.arange(ni), bidx[roles == NEUMANN_ZERO]])
         self.unknown_nodes = unknown[np.argsort(matrices.elimination_rank[unknown])]
         if len(self.data_nodes) == 0:
             raise FemError("partition needs at least one steklov node")
@@ -251,10 +258,21 @@ class InteriorFactor:
         del A
         upper = _unpivoted_upper(a)
         del a
-        self.d11 = upper.diagonal()[:n_u]
-        self.l11t = _divide_rows(upper[:n_u, :n_u], self.d11)
-        self.l21t = _divide_rows(upper[:n_u, n_u:], self.d11)
+        d11 = upper.diagonal()[:n_u]
+        self.l11t = _divide_rows(upper[:n_u, :n_u], d11)
+        self.l21t = _divide_rows(upper[:n_u, n_u:], d11)
         self.u22 = upper[n_u:, n_u:]
+
+    def schur(self) -> np.ndarray:
+        """Schur complement S = A_ss - A_su A_uu^{-1} A_us of A = p*M + K onto
+        the data nodes, a new dense array, exactly symmetric.
+
+        The trailing block holds S + sigma*E = U22^T D22^{-1} U22; the shift
+        is subtracted again here."""
+        S = _schur_from_factor(self.u22)
+        shift = self.boundary_mass_s.tocoo()  # symmetric, so S stays exactly symmetric
+        S[shift.row, shift.col] -= ROBIN_SHIFT * shift.data
+        return S
 
     def extend(self, f: np.ndarray) -> np.ndarray:
         """Values on the unknowns of the discrete (p - Lap)-harmonic extension of
@@ -273,6 +291,31 @@ def _unpivoted_upper(a: sparse.csc_matrix) -> sparse.csc_matrix:
     if not (np.array_equal(lu.perm_c, natural) and np.array_equal(lu.perm_r, natural)):
         raise FemError("interior factorization met an exactly zero pivot")
     return lu.U
+
+
+# columns per block of the in-place Schur product
+_SCHUR_BLOCK = 256
+
+
+def _schur_from_factor(u22: sparse.csc_matrix) -> np.ndarray:
+    """S = U22^T D22^{-1} U22 from the trailing block of the boundary-last LU.
+
+    S is formed in place in one dense array. Its block columns are computed
+    from right to left, and each needs only the columns of U22 up to its own,
+    which are not yet overwritten. Only the upper triangle is kept and then
+    mirrored, so S is exactly symmetric."""
+    s = u22.toarray(order="F")
+    n = s.shape[0]
+    d = s.diagonal().copy()
+    for j1 in range(n, 0, -_SCHUR_BLOCK):
+        j0 = max(0, j1 - _SCHUR_BLOCK)
+        s[:j1, j0:j1] = s[:j1, :j1].T @ (s[:j1, j0:j1] / d[:j1, None])
+    for j0 in range(0, n, _SCHUR_BLOCK):
+        j1 = min(j0 + _SCHUR_BLOCK, n)
+        diag = s[j0:j1, j0:j1]
+        diag[...] = np.triu(diag) + np.triu(diag, 1).T
+        s[j1:, j0:j1] = s[j0:j1, j1:].T
+    return s
 
 
 def _divide_rows(m: sparse.csc_matrix, d: np.ndarray) -> sparse.csr_matrix:

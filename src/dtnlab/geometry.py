@@ -203,7 +203,9 @@ def points_in_polygon(vertices: np.ndarray, points: np.ndarray) -> np.ndarray:
     return inside
 
 
-_SHARP_ANGLE = math.radians(40.0)
+# corners below this get graded sampling (``_edge_subdivision``) and cannot
+# host 20-degree triangles (the mesher exempts them from its angle floor)
+SHARP_ANGLE = math.radians(40.0)
 
 
 def _edge_subdivision(length: float, spacing: float, ang0: float, ang1: float) -> np.ndarray:
@@ -215,7 +217,7 @@ def _edge_subdivision(length: float, spacing: float, ang0: float, ang1: float) -
     aspect ratios stay bounded all the way to the corner fan."""
 
     def graded(ang: float) -> list[float]:
-        if ang >= _SHARP_ANGLE:
+        if ang >= SHARP_ANGLE:
             return []
         beta = 2.0 * math.sin(ang / 2.0)
         ts = []
@@ -529,9 +531,6 @@ def build_domain(spec: DomainSpec) -> Domain:
             raise GeometryError("deformed disk requires |amplitude| < 1 so rho stays positive")
         if m < 1:
             raise GeometryError("deformation mode must be >= 1")
-
-        def rho(th):
-            return 1.0 + g * np.cos(m * th)
 
         def param(th, g=g, m=m):
             th = np.atleast_1d(np.asarray(th, dtype=float))

@@ -27,7 +27,6 @@ class RobinEigenbasis:
     q: float
     eigenvalues: np.ndarray   # (m,) ascending
     modes: np.ndarray         # (n_nodes, m), M-orthonormal columns
-    boundary_slice: slice     # boundary node index range
 
     @property
     def truncation(self) -> int:
@@ -67,7 +66,6 @@ def robin_eigenbasis(matrices: FemMatrices, q: float, m: int) -> RobinEigenbasis
         q=float(q),
         eigenvalues=w[order],
         modes=u[:, order],
-        boundary_slice=slice(matrices.n_interior, matrices.n_nodes),
     )
 
 

@@ -35,10 +35,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import Delaunay, cKDTree
 
-from .geometry import Domain
+from .geometry import SHARP_ANGLE, Domain
 
 MIN_ANGLE_DEG = 20.0
-SHARP_CORNER_DEG = 40.0  # corners below this cannot host 20-degree triangles
 # an edge stays Delaunay unless the opposite vertex is inside the circumcircle
 # by more than this, relative to |a - d|^2 |b - d|^2: near-ties are kept
 INCIRCLE_MARGIN = 1e-9
@@ -434,7 +433,7 @@ def _corner_exempt_mask(
     exempt = np.zeros(len(mesh.triangles), dtype=bool)
     if domain is None or not domain.is_polygon:
         return exempt
-    sharp = [v for v, ang in domain.corners if math.degrees(ang) < SHARP_CORNER_DEG]
+    sharp = [v for v, ang in domain.corners if ang < SHARP_ANGLE]
     if not sharp:
         return exempt
     sharp = np.asarray(sharp)
@@ -585,40 +584,28 @@ def import_mesh(path) -> Mesh:
         except ValueError:
             raise MeshError(f"non-integer count in '{tag}' header") from None
 
+    def read_block(name: str, count: int, width: int, cast) -> np.ndarray:
+        nonlocal pos
+        if pos + count > len(lines):
+            raise MeshError(f"file truncated in {name} block")
+        try:
+            rows = [[cast(t) for t in lines[pos + i].split()] for i in range(count)]
+        except ValueError:
+            raise MeshError(f"malformed {name} line") from None
+        if any(len(row) != width for row in rows):
+            raise MeshError(f"{name} lines must hold exactly {width} entries")
+        pos += count
+        return np.array(rows, dtype=cast).reshape(count, width)
+
     ni, ne = expect_header("nodes", 2)
     if ni < 0 or ne < 3:
         raise MeshError("need n_interior >= 0 and n_boundary >= 3")
     ntot = ni + ne
-    if pos + ntot > len(lines):
-        raise MeshError("file truncated in node block")
-    try:
-        nodes = np.array(
-            [[float(t) for t in lines[pos + i].split()] for i in range(ntot)]
-        )
-    except ValueError:
-        raise MeshError("malformed node coordinate line") from None
-    if nodes.shape != (ntot, 2):
-        raise MeshError("node lines must hold exactly two coordinates")
-    pos += ntot
-
+    nodes = read_block("node", ntot, 2, float)
     (nt,) = expect_header("triangles", 1)
-    if pos + nt > len(lines):
-        raise MeshError("file truncated in triangle block")
-    tris = np.array(
-        [[int(t) for t in lines[pos + i].split()] for i in range(nt)], dtype=np.int64
-    )
-    if tris.size and (tris.shape[1] != 3):
-        raise MeshError("triangle lines must hold exactly three indices")
-    pos += nt
-
+    tris = read_block("triangle", nt, 3, int)
     (nbe,) = expect_header("boundary_edges", 1)
-    if pos + nbe > len(lines):
-        raise MeshError("file truncated in boundary edge block")
-    bedges = np.array(
-        [[int(t) for t in lines[pos + i].split()] for i in range(nbe)], dtype=np.int64
-    )
-    if bedges.size and bedges.shape[1] != 2:
-        raise MeshError("boundary edge lines must hold exactly two indices")
+    bedges = read_block("boundary edge", nbe, 2, int)
 
     mesh = Mesh(
         nodes=nodes,

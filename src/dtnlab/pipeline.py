@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 from .geometry import Domain, DomainSpec, build_domain
 from .mesh import Mesh, generate_mesh
-from .fem import FemMatrices, InteriorFactor, assemble, factor_interior
+from .fem import FemMatrices, assemble, factor_interior
 from .dtn import BoundaryPartition, DtnOperator, Spectrum, attach_extensions, build_dtn, eigensolve
 
 
@@ -14,7 +14,6 @@ class SolveResult:
     domain: Domain
     mesh: Mesh
     matrices: FemMatrices
-    factor: InteriorFactor
     operator: DtnOperator
     spectrum: Spectrum
 
@@ -38,8 +37,8 @@ def solve_steklov(
         mesh = generate_mesh(domain, h)
     if matrices is None:
         matrices = assemble(mesh)
-    factor, op, spectrum = solve(matrices, p, count, partition, extensions)
-    return SolveResult(domain, mesh, matrices, factor, op, spectrum)
+    op, spectrum = solve(matrices, p, count, partition, extensions)
+    return SolveResult(domain, mesh, matrices, op, spectrum)
 
 
 def solve(
@@ -48,8 +47,9 @@ def solve(
     count: int,
     partition: BoundaryPartition | None = None,
     extensions: bool = False,
-) -> tuple[InteriorFactor, DtnOperator, Spectrum]:
+) -> tuple[DtnOperator, Spectrum]:
     """The one solve path on fixed matrices: factor -> Schur -> spectrum.
+    The operator carries the factor.
 
     With ``extensions`` the spectrum also carries the interior extensions of
     its eigenvectors."""
@@ -59,5 +59,5 @@ def solve(
     spectrum = eigensolve(op, count)
     if extensions:
         attach_extensions(spectrum, factor)
-    return factor, op, spectrum
+    return op, spectrum
 

@@ -146,10 +146,10 @@ def test_guard_infinite_for_full_window():
     mats = fem.assemble(msh)
     fac = fem.factor_interior(mats, 0.0)
     op = dtn.build_dtn(fac)
-    sp = dtn.eigensolve(op, op.n_steklov)
+    sp = dtn.eigensolve(op, len(fac.data_nodes))
     assert sp.guard == math.inf
     assert last_group_complete(sp, 1e-3)
-    assert abs(dtn.eigensolve(op, op.n_steklov - 1).guard - sp.eigenvalues[-1]) < 1e-12
+    assert abs(dtn.eigensolve(op, len(fac.data_nodes) - 1).guard - sp.eigenvalues[-1]) < 1e-12
 
 
 def test_concentrate_leaves_truncated_group(disk_domain, disk_mesh, disk_matrices):

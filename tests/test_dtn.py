@@ -134,7 +134,7 @@ def test_schur_on_disconnected_mesh():
 def test_constants_in_kernel_at_p0(disk_matrices):
     fac = factor_interior(disk_matrices, 0.0)
     op = build_dtn(fac)
-    ones = np.ones(op.n_steklov)
+    ones = np.ones(len(op.factor.data_nodes))
     norm = np.abs(op.schur).max()
     assert np.abs(op.schur @ ones).max() <= 1e-9 * norm
 
@@ -173,12 +173,12 @@ def test_mb_orthonormality(disk_solution, disk_matrices):
 def test_eigenpair_residual(disk_solution):
     op = disk_solution.operator
     sp = disk_solution.spectrum
-    r = op.schur @ sp.vectors - (op.boundary_mass_s @ sp.vectors) * sp.eigenvalues
+    r = op.schur @ sp.vectors - (op.factor.boundary_mass_s @ sp.vectors) * sp.eigenvalues
     assert np.abs(r).max() <= 1e-8 * np.abs(op.schur).max()
 
 
 def test_sign_convention(disk_solution, disk_matrices):
-    mb = disk_solution.operator.boundary_mass_s
+    mb = disk_solution.operator.factor.boundary_mass_s
     s = np.asarray(mb.sum(axis=0)).ravel() @ disk_solution.spectrum.vectors
     assert (s >= -1e-7).all()
 
@@ -252,7 +252,7 @@ def test_eigensolve_count_bounds(disk_solution):
     with pytest.raises(DtnError):
         eigensolve(disk_solution.operator, 0)
     with pytest.raises(DtnError):
-        eigensolve(disk_solution.operator, disk_solution.operator.n_steklov + 1)
+        eigensolve(disk_solution.operator, len(disk_solution.operator.factor.data_nodes) + 1)
 
 
 def test_rmse_against_oracle(disk_solution, disk_mesh):

@@ -190,31 +190,37 @@ def test_nested_dissection_fill_at_most_minimum_degree(i):
 
 
 def test_factor_arrays_unchanged_by_extensions(disk_matrices, rng):
-    """Extensions leave the factor as it was, also when threads share it."""
+    """Extensions and the Schur product leave the factor as it was, also when
+    threads share it."""
     fac = factor_interior(disk_matrices, p=1.0)
     kept = {name: [getattr(fac, name)] for name in ("l11t", "l21t", "u22")}
     for name, entry in kept.items():
         entry += [entry[0].data.copy(), entry[0].indices.copy(), entry[0].indptr.copy()]
-    d11 = fac.d11.copy()
     f = rng.standard_normal((disk_matrices.n_boundary, 4))
     first = solve_dirichlet(fac, f)
     second = solve_dirichlet(fac, f)
     assert np.array_equal(first, second)
+    s_first = fac.schur()
+    assert np.array_equal(fac.schur(), s_first)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=4) as pool:
             futures = [pool.submit(solve_dirichlet, fac, f) for _ in range(8)]
+            schurs = [pool.submit(fac.schur) for _ in range(4)]
             results = [fut.result(timeout=60) for fut in futures]
+            s_results = [fut.result(timeout=60) for fut in schurs]
     finally:
         sys.setswitchinterval(interval)
     assert all(np.array_equal(r, first) for r in results)
-    assert np.array_equal(fac.d11, d11)
+    assert all(np.array_equal(s, s_first) for s in s_results)
     for name, (mat, data, indices, indptr) in kept.items():
         assert getattr(fac, name) is mat
         assert np.array_equal(mat.data, data)
         assert np.array_equal(mat.indices, indices)
         assert np.array_equal(mat.indptr, indptr)
+
+
 def test_negative_p_rejected(disk_matrices):
     with pytest.raises(FemError):
         factor_interior(disk_matrices, p=-1.0)

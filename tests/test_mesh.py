@@ -123,6 +123,20 @@ def test_import_rejects_malformed_header(tmp_path):
         import_mesh(path)
 
 
+@pytest.mark.parametrize(
+    "block, line", [("triangles", "0 3"), ("triangles", "0 3 x"), ("boundary_edges", "4")]
+)
+def test_import_rejects_malformed_index_line(tmp_path, block, line):
+    """A short or non-integer triangle or boundary-edge line is a MeshError."""
+    path = tmp_path / "bad.mesh"
+    export_mesh(four_triangle_square(), path)
+    lines = path.read_text().splitlines()
+    lines[next(i for i, ln in enumerate(lines) if ln.startswith(block)) + 1] = line
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(MeshError):
+        import_mesh(path)
+
+
 def test_import_rejects_flipped_triangle(tmp_path):
     m = four_triangle_square()
     m.triangles = m.triangles.copy()
