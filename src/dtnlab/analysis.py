@@ -16,11 +16,18 @@ from .mesh import Mesh
 from .fem import FemMatrices
 from .dtn import BoundaryPartition, Spectrum, numerical_groups
 from .pipeline import solve
+from .analytic import asymptote_small_p
 from .conjecture import effective_angle_sequence
 
 
 class AnalysisError(RuntimeError):
     pass
+
+
+def _extensions(spectrum: Spectrum) -> np.ndarray:
+    if spectrum.extensions is None:
+        raise AnalysisError("spectrum has no interior extensions attached")
+    return spectrum.extensions
 
 
 # ---------------------------------------------------------------------------
@@ -43,19 +50,15 @@ def ak_via_volume(spectrum: Spectrum, matrices: FemMatrices) -> np.ndarray:
     p = spectrum.p
     if p <= 0:
         raise AnalysisError("the volume formula degenerates at p = 0")
-    if spectrum.extensions is None:
-        raise AnalysisError("spectrum has no interior extensions attached")
     measure = float(matrices.boundary_mass.sum())
-    vol = np.asarray(matrices.mass.sum(axis=0)).ravel() @ spectrum.extensions
+    vol = np.asarray(matrices.mass.sum(axis=0)).ravel() @ _extensions(spectrum)
     return p * vol / (spectrum.eigenvalues * math.sqrt(measure))
 
 
 @dataclass
 class SymmetryAudit:
-    threshold: float
     survivors: list[int]
     cancelled: list[int]
-    magnitudes: np.ndarray
 
 
 def symmetry_audit(ak: np.ndarray, threshold: float = 1e-3) -> SymmetryAudit:
@@ -64,7 +67,7 @@ def symmetry_audit(ak: np.ndarray, threshold: float = 1e-3) -> SymmetryAudit:
     mags = np.abs(np.asarray(ak))
     surv = np.flatnonzero(mags > threshold)
     gone = np.flatnonzero(mags <= threshold)
-    return SymmetryAudit(threshold, surv.tolist(), gone.tolist(), mags)
+    return SymmetryAudit(surv.tolist(), gone.tolist())
 
 
 def last_group_complete(spectrum: Spectrum, group_tol: float) -> bool:
@@ -83,6 +86,13 @@ def last_group_complete(spectrum: Spectrum, group_tol: float) -> bool:
     return groups[-1] == [spectrum.count]
 
 
+def _complete_groups(spectrum: Spectrum, group_tol: float) -> list[list[int]]:
+    """``numerical_groups`` of the window, less a last group that
+    ``last_group_complete`` cannot vouch for."""
+    groups = numerical_groups(spectrum.eigenvalues, group_tol)
+    return groups if last_group_complete(spectrum, group_tol) else groups[:-1]
+
+
 def concentrate_degenerate_ak(
     spectrum: Spectrum, matrices: FemMatrices, group_tol: float = 1e-3
 ) -> np.ndarray:
@@ -99,10 +109,7 @@ def concentrate_degenerate_ak(
     coefficients are returned unrotated."""
     ak = ak_coefficients(spectrum, matrices)
     out = ak.copy()
-    groups = numerical_groups(spectrum.eigenvalues, group_tol)
-    if not last_group_complete(spectrum, group_tol):
-        groups = groups[:-1]
-    for group in groups:
+    for group in _complete_groups(spectrum, group_tol):
         if len(group) > 1:
             weight = float(np.sqrt(np.sum(ak[group] ** 2)))
             out[group] = 0.0
@@ -127,62 +134,50 @@ def bk_group_max(
     guard eigenvalue shows it is complete (``last_group_complete``); a group
     the window may have cut, or any such group of a spectrum without a guard,
     raises ``AnalysisError``."""
-    if spectrum.extensions is None:
-        raise AnalysisError("spectrum has no interior extensions attached")
-    group = next(
-        g for g in numerical_groups(spectrum.eigenvalues, group_tol) if k in g
-    )
-    if group[-1] == spectrum.count - 1 and not last_group_complete(spectrum, group_tol):
+    group = next((g for g in _complete_groups(spectrum, group_tol) if k in g), None)
+    if group is None:
         raise AnalysisError(
             "the group containing this mode touches the end of the computed "
             "window, so it may be truncated; compute more modes"
         )
-    V = spectrum.extensions[:, group]
-    dist = domain.distance_to_boundary(mesh.nodes)
-    mu = float(spectrum.eigenvalues[k])
-    amp = math.sqrt(domain.perimeter) * np.sqrt((V**2).sum(axis=1)) * np.exp(mu * dist)
-    return float(amp.max())
+    return float(_amplified(spectrum, group, k, mesh, domain)[0].max())
 
 
 # ---------------------------------------------------------------------------
 # localization diagnostics
 # ---------------------------------------------------------------------------
 
+def _amplified(
+    spectrum: Spectrum, group: list[int], k: int, mesh: Mesh, domain: Domain
+) -> tuple[np.ndarray, np.ndarray]:
+    """sqrt(|dOmega|) sqrt(sum_{j in group} V_j^2) exp(mu_k d) at every node,
+    and the distances d to the boundary."""
+    V = _extensions(spectrum)[:, group]
+    dist = domain.distance_to_boundary(mesh.nodes)
+    mu = float(spectrum.eigenvalues[k])
+    amp = math.sqrt(domain.perimeter) * np.sqrt((V**2).sum(axis=1)) * np.exp(mu * dist)
+    return amp, dist
+
+
 @dataclass
 class LocalizationMap:
     k: int
     mu: float
     values: np.ndarray        # V_k at every node
-    amplified: np.ndarray     # B_k = |sqrt(|dOmega|) V_k exp(mu * dist)|
+    amplified: np.ndarray     # B_k = sqrt(|dOmega|) |V_k| exp(mu * dist)
     distances: np.ndarray
-    floor: float = 1e-4       # display mask only, never used in computations
-
-    def max_amplified(self) -> float:
-        return float(self.amplified.max())
-
-    def masked_log10(self) -> np.ndarray:
-        out = np.full_like(self.values, np.nan)
-        big = np.abs(self.values) >= self.floor
-        out[big] = np.log10(np.abs(self.values[big]))
-        return out
 
 
-def bk_map(spectrum: Spectrum, k: int, mesh: Mesh, domain: Domain, floor: float = 1e-4) -> LocalizationMap:
+def bk_map(spectrum: Spectrum, k: int, mesh: Mesh, domain: Domain) -> LocalizationMap:
     """Exponentially amplified eigenfunction map; flat only where the decay
     rate equals mu_k exactly, so its peaks locate slower-than-expected decay."""
-    if spectrum.extensions is None:
-        raise AnalysisError("spectrum has no interior extensions attached")
-    v = spectrum.extensions[:, k]
-    dist = domain.distance_to_boundary(mesh.nodes)
-    mu = spectrum.eigenvalues[k]
-    sqrt_per = math.sqrt(domain.perimeter)
+    amplified, dist = _amplified(spectrum, [k], k, mesh, domain)
     return LocalizationMap(
         k=k,
-        mu=float(mu),
-        values=v,
-        amplified=np.abs(sqrt_per * v * np.exp(mu * dist)),
+        mu=float(spectrum.eigenvalues[k]),
+        values=spectrum.extensions[:, k],
+        amplified=amplified,
         distances=dist,
-        floor=floor,
     )
 
 
@@ -194,20 +189,14 @@ class RadialProfile:
     values: np.ndarray        # U_k per band: sqrt(|dOmega|) max |V_k|
     half_width: float
 
-    def guide(self) -> np.ndarray:
-        """U(0) exp(-mu delta) reference decay."""
-        return self.values[0] * np.exp(-self.mu * self.bin_centers)
-
 
 def uk_profile(
     spectrum: Spectrum, k: int, mesh: Mesh, domain: Domain, bin_width: float | None = None
 ) -> RadialProfile:
     """Max |V_k| over bands of distance-to-boundary (binned stand-in for the
     exact contour-line maximum; band width defaults to 2h)."""
-    if spectrum.extensions is None:
-        raise AnalysisError("spectrum has no interior extensions attached")
     w = 2.0 * mesh.h_max if bin_width is None else bin_width
-    v = np.abs(spectrum.extensions[:, k])
+    v = np.abs(_extensions(spectrum)[:, k])
     dist = domain.distance_to_boundary(mesh.nodes)
     nbin = int(dist.max() / w) + 1
     idx = np.minimum((dist / w).astype(int), nbin - 1)
@@ -310,9 +299,6 @@ class PSweep:
     small_p_slope: float         # area / perimeter
     conjecture_c: np.ndarray | None  # per-k large-p prefactors for polygons
 
-    def sqrt_reference(self) -> np.ndarray:
-        return np.sqrt(self.p_grid)
-
 
 def p_sweep(
     domain: Domain,
@@ -334,7 +320,7 @@ def p_sweep(
     return PSweep(
         p_grid=p_grid,
         eigenvalues=rows,
-        small_p_slope=domain.area / domain.perimeter,
+        small_p_slope=asymptote_small_p(domain),
         conjecture_c=conj,
     )
 

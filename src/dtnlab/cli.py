@@ -285,7 +285,7 @@ def cmd_localize(cfg: argparse.Namespace, rep: Reporter) -> None:
     rep.domain_metrics(domain, res.mesh)
     rep.payload["k"] = cfg.k
     rep.payload["mu_k"] = loc.mu
-    rep.payload["max_B"] = loc.max_amplified()
+    rep.payload["max_B"] = float(loc.amplified.max())
 
 
 def cmd_norms(cfg: argparse.Namespace, rep: Reporter) -> None:

@@ -23,7 +23,6 @@ class ConjectureError(ValueError):
 
 @dataclass
 class EffectiveAngleTrace:
-    original: np.ndarray          # (n_slots,)
     sequences: np.ndarray         # (steps, n_slots) effective angles BEFORE step k
     chosen: np.ndarray            # (steps,) slot updated at step k, -1 if none active
     coefficients: np.ndarray      # (steps,) c_k
@@ -61,7 +60,7 @@ def effective_angle_sequence(angles, steps: int) -> EffectiveAngleTrace:
         chosen[k] = best
         eff = eff.copy()
         eff[best] = eff[best] + 2.0 * original[best]
-    return EffectiveAngleTrace(original, seqs, chosen, coeff)
+    return EffectiveAngleTrace(seqs, chosen, coeff)
 
 
 def extract_ck(eigenvalues, p: float) -> np.ndarray:
@@ -74,7 +73,6 @@ def extract_ck(eigenvalues, p: float) -> np.ndarray:
 @dataclass
 class ConjectureRow:
     k: int
-    effective_angles: np.ndarray
     c_conjecture: float
     c_numeric: float
 
@@ -85,8 +83,6 @@ class ConjectureRow:
 
 @dataclass
 class ConjectureReport:
-    domain: Domain
-    p: float
     rows: list[ConjectureRow]
     tolerance: float
 
@@ -119,10 +115,9 @@ def compare_conjecture(
     rows = [
         ConjectureRow(
             k=k,
-            effective_angles=trace.sequences[k],
             c_conjecture=float(trace.coefficients[k]),
             c_numeric=float(numeric[k]),
         )
         for k in range(count)
     ]
-    return ConjectureReport(domain=domain, p=p, rows=rows, tolerance=tolerance)
+    return ConjectureReport(rows=rows, tolerance=tolerance)

@@ -42,16 +42,21 @@ class BoundaryPartition:
     @classmethod
     def from_arcs(cls, n_boundary: int, arcs) -> "BoundaryPartition":
         """``arcs`` is a list of (start, stop, role_name) with stop exclusive,
-        wrapping allowed (start > stop wraps past node 0)."""
+        wrapping allowed (start > stop wraps past node 0). Needs
+        ``0 <= start < n_boundary`` and ``0 <= stop <= n_boundary``."""
         roles = -np.ones(n_boundary, dtype=np.int8)
         for start, stop, name in arcs:
+            if isinstance(name, str) and name not in _ROLE_NAMES:
+                raise DtnError(f"unknown boundary role {name!r}")
+            if not (0 <= start < n_boundary and 0 <= stop <= n_boundary):
+                raise DtnError(f"arc ({start}, {stop}) outside 0..{n_boundary}")
             role = _ROLE_NAMES[name] if isinstance(name, str) else int(name)
             idx = (
                 np.arange(start, stop)
                 if start < stop
                 else np.concatenate([np.arange(start, n_boundary), np.arange(0, stop)])
             )
-            roles[idx % n_boundary] = role
+            roles[idx] = role
         if (roles < 0).any():
             raise DtnError("arcs do not cover every boundary node")
         return cls(roles)

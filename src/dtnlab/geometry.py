@@ -331,8 +331,8 @@ class Domain:
     spec: DomainSpec
     area: float
     perimeter: float
-    corners: list[tuple[np.ndarray, float]]
     vertices: np.ndarray | None = None  # CCW vertex list for polygons
+    angles: np.ndarray | None = None  # interior angle at each vertex
     parametrization: Callable[[np.ndarray], np.ndarray] | None = None
     _polyline: np.ndarray | None = field(default=None, repr=False)
     _polyline_tree: cKDTree | None = field(default=None, repr=False)
@@ -410,10 +410,9 @@ class Domain:
         if self.is_polygon:
             pts = []
             verts = self.vertices
-            angles = np.array([ang for _, ang in self.corners])
             nxt = np.roll(verts, -1, axis=0)
-            ang_next = np.roll(angles, -1)
-            for a, b, ang0, ang1 in zip(verts, nxt, angles, ang_next):
+            ang_next = np.roll(self.angles, -1)
+            for a, b, ang0, ang1 in zip(verts, nxt, self.angles, ang_next):
                 length = math.hypot(*(b - a))
                 ts = _edge_subdivision(length, spacing, ang0, ang1)
                 pts.append(a + (ts / length)[:, None] * (b - a))
@@ -427,7 +426,7 @@ class Domain:
         """Interior angles in boundary-traversal order; polygonal domains only."""
         if not self.is_polygon:
             raise GeometryError("angle sequence is defined for polygonal domains only")
-        return np.array([ang for _, ang in self.corners])
+        return self.angles
 
     def refined(self, spacing: float) -> "Domain":
         """This domain with its smooth-boundary polyline at ``spacing`` or finer:
@@ -449,14 +448,12 @@ def _polygon_domain(spec: DomainSpec, vertices: np.ndarray) -> Domain:
         raise GeometryError("polygon vertices must be in CCW order with positive area")
     if not is_simple_polygon(vertices):
         raise GeometryError("polygon is self-intersecting")
-    angs = interior_angles(vertices)
-    corners = [(vertices[i].copy(), float(angs[i])) for i in range(len(vertices))]
     return Domain(
         spec=spec,
         area=area,
         perimeter=polygon_perimeter(vertices),
-        corners=corners,
         vertices=vertices,
+        angles=interior_angles(vertices),
     )
 
 
@@ -485,7 +482,6 @@ def _smooth_domain(
         spec=spec,
         area=area,
         perimeter=perimeter,
-        corners=[],
         parametrization=param,
         _contains_fn=contains_fn,
     )

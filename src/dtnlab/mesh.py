@@ -433,10 +433,9 @@ def _corner_exempt_mask(
     exempt = np.zeros(len(mesh.triangles), dtype=bool)
     if domain is None or not domain.is_polygon:
         return exempt
-    sharp = [v for v, ang in domain.corners if ang < SHARP_ANGLE]
-    if not sharp:
+    sharp = domain.vertices[domain.angles < SHARP_ANGLE]
+    if not len(sharp):
         return exempt
-    sharp = np.asarray(sharp)
     worst = mesh.triangles[np.arange(len(angles)), angles.argmin(axis=1)]
     worst_xy = mesh.nodes[worst]
     for v in sharp:
@@ -535,12 +534,12 @@ def validate_mesh(mesh: Mesh, domain: Domain | None = None) -> MeshReport:
     if domain is not None:
         bnodes = mesh.nodes[mesh.boundary_indices]
         tol = 1e-9 if domain.is_polygon else max(1e-9, (1e-3) ** 2)
-        d = domain.distance_to_boundary(bnodes)
+        d = domain.distance_to_boundary(bnodes, upper=tol)
         n_off = int((d > tol).sum())
         if n_off:
             v.append(f"{n_off} boundary nodes further than {tol:g} from the boundary")
         if mesh.n_interior:
-            din = domain.distance_to_boundary(mesh.nodes[: mesh.n_interior])
+            din = domain.distance_to_boundary(mesh.nodes[: mesh.n_interior], upper=0.0)
             n_touch = int((din <= 0).sum())
             if n_touch:
                 v.append(f"{n_touch} interior nodes touching the boundary")

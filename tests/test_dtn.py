@@ -243,6 +243,26 @@ def test_partition_validation():
         BoundaryPartition.from_arcs(8, [(0, 4, "steklov")])
 
 
+def test_partition_rejects_unknown_role_name():
+    with pytest.raises(DtnError, match="stekloff"):
+        BoundaryPartition.from_arcs(10, [(0, 10, "stekloff")])
+
+
+@pytest.mark.parametrize(
+    "arcs",
+    [
+        [(0, 12, "steklov")],
+        [(-2, 8, "steklov")],
+        [(10, 20, "steklov")],
+        [(0, 3, "dirichlet_zero"), (3, -1, "steklov")],
+    ],
+)
+def test_partition_rejects_arc_outside_loop(arcs):
+    # each of these covered all 10 nodes by wrapping indices modulo 10
+    with pytest.raises(DtnError, match="outside"):
+        BoundaryPartition.from_arcs(10, arcs)
+
+
 def test_partition_wrapping_arc():
     part = BoundaryPartition.from_arcs(8, [(6, 2, "dirichlet_zero"), (2, 6, "steklov")])
     assert part.roles.tolist() == [1, 1, 0, 0, 0, 0, 1, 1]

@@ -187,6 +187,25 @@ def test_validate_reports_undeclared_and_stray_boundary_edges():
     assert len(report.violations) == 2, report.violations
 
 
+@pytest.mark.parametrize(
+    "spec, h", [(geometry.RectangleSpec(2.0, 2.0), 0.1), (geometry.EllipseSpec(1.0, 0.6), 0.1)]
+)
+def test_validate_reports_nodes_off_and_on_the_boundary(spec, h):
+    dom = geometry.build_domain(spec)
+    msh = generate_mesh(dom, h)
+    nodes = msh.nodes.copy()
+    # one boundary node pushed 1 % outward, one interior node put exactly on
+    # the boundary: a polygon vertex, or a vertex of the smooth polyline
+    b = msh.n_interior + 5
+    centre = nodes.mean(axis=0)
+    nodes[b] = centre + 1.01 * (nodes[b] - centre)
+    nodes[0] = dom.vertices[0] if dom.is_polygon else dom.parametrization(np.array([0.0]))[0]
+    report = validate_mesh(replace(msh, nodes=nodes), dom)
+    tol = 1e-9 if dom.is_polygon else 1e-6
+    assert f"1 boundary nodes further than {tol:g} from the boundary" in report.violations
+    assert "1 interior nodes touching the boundary" in report.violations
+
+
 def test_valid_handmade_mesh_passes():
     report = validate_mesh(four_triangle_square())
     assert report.ok, report.violations
