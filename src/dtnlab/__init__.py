@@ -1,18 +1,20 @@
-"""Steklov spectra of the modified Helmholtz operator on planar domains."""
+"""Steklov spectra of the modified Helmholtz operator on planar domains.
 
-from . import analysis, analytic, cli, conjecture, dtn, fem, geometry, greens, mesh, pipeline
+Importing the package loads the solve path only: ``geometry``, ``mesh``,
+``fem``, ``dtn``, ``pipeline`` and ``analytic``. The other modules
+(``analysis``, ``conjecture``, ``greens``, ``cli``) load when they are
+imported by name, e.g. ``from dtnlab import analysis``.
+"""
+
+from . import analytic, dtn, fem, geometry, mesh, pipeline
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "analysis",
     "analytic",
-    "cli",
-    "conjecture",
     "dtn",
     "fem",
     "geometry",
-    "greens",
     "mesh",
     "pipeline",
     "__version__",

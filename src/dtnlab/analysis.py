@@ -4,12 +4,10 @@ tying eigenvalues to volume norms of the extended eigenfunctions.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .geometry import Domain
 from .mesh import Mesh
@@ -18,6 +16,11 @@ from .dtn import BoundaryPartition, Spectrum, numerical_groups
 from .pipeline import solve
 from .analytic import asymptote_small_p
 from .conjecture import effective_angle_sequence
+
+
+# relative gap under which neighbouring eigenvalues count as one multiplet
+# (``numerical_groups``)
+GROUP_TOL = 1e-3
 
 
 class AnalysisError(RuntimeError):
@@ -94,7 +97,7 @@ def _complete_groups(spectrum: Spectrum, group_tol: float) -> list[list[int]]:
 
 
 def concentrate_degenerate_ak(
-    spectrum: Spectrum, matrices: FemMatrices, group_tol: float = 1e-3
+    spectrum: Spectrum, matrices: FemMatrices, group_tol: float = GROUP_TOL
 ) -> np.ndarray:
     """Boundary-integral coefficients with each numerically degenerate group
     rotated so its weight sits on a single member.
@@ -122,7 +125,7 @@ def bk_group_max(
     k: int,
     mesh: Mesh,
     domain: Domain,
-    group_tol: float = 1e-3,
+    group_tol: float = GROUP_TOL,
 ) -> float:
     """Peak amplified value over all unit combinations within the numerically
     degenerate group containing mode k.
@@ -225,6 +228,8 @@ def uk_profile(
 def match_branches(ref: Spectrum, other: Spectrum, matrices: FemMatrices) -> np.ndarray:
     """For each mode of ``ref``, the index of the matching mode of ``other``
     by maximal |M_b inner product| (sorted indices swap at crossings)."""
+    from scipy.optimize import linear_sum_assignment  # its one call: not loaded with the module
+
     mb = matrices.boundary_mass_at(ref.steklov_nodes)
     overlap = np.abs(ref.vectors.T @ (mb @ other.vectors))
     rows, cols = linear_sum_assignment(-overlap)
@@ -323,20 +328,3 @@ def p_sweep(
         small_p_slope=asymptote_small_p(domain),
         conjecture_c=conj,
     )
-
-
-# ---------------------------------------------------------------------------
-# JSON export
-# ---------------------------------------------------------------------------
-
-def summary_to_json(path, **payload) -> None:
-    def default(o):
-        if isinstance(o, np.ndarray):
-            return o.tolist()
-        if isinstance(o, (np.floating, np.integer)):
-            return o.item()
-        raise TypeError(f"not JSON-serializable: {type(o)}")
-
-    with open(path, "w") as f:
-        json.dump(payload, f, indent=2, default=default, sort_keys=True)
-        f.write("\n")

@@ -6,10 +6,12 @@ eigenpairs come from the symmetric pencil (S, M_b), which is mathematically
 identical and keeps eigenvalues real and eigenvectors M_b-orthogonal in
 floating point. Mixed Steklov problems are supported through per-node
 boundary roles (``BoundaryPartition``). Also here: the interior extensions of
-a spectrum, the boundary RMSE against an analytic oracle, and CSV output.
+a spectrum, the boundary RMSE against an analytic oracle, and CSV and JSON
+output.
 """
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 
@@ -206,6 +208,21 @@ def write_csv(path, header, rows) -> None:
         f.write(",".join(header) + "\n")
         for row in rows:
             f.write(",".join(format(cell, ".17g") for cell in row) + "\n")
+
+
+def summary_to_json(path, **payload) -> None:
+    """``payload`` as indented JSON with sorted keys; numpy arrays and scalars
+    are written as lists and numbers."""
+    def default(o):
+        if isinstance(o, np.ndarray):
+            return o.tolist()
+        if isinstance(o, (np.floating, np.integer)):
+            return o.item()
+        raise TypeError(f"not JSON-serializable: {type(o)}")
+
+    with open(path, "w") as f:
+        json.dump(payload, f, indent=2, default=default, sort_keys=True)
+        f.write("\n")
 
 
 def write_node_vector(values: np.ndarray, path) -> None:

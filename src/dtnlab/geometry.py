@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Callable, Union
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 from scipy.spatial import cKDTree
 
 TWO_PI = 2.0 * math.pi
@@ -533,9 +533,11 @@ def build_domain(spec: DomainSpec) -> Domain:
             r = 1.0 + g * np.cos(m * th)
             return np.stack([r * np.cos(th), r * np.sin(th)], axis=1)
 
+        from scipy.integrate import quad  # the one quadrature: not loaded with the package
+
         area = math.pi * (1.0 + g * g / 2.0)
         perimeter = float(
-            integrate.quad(
+            quad(
                 lambda t: math.hypot(1.0 + g * math.cos(m * t), -g * m * math.sin(m * t)),
                 0.0, TWO_PI, limit=400,
             )[0]

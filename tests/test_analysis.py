@@ -17,12 +17,11 @@ from dtnlab.analysis import (
     norm_identities,
     numerical_groups,
     p_sweep,
-    summary_to_json,
     symmetry_audit,
     uk_profile,
 )
 from dtnlab import dtn, fem
-from dtnlab.dtn import write_csv
+from dtnlab.dtn import summary_to_json, write_csv
 from dtnlab.pipeline import solve_steklov
 
 import conftest

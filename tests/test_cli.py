@@ -1,11 +1,15 @@
+import dataclasses
+import importlib
 import json
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 
-from dtnlab import geometry
-from dtnlab.cli import main, parse_domain
+import dtnlab
+from dtnlab import analysis, analytic, cli, geometry, pipeline
+from dtnlab.cli import TOLERANCES, main, parse_domain
 
 
 def run_cli(*args):
@@ -55,7 +59,22 @@ def test_validate_rect_command(tmp_path):
     assert rc == 0
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["max_abs_err"] <= 5e-3
-    assert report["max_root_residual"] <= 1e-10
+    assert report["max_root_residual"] <= TOLERANCES["root_residual"]
+
+
+def test_validate_rect_root_residual_breach_exits_3(tmp_path, capsys, monkeypatch):
+    """A root whose residual exceeds ``TOLERANCES["root_residual"]`` fails the
+    run with the solver exit code."""
+    exact = analytic.rectangle_spectrum
+
+    def loose(*args):
+        return [dataclasses.replace(e, residual=10 * TOLERANCES["root_residual"]) for e in exact(*args)]
+
+    monkeypatch.setattr(analytic, "rectangle_spectrum", loose)
+    rc = run_cli("validate-rect", "--h", "0.2", "--count", "3", "--out", str(tmp_path))
+    assert rc == 3
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["exit_code"] == 3 and "root residual" in record["error"]
 
 
 def test_validate_disk_command(tmp_path):
@@ -89,6 +108,25 @@ def test_localize_and_plots(tmp_path):
     assert rc == 0
     for name in ("plot_profile.py", "plot_bkmap.py"):
         compile((tmp_path / name).read_text(), name, "exec")
+
+
+def test_localize_max_b_spans_a_cut_multiplet(tmp_path):
+    """On the coarse 2x2 square at p = 0, modes 1 and 2 are one multiplet, so
+    the k + 1 = 2 mode window of k = 1 cuts it. ``max_B`` is the multiplet's
+    basis-free maximum (``bk_group_max``), not the peak of whichever vector
+    the solver returned as mode 1."""
+    rc = run_cli("localize", "--domain", "rect:b1=2,b2=2", "--h", "0.2", "--p", "0",
+                 "--k", "1", "--out", str(tmp_path))
+    assert rc == 0
+    max_b = json.loads((tmp_path / "report.json").read_text())["max_B"]
+
+    domain = geometry.build_domain(geometry.RectangleSpec(2.0, 2.0))
+    cut = pipeline.solve_steklov(domain, 0.2, 0.0, 2, extensions=True)
+    assert not analysis.last_group_complete(cut.spectrum, analysis.GROUP_TOL)
+    wide = pipeline.solve(cut.matrices, 0.0, 6, extensions=True)[1]
+    assert max_b == pytest.approx(analysis.bk_group_max(wide, 1, cut.mesh, domain), rel=1e-9)
+    single = analysis.bk_map(cut.spectrum, 1, cut.mesh, domain).amplified.max()
+    assert max_b > single * 1.1
 
 
 def test_norms_command(tmp_path):
@@ -283,3 +321,54 @@ def test_bad_sweep_grid_exits_2(tmp_path, capsys, grid):
                    "--out", str(tmp_path)) == 2
     assert json.loads(capsys.readouterr().err.strip())["exit_code"] == 2
     assert not (tmp_path / "sweep.csv").exists()
+
+
+# every dtnlab error class and the exit code the module docstring of cli
+# documents for it: 2 bad configuration, 3 solver failure
+ERROR_EXIT_CODES = [
+    ("geometry", "GeometryError", 2),
+    ("dtn", "DtnError", 2),
+    ("conjecture", "ConjectureError", 2),
+    ("mesh", "MeshError", 3),
+    ("fem", "FemError", 3),
+    ("greens", "GreensError", 3),
+    ("analysis", "AnalysisError", 3),
+    ("analytic", "AnalyticError", 3),
+]
+
+
+@pytest.mark.parametrize("module, name, code", ERROR_EXIT_CODES)
+def test_error_class_exit_code(tmp_path, capsys, monkeypatch, module, name, code):
+    error = getattr(importlib.import_module(f"dtnlab.{module}"), name)
+
+    def fail(cfg, rep):
+        raise error("injected")
+
+    monkeypatch.setitem(cli._COMMANDS, "mesh", (fail, cli._COMMANDS["mesh"][1]))
+    assert run_cli("mesh", "--domain", "disk:R=1", "--out", str(tmp_path)) == code
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record == {"error": "injected", "exit_code": code, "command": "mesh"}
+
+
+def test_every_error_class_has_an_exit_code():
+    found = set()
+    for info in pkgutil.iter_modules(dtnlab.__path__):
+        mod = importlib.import_module(f"dtnlab.{info.name}")
+        found |= {
+            (info.name, name)
+            for name, obj in vars(mod).items()
+            if isinstance(obj, type) and issubclass(obj, Exception)
+            and obj.__module__ == mod.__name__ and obj is not cli.CliError
+        }
+    assert found == {(module, name) for module, name, _ in ERROR_EXIT_CODES}
+
+
+def test_other_exceptions_propagate(tmp_path, monkeypatch):
+    """Only dtnlab's own errors and OSError become exit codes; anything else
+    is a bug and keeps its traceback."""
+    def fail(cfg, rep):
+        raise ZeroDivisionError("bug")
+
+    monkeypatch.setitem(cli._COMMANDS, "mesh", (fail, cli._COMMANDS["mesh"][1]))
+    with pytest.raises(ZeroDivisionError):
+        run_cli("mesh", "--domain", "disk:R=1", "--out", str(tmp_path))
