@@ -11,10 +11,9 @@ import numpy as np
 
 from .geometry import Domain
 from .mesh import Mesh
-from .fem import FemMatrices
-from .dtn import BoundaryPartition, Spectrum, numerical_groups
+from .fem import BoundaryPartition, FemMatrices
+from .dtn import Spectrum, numerical_groups
 from .pipeline import solve
-from .analytic import asymptote_small_p
 from .conjecture import effective_angle_sequence
 
 
@@ -321,10 +320,10 @@ def p_sweep(
         rows[i] = solve(matrices, p, count, partition)[1].eigenvalues
     conj = None
     if domain.is_polygon:
-        conj = effective_angle_sequence(domain.angle_sequence(), count).coefficients
+        conj = effective_angle_sequence(domain.angles, count).coefficients
     return PSweep(
         p_grid=p_grid,
         eigenvalues=rows,
-        small_p_slope=asymptote_small_p(domain),
+        small_p_slope=domain.area / domain.perimeter,
         conjecture_c=conj,
     )

@@ -2,8 +2,7 @@
 
 Covers modified Bessel functions of the first kind, the disk spectrum, the
 rectangle spectrum via transcendental root bracketing (four sign/branch
-families plus axis exchange), stable separable eigenfunction evaluation, and
-the small-pressure asymptote slope.
+families plus axis exchange) and stable separable eigenfunction evaluation.
 """
 from __future__ import annotations
 
@@ -12,8 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
-
-from .geometry import Domain
 
 _OVERFLOW_X = 700.0
 
@@ -36,10 +33,17 @@ def bessel_i_scaled(n_max: int, x: float) -> np.ndarray:
     return special.ive(np.arange(n_max + 1), x)
 
 
+def _bessel_i_scaled_deriv(n: int, x: float) -> tuple[float, float]:
+    """(e^{-x} I_n(x), e^{-x} I_n'(x)), with I_n' = (I_{n-1} + I_{n+1})/2 and
+    I_{-1} = I_1."""
+    vals = bessel_i_scaled(n + 1, x)
+    i_prev = vals[1] if n == 0 else vals[n - 1]
+    return vals[n], 0.5 * (i_prev + vals[n + 1])
+
+
 def bessel_i(n: int, x: float) -> tuple[float, float]:
     """(I_n(x), I_n'(x)) with relative error <= 1e-12.
 
-    I_n' = (I_{n-1} + I_{n+1})/2 with I_{-1} = I_1.
     Raises for x beyond the exp overflow threshold; use
     :func:`bessel_i_scaled` there.
     """
@@ -47,21 +51,17 @@ def bessel_i(n: int, x: float) -> tuple[float, float]:
         raise AnalyticError(
             f"I_n({x}) overflows double precision; use bessel_i_scaled"
         )
-    vals = bessel_i_scaled(n + 1, x)
+    i_n, deriv = _bessel_i_scaled_deriv(n, x)
     scale = math.exp(x)
-    i_n = vals[n] * scale
-    i_prev = vals[1] if n == 0 else vals[n - 1]
-    deriv = 0.5 * (i_prev + vals[n + 1]) * scale
-    return i_n, deriv
+    return i_n * scale, deriv * scale
 
 
 def bessel_ratio_deriv(n: int, x: float) -> float:
     """I_n'(x) / I_n(x), overflow-free (scaled values cancel)."""
     if x == 0.0:
         raise AnalyticError("ratio singular at x = 0 for n >= 1")
-    vals = bessel_i_scaled(n + 1, x)
-    i_prev = vals[1] if n == 0 else vals[n - 1]
-    return 0.5 * (i_prev + vals[n + 1]) / vals[n]
+    i_n, deriv = _bessel_i_scaled_deriv(n, x)
+    return deriv / i_n
 
 
 # ---------------------------------------------------------------------------
@@ -91,12 +91,8 @@ class DiskEigenpair:
         if self.p == 0.0:
             return (r / self.radius) ** self.order
         sp = math.sqrt(self.p)
-        ref = bessel_i_scaled(self.order, self.radius * sp)[self.order]
-        out = np.empty_like(r)
-        for i, ri in np.ndenumerate(r):
-            val = bessel_i_scaled(self.order, ri * sp)[self.order]
-            out[i] = val / ref * math.exp(-sp * (self.radius - ri))
-        return out
+        ref = special.ive(self.order, self.radius * sp)
+        return special.ive(self.order, r * sp) / ref * np.exp(-sp * (self.radius - r))
 
     def value(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(points)
@@ -191,11 +187,6 @@ class RectangleEigenpair:
         return f1.evaluate(pts[:, 0], self.b1, self.mu) * f2.evaluate(
             pts[:, 1], self.b2, self.mu
         )
-
-
-def rectangle_eigenfunction(pair: RectangleEigenpair, x) -> float | np.ndarray:
-    out = pair.value(x)
-    return float(out[0]) if np.asarray(x).ndim == 1 else out
 
 
 def _mu_plus(a1: float, b1: float) -> float:
@@ -372,11 +363,3 @@ class RectangleOracle:
             cols.append(vals / scale if scale > 0 else vals)
         return np.stack(cols, axis=1)
 
-
-# ---------------------------------------------------------------------------
-# asymptotics
-# ---------------------------------------------------------------------------
-
-def asymptote_small_p(domain: Domain) -> float:
-    """Slope of mu_0 ~ slope * p in the p -> 0 limit: |Omega| / |dOmega|."""
-    return domain.area / domain.perimeter

@@ -4,7 +4,8 @@ Each setting is declared once, in ``_FLAGS`` (flag, argparse keywords,
 default); ``_COMMANDS`` names the settings each command reads, and those are
 its only flags and ``--config`` keys. Every run writes ``report.json``
 (``config``: the command and its settings; domain metrics, node counts,
-timings, tolerances) plus command-specific CSVs into the output directory.
+timings, and the ``tolerances`` of ``TOLERANCES`` that the run checked) plus
+command-specific CSVs into the output directory.
 Exit codes: 0 success, 2 bad configuration, 3 solver failure, 4 I/O failure.
 
 The module imports only the solve path, which ``import dtnlab`` loads anyway;
@@ -116,12 +117,7 @@ class Reporter:
 
     def finish(self) -> None:
         self.timings["total"] = time.perf_counter() - self._t0
-        report = {
-            "config": vars(self.config),
-            "tolerances": TOLERANCES,
-            "timings_s": self.timings,
-            **self.payload,
-        }
+        report = {"config": vars(self.config), "timings_s": self.timings, **self.payload}
         dtn.summary_to_json(self.path("report.json"), **report)
 
 
@@ -219,6 +215,7 @@ def cmd_validate_rect(cfg: argparse.Namespace, rep: Reporter) -> None:
     rep.payload["max_abs_err"] = float(np.abs(mus - exact).max())
     residual = float(max(e.residual for e in pairs))
     rep.payload["max_root_residual"] = residual
+    rep.payload["tolerances"] = {"root_residual": TOLERANCES["root_residual"]}
     if residual > TOLERANCES["root_residual"]:
         raise CliError(
             f"max root residual {residual:.3g} exceeds the tolerance "
@@ -290,11 +287,12 @@ def cmd_localize(cfg: argparse.Namespace, rep: Reporter) -> None:
         res = solve_steklov(domain, cfg.h, cfg.p, cfg.k + 1, extensions=True)
         spectrum = res.spectrum
         # max_B spans mode k's whole multiplet: while the window may cut it,
-        # solve again on the same matrices with twice the modes
+        # solve the pencil of the same factor again with twice the modes
         while (cfg.k in dtn.numerical_groups(spectrum.eigenvalues, analysis.GROUP_TOL)[-1]
                and not analysis.last_group_complete(spectrum, analysis.GROUP_TOL)):
             count = min(2 * spectrum.count, len(spectrum.steklov_nodes))
-            spectrum = solve(res.matrices, cfg.p, count, extensions=True)[1]
+            spectrum = dtn.eigensolve(res.operator, count)
+            dtn.attach_extensions(spectrum, res.operator.factor)
     with rep.time("maps"):
         loc = analysis.bk_map(spectrum, cfg.k, res.mesh, domain)
         prof = analysis.uk_profile(spectrum, cfg.k, res.mesh, domain, cfg.bin_width)
@@ -493,6 +491,11 @@ _CHECKS = (
     ("p", lambda c: c.p >= 0, "p must be >= 0"),
     ("p_min", lambda c: 0 < c.p_min < c.p_max, "the sweep needs 0 < p-min < p-max"),
     ("n_p", lambda c: c.n_p >= 1, "n-p must be >= 1"),
+    ("k", lambda c: c.k >= 0, "k must be >= 0"),
+    ("m", lambda c: c.m >= 1, "m must be >= 1"),
+    ("q", lambda c: c.q > 0, "q must be positive"),
+    ("dp", lambda c: c.dp is None or c.dp > 0, "dp must be positive"),
+    ("bin_width", lambda c: c.bin_width is None or c.bin_width > 0, "bin-width must be positive"),
 )
 
 

@@ -110,7 +110,7 @@ def compare_conjecture(
     if not domain.is_polygon:
         raise ConjectureError("conjecture comparison needs a polygonal domain")
     count = len(eigenvalues)
-    trace = effective_angle_sequence(domain.angle_sequence(), count)
+    trace = effective_angle_sequence(domain.angles, count)
     numeric = extract_ck(eigenvalues, p)
     rows = [
         ConjectureRow(

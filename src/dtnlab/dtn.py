@@ -5,9 +5,9 @@ The boundary Schur complement S comes from the factor
 eigenpairs come from the symmetric pencil (S, M_b), which is mathematically
 identical and keeps eigenvalues real and eigenvectors M_b-orthogonal in
 floating point. Mixed Steklov problems are supported through per-node
-boundary roles (``BoundaryPartition``). Also here: the interior extensions of
-a spectrum, the boundary RMSE against an analytic oracle, and CSV and JSON
-output.
+boundary roles (``fem.BoundaryPartition``), which the factor reads. Also here:
+the interior extensions of a spectrum, the boundary RMSE against an analytic
+oracle, and CSV and JSON output.
 """
 from __future__ import annotations
 
@@ -18,50 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh
 
-from .fem import DIRICHLET_ZERO, NEUMANN_ZERO, STEKLOV, InteriorFactor, solve_dirichlet
-
-_ROLE_NAMES = {"steklov": STEKLOV, "dirichlet_zero": DIRICHLET_ZERO, "neumann_zero": NEUMANN_ZERO}
+from .fem import InteriorFactor, solve_dirichlet
 
 
 class DtnError(RuntimeError):
     pass
-
-
-@dataclass(frozen=True)
-class BoundaryPartition:
-    """Role of each boundary node; arcs of constant role along the CCW loop."""
-
-    roles: np.ndarray  # (n_boundary,) int8
-
-    def __post_init__(self):
-        roles = np.asarray(self.roles, dtype=np.int8)
-        object.__setattr__(self, "roles", roles)
-        if not np.isin(roles, [STEKLOV, DIRICHLET_ZERO, NEUMANN_ZERO]).all():
-            raise DtnError("unknown boundary role")
-        if not (roles == STEKLOV).any():
-            raise DtnError("partition needs at least one steklov node")
-
-    @classmethod
-    def from_arcs(cls, n_boundary: int, arcs) -> "BoundaryPartition":
-        """``arcs`` is a list of (start, stop, role_name) with stop exclusive,
-        wrapping allowed (start > stop wraps past node 0). Needs
-        ``0 <= start < n_boundary`` and ``0 <= stop <= n_boundary``."""
-        roles = -np.ones(n_boundary, dtype=np.int8)
-        for start, stop, name in arcs:
-            if isinstance(name, str) and name not in _ROLE_NAMES:
-                raise DtnError(f"unknown boundary role {name!r}")
-            if not (0 <= start < n_boundary and 0 <= stop <= n_boundary):
-                raise DtnError(f"arc ({start}, {stop}) outside 0..{n_boundary}")
-            role = _ROLE_NAMES[name] if isinstance(name, str) else int(name)
-            idx = (
-                np.arange(start, stop)
-                if start < stop
-                else np.concatenate([np.arange(start, n_boundary), np.arange(0, stop)])
-            )
-            roles[idx] = role
-        if (roles < 0).any():
-            raise DtnError("arcs do not cover every boundary node")
-        return cls(roles)
 
 
 @dataclass

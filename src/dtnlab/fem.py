@@ -1,5 +1,6 @@
-"""P1 assembly (stiffness, mass, boundary mass), the one sparse LU of a solve
-and its boundary Schur complement.
+"""P1 assembly (stiffness, mass, boundary mass), the boundary node roles
+(``BoundaryPartition``), the one sparse LU of a solve and its boundary Schur
+complement.
 
 Element integrals are exact closed forms (the integrands are polynomial), so
 the only numerical error downstream comes from the mesh and the linear solver.
@@ -29,10 +30,49 @@ class FemError(RuntimeError):
     pass
 
 
-# boundary node roles, one per boundary node (``dtn.BoundaryPartition``)
+# boundary node roles, one per boundary node (``BoundaryPartition``)
 STEKLOV = 0          # carries Dirichlet data: a data node
 DIRICHLET_ZERO = 1   # u = 0, eliminated
 NEUMANN_ZERO = 2     # du/dn = 0, joins the unknowns
+
+_ROLE_NAMES = {"steklov": STEKLOV, "dirichlet_zero": DIRICHLET_ZERO, "neumann_zero": NEUMANN_ZERO}
+
+
+@dataclass(frozen=True)
+class BoundaryPartition:
+    """Role of each boundary node; arcs of constant role along the CCW loop."""
+
+    roles: np.ndarray  # (n_boundary,) int8
+
+    def __post_init__(self):
+        roles = np.asarray(self.roles, dtype=np.int8)
+        object.__setattr__(self, "roles", roles)
+        if not np.isin(roles, list(_ROLE_NAMES.values())).all():
+            raise FemError("unknown boundary role")
+        if not (roles == STEKLOV).any():
+            raise FemError("partition needs at least one steklov node")
+
+    @classmethod
+    def from_arcs(cls, n_boundary: int, arcs) -> "BoundaryPartition":
+        """``arcs`` is a list of (start, stop, role_name) with stop exclusive,
+        wrapping allowed (start > stop wraps past node 0). Needs
+        ``0 <= start < n_boundary`` and ``0 <= stop <= n_boundary``."""
+        roles = -np.ones(n_boundary, dtype=np.int8)
+        for start, stop, name in arcs:
+            if isinstance(name, str) and name not in _ROLE_NAMES:
+                raise FemError(f"unknown boundary role {name!r}")
+            if not (0 <= start < n_boundary and 0 <= stop <= n_boundary):
+                raise FemError(f"arc ({start}, {stop}) outside 0..{n_boundary}")
+            role = _ROLE_NAMES[name] if isinstance(name, str) else int(name)
+            idx = (
+                np.arange(start, stop)
+                if start < stop
+                else np.concatenate([np.arange(start, n_boundary), np.arange(0, stop)])
+            )
+            roles[idx] = role
+        if (roles < 0).any():
+            raise FemError("arcs do not cover every boundary node")
+        return cls(roles)
 
 
 @dataclass
@@ -195,10 +235,9 @@ class InteriorFactor:
     nodes last, with sigma = ``ROBIN_SHIFT`` and E the boundary mass on the
     data nodes (``boundary_mass_s``), a Robin term.
 
-    ``partition_roles`` (optional, one role per boundary node: ``STEKLOV``,
-    ``DIRICHLET_ZERO`` or ``NEUMANN_ZERO``) moves neumann_zero nodes into the
-    unknown set and eliminates dirichlet_zero nodes. With no partition every
-    boundary node carries Dirichlet data.
+    ``partition`` (optional, a ``BoundaryPartition``) moves neumann_zero
+    nodes into the unknown set and eliminates dirichlet_zero nodes. With no
+    partition every boundary node carries Dirichlet data.
 
     The factor is the one record of the problem it was built for: ``p``, the
     ``data_nodes`` (global indices), their boundary mass ``boundary_mass_s``
@@ -226,16 +265,18 @@ class InteriorFactor:
     Immutable; solves and ``schur`` are reusable and thread-safe.
     """
 
-    def __init__(self, matrices: FemMatrices, p: float, partition_roles=None):
+    def __init__(self, matrices: FemMatrices, p: float,
+                 partition: BoundaryPartition | None = None):
         if p < 0:
             raise FemError("p must be >= 0")
         self.p = float(p)
         ni = matrices.n_interior
-        roles = (
-            np.full(matrices.n_boundary, STEKLOV, dtype=np.int8)
-            if partition_roles is None
-            else np.asarray(partition_roles, dtype=np.int8)
-        )
+        if partition is None:
+            roles = np.full(matrices.n_boundary, STEKLOV, dtype=np.int8)
+        elif isinstance(partition, BoundaryPartition):
+            roles = partition.roles
+        else:
+            raise TypeError(f"partition must be a BoundaryPartition, not {type(partition)}")
         if roles.shape != (matrices.n_boundary,):
             raise FemError("partition must assign one role per boundary node")
         bidx = ni + np.arange(matrices.n_boundary)
@@ -243,8 +284,6 @@ class InteriorFactor:
         self.zero_nodes = bidx[roles == DIRICHLET_ZERO]
         unknown = np.concatenate([np.arange(ni), bidx[roles == NEUMANN_ZERO]])
         self.unknown_nodes = unknown[np.argsort(matrices.elimination_rank[unknown])]
-        if len(self.data_nodes) == 0:
-            raise FemError("partition needs at least one steklov node")
         self.n_nodes = matrices.n_nodes
         self.boundary_mass_s = matrices.boundary_mass_at(self.data_nodes)
 
@@ -326,8 +365,9 @@ def _divide_rows(m: sparse.csc_matrix, d: np.ndarray) -> sparse.csr_matrix:
     return m
 
 
-def factor_interior(matrices: FemMatrices, p: float, partition_roles=None) -> InteriorFactor:
-    return InteriorFactor(matrices, p, partition_roles)
+def factor_interior(matrices: FemMatrices, p: float,
+                    partition: BoundaryPartition | None = None) -> InteriorFactor:
+    return InteriorFactor(matrices, p, partition)
 
 
 def solve_dirichlet(factor: InteriorFactor, f: np.ndarray) -> np.ndarray:

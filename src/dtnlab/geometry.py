@@ -332,7 +332,7 @@ class Domain:
     area: float
     perimeter: float
     vertices: np.ndarray | None = None  # CCW vertex list for polygons
-    angles: np.ndarray | None = None  # interior angle at each vertex
+    angles: np.ndarray | None = None  # interior angle at each vertex; None when smooth
     parametrization: Callable[[np.ndarray], np.ndarray] | None = None
     _polyline: np.ndarray | None = field(default=None, repr=False)
     _polyline_tree: cKDTree | None = field(default=None, repr=False)
@@ -422,12 +422,6 @@ class Domain:
         theta = np.interp(s_targets, self._arclength_s, self._arclength_theta)
         return self.parametrization(theta)
 
-    def angle_sequence(self) -> np.ndarray:
-        """Interior angles in boundary-traversal order; polygonal domains only."""
-        if not self.is_polygon:
-            raise GeometryError("angle sequence is defined for polygonal domains only")
-        return self.angles
-
     def refined(self, spacing: float) -> "Domain":
         """This domain with its smooth-boundary polyline at ``spacing`` or finer:
         ``self`` when the polyline already is that fine (and for polygons),
@@ -482,7 +476,8 @@ def _smooth_domain(
         spec=spec,
         area=area,
         perimeter=perimeter,
-        parametrization=param,
+        # ``param`` maps a 1-D float array of angles to (n, 2) points
+        parametrization=lambda th: param(np.atleast_1d(np.asarray(th, dtype=float))),
         _contains_fn=contains_fn,
     )
     _attach_smooth_caches(dom, min(1e-3, perimeter / 4096))
@@ -497,7 +492,6 @@ def build_domain(spec: DomainSpec) -> Domain:
             raise GeometryError("disk radius must be positive")
 
         def param(th, r=r):
-            th = np.atleast_1d(np.asarray(th, dtype=float))
             return r * np.stack([np.cos(th), np.sin(th)], axis=1)
 
         return _smooth_domain(
@@ -511,7 +505,6 @@ def build_domain(spec: DomainSpec) -> Domain:
             raise GeometryError("ellipse semiaxes must be positive")
 
         def param(th, a=a, b=b):
-            th = np.atleast_1d(np.asarray(th, dtype=float))
             return np.stack([a * np.cos(th), b * np.sin(th)], axis=1)
 
         big, small = max(a, b), min(a, b)
@@ -529,7 +522,6 @@ def build_domain(spec: DomainSpec) -> Domain:
             raise GeometryError("deformation mode must be >= 1")
 
         def param(th, g=g, m=m):
-            th = np.atleast_1d(np.asarray(th, dtype=float))
             r = 1.0 + g * np.cos(m * th)
             return np.stack([r * np.cos(th), r * np.sin(th)], axis=1)
 

@@ -93,6 +93,15 @@ def boundary_weights(matrices: FemMatrices) -> np.ndarray:
     return np.asarray(matrices.boundary_mass.sum(axis=1)).ravel()
 
 
+def _kernel(
+    matrices: FemMatrices, basis0: RobinEigenbasis, basis_q: RobinEigenbasis, p: float, q: float
+) -> np.ndarray:
+    """The regularized kernel (G_0 - G_q)/q between the boundary nodes, G_0 and
+    G_q expanded over ``basis0`` and ``basis_q`` at pressure ``p``."""
+    bidx = np.arange(matrices.n_interior, matrices.n_nodes)
+    return (green_function(basis0, p, bidx) - green_function(basis_q, p, bidx)) / q
+
+
 def dtn_spectrum_via_green(
     matrices: FemMatrices,
     q: float,
@@ -113,11 +122,7 @@ def dtn_spectrum_via_green(
         basis0 = robin_eigenbasis(matrices, 0.0, m)
     if basis_q is None:
         basis_q = robin_eigenbasis(matrices, q, m)
-    bidx = np.arange(matrices.n_interior, matrices.n_nodes)
-    g0 = green_function(basis0, p, bidx)
-    gq = green_function(basis_q, p, bidx)
-    kernel = (g0 - gq) / q
-
+    kernel = _kernel(matrices, basis0, basis_q, p, q)
     w = boundary_weights(matrices)
     sw = np.sqrt(w)
     sym = sw[:, None] * kernel * sw[None, :]
@@ -139,14 +144,9 @@ def dtn_spectrum_via_green(
         p=float(p),
         eigenvalues=mu,
         vectors=v,
-        steklov_nodes=bidx,
+        steklov_nodes=np.arange(matrices.n_interior, matrices.n_nodes),
         n_nodes=matrices.n_nodes,
     )
-
-
-def eta_of_mu(mu: float, q: float) -> float:
-    """Kernel eigenvalue for a boundary eigenvalue: 1 / (mu (mu + q))."""
-    return 1.0 / (mu * (mu + q))
 
 
 def extend_via_green(
@@ -182,10 +182,7 @@ def kernel_consistency_report(
     spectrum's p and the q of ``basis_q``. Reports the max abs deviation and
     the truncation tail bound; no hard assertion."""
     p, q = fem_spectrum.p, basis_q.q
-    bidx = np.arange(matrices.n_interior, matrices.n_nodes)
-    g0 = green_function(basis0, p, bidx)
-    gq = green_function(basis_q, p, bidx)
-    kernel = (g0 - gq) / q
+    kernel = _kernel(matrices, basis0, basis_q, p, q)
     mus = fem_spectrum.eigenvalues
     v = fem_spectrum.vectors
     recon = (v / (mus * (mus + q))) @ v.T

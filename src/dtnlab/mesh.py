@@ -485,15 +485,18 @@ class MeshReport:
         return not self.violations
 
 
-def validate_mesh(mesh: Mesh, domain: Domain | None = None) -> MeshReport:
-    """Check every mesh invariant; report is empty iff the mesh is valid."""
+def _structure(mesh: Mesh) -> tuple[list[str], np.ndarray | None]:
+    """The violations of the invariants that need no domain and no angle
+    floor: node counts, index range, orientation, edges longer than
+    ``mesh.h_max``, boundary-edge incidence and manifoldness; and the lengths
+    of the unique edges, None when a triangle index is out of range."""
     v: list[str] = []
     n = mesh.n_nodes
     if mesh.n_interior + mesh.n_boundary != n:
         v.append("node count mismatch: n_interior + n_boundary != n_nodes")
     if mesh.triangles.min(initial=0) < 0 or mesh.triangles.max(initial=-1) >= n:
         v.append("triangle references a node index out of range")
-        return MeshReport(v)
+        return v, None
 
     areas = mesh.signed_areas()
     n_flipped = int((areas <= 0).sum())
@@ -520,6 +523,14 @@ def validate_mesh(mesh: Mesh, domain: Domain | None = None) -> MeshReport:
     stray = int(((counts == 1) & ~declared).sum())
     if stray:
         v.append(f"{stray} single-triangle edges are not declared boundary edges")
+    return v, edge_len
+
+
+def validate_mesh(mesh: Mesh, domain: Domain | None = None) -> MeshReport:
+    """Check every mesh invariant; report is empty iff the mesh is valid."""
+    v, edge_len = _structure(mesh)
+    if edge_len is None:
+        return MeshReport(v)
 
     angles = mesh.angles_deg()
     min_angles = angles.min(axis=1)
@@ -565,7 +576,11 @@ def export_mesh(mesh: Mesh, path) -> None:
 
 
 def import_mesh(path) -> Mesh:
-    """Parse the text format and check structural sanity."""
+    """Parse the text format. A malformed line or header, a boundary edge off
+    the boundary nodes, or any violation of ``_structure`` (an index out of
+    range, a flipped triangle, a boundary edge not on exactly one triangle, a
+    non-manifold edge, or a single-triangle edge that is no boundary edge, as
+    around a hole) raises ``MeshError``."""
     with open(path) as f:
         lines = [ln.strip() for ln in f if ln.strip()]
     pos = 0
@@ -606,6 +621,8 @@ def import_mesh(path) -> Mesh:
     (nbe,) = expect_header("boundary_edges", 1)
     bedges = read_block("boundary edge", nbe, 2, int)
 
+    if bedges.size and (bedges.min() < ni or bedges.max() >= ntot):
+        raise MeshError("boundary edge references a non-boundary node (ordering violation)")
     mesh = Mesh(
         nodes=nodes,
         n_interior=ni,
@@ -614,21 +631,9 @@ def import_mesh(path) -> Mesh:
         boundary_edges=bedges,
         h_max=np.inf,
     )
-    if tris.size and (tris.min() < 0 or tris.max() >= ntot):
-        raise MeshError("triangle references a node index out of range")
-    if bedges.size and (bedges.min() < ni or bedges.max() >= ntot):
-        raise MeshError("boundary edge references a non-boundary node (ordering violation)")
-    if (mesh.signed_areas() <= 0).any():
-        raise MeshError("non-conforming triangle with non-positive area")
-    edges, counts = mesh.edges()
-    b_counts, _ = _edge_incidence(edges, counts, bedges)
-    if (b_counts != 1).any():
-        a, b = bedges[np.flatnonzero(b_counts != 1)[0]]
-        raise MeshError(f"boundary edge ({a},{b}) not on exactly one triangle")
-    # infer a usable h_max for validation purposes
-    el = np.hypot(
-        nodes[edges[:, 0], 0] - nodes[edges[:, 1], 0],
-        nodes[edges[:, 0], 1] - nodes[edges[:, 1], 1],
-    )
-    mesh.h_max = float(el.max()) if len(el) else np.inf
+    violations, edge_len = _structure(mesh)
+    if violations:
+        raise MeshError("invalid mesh: " + "; ".join(violations))
+    # the longest edge stands in for the h the mesh was made with
+    mesh.h_max = float(edge_len.max()) if len(edge_len) else np.inf
     return mesh

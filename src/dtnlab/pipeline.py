@@ -5,8 +5,8 @@ from dataclasses import dataclass
 
 from .geometry import Domain, DomainSpec, build_domain
 from .mesh import Mesh, generate_mesh
-from .fem import FemMatrices, assemble, factor_interior
-from .dtn import BoundaryPartition, DtnOperator, Spectrum, attach_extensions, build_dtn, eigensolve
+from .fem import BoundaryPartition, FemMatrices, assemble, factor_interior
+from .dtn import DtnOperator, Spectrum, attach_extensions, build_dtn, eigensolve
 
 
 @dataclass
@@ -53,8 +53,7 @@ def solve(
 
     With ``extensions`` the spectrum also carries the interior extensions of
     its eigenvectors."""
-    roles = None if partition is None else partition.roles
-    factor = factor_interior(matrices, p, roles)
+    factor = factor_interior(matrices, p, partition)
     op = build_dtn(factor)
     spectrum = eigensolve(op, count)
     if extensions:

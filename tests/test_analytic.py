@@ -11,12 +11,10 @@ from dtnlab.analytic import (
     AxisFactor,
     DiskOracle,
     RectangleOracle,
-    asymptote_small_p,
     bessel_i,
     bessel_i_scaled,
     bessel_ratio_deriv,
     disk_spectrum,
-    rectangle_eigenfunction,
     rectangle_spectrum,
 )
 from dtnlab.pipeline import solve_steklov
@@ -115,6 +113,21 @@ def test_disk_radial_profile_normalization():
     e = disk_spectrum(1.0, 1.0, 1)[0]
     assert abs(e.radial(np.array([1.0]))[0] - 1.0) < 1e-14
     assert e.radial(np.array([0.5]))[0] < 1.0
+
+
+@pytest.mark.parametrize("p", [0.3, 1.0, 1e3])
+def test_disk_radial_matches_pointwise_reference(p):
+    """One vectorized ``ive`` call gives the profile point by point, up to
+    the rounding of np.exp against math.exp."""
+    r = np.linspace(0.0, 1.0, 201)
+    sp = math.sqrt(p)
+    for e in disk_spectrum(1.0, p, 21):
+        ref = np.array([
+            bessel_i_scaled(e.order, ri * sp)[e.order] / bessel_i_scaled(e.order, sp)[e.order]
+            * math.exp(-sp * (1.0 - ri))
+            for ri in r
+        ])
+        np.testing.assert_allclose(e.radial(r), ref, rtol=1e-15, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -248,10 +261,10 @@ def test_boundary_layer_decay_bound():
     assert (vals <= bound + 1e-12).all()
 
 
-def test_rectangle_eigenfunction_wrapper():
+def test_rectangle_pair_value_at_one_point():
     e = rectangle_spectrum(1.0, 2.0, 1.0, 2)[0]
-    v = rectangle_eigenfunction(e, np.array([0.5, 1.0]))
-    assert np.isfinite(v)
+    v = e.value(np.array([0.5, 1.0]))
+    assert v.shape == (1,) and np.isfinite(v).all()
 
 
 def test_oracle_shapes():
@@ -275,10 +288,12 @@ def test_invalid_arguments():
 # ---------------------------------------------------------------------------
 
 def test_asymptote_small_p_values():
-    disk = geometry.build_domain(geometry.DiskSpec(1.0))
-    assert abs(asymptote_small_p(disk) - 0.5) < 1e-12
-    square = geometry.build_domain(geometry.RectangleSpec(2.0, 2.0))
-    assert abs(asymptote_small_p(square) - 0.5) < 1e-12
-    koch1 = geometry.build_domain(geometry.KochSpec(1, 2.0))
+    """The slope of mu_0 ~ slope * p as p -> 0 is |Omega| / |dOmega|."""
+    def slope(spec):
+        d = geometry.build_domain(spec)
+        return d.area / d.perimeter
+
+    assert abs(slope(geometry.DiskSpec(1.0)) - 0.5) < 1e-12
+    assert abs(slope(geometry.RectangleSpec(2.0, 2.0)) - 0.5) < 1e-12
     # exact closed form: area (4/3) sqrt(3), perimeter 8
-    assert abs(asymptote_small_p(koch1) - math.sqrt(3) / 6) < 1e-12
+    assert abs(slope(geometry.KochSpec(1, 2.0)) - math.sqrt(3) / 6) < 1e-12

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import dtnlab
-from dtnlab import analysis, analytic, cli, geometry, pipeline
+from dtnlab import analysis, analytic, cli, fem, geometry, pipeline
 from dtnlab.cli import TOLERANCES, main, parse_domain
 
 
@@ -37,7 +37,8 @@ def test_mesh_command(tmp_path):
     assert report["mesh_valid"] is True
     assert report["n_boundary"] >= 16
     assert report["config"]["command"] == "mesh"
-    assert "tolerances" in report and "timings_s" in report
+    # the mesh command checks no tolerance, so its report claims none
+    assert "tolerances" not in report and "timings_s" in report
 
 
 def test_solve_command_and_determinism(tmp_path):
@@ -114,10 +115,19 @@ def test_localize_max_b_spans_a_cut_multiplet(tmp_path):
     """On the coarse 2x2 square at p = 0, modes 1 and 2 are one multiplet, so
     the k + 1 = 2 mode window of k = 1 cuts it. ``max_B`` is the multiplet's
     basis-free maximum (``bk_group_max``), not the peak of whichever vector
-    the solver returned as mode 1."""
-    rc = run_cli("localize", "--domain", "rect:b1=2,b2=2", "--h", "0.2", "--p", "0",
-                 "--k", "1", "--out", str(tmp_path))
+    the solver returned as mode 1. The wider window reuses the one factor."""
+    factored = []
+
+    def counting_factor(*args, **kwargs):
+        factored.append(args[1])
+        return fem.factor_interior(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "factor_interior", counting_factor)
+        rc = run_cli("localize", "--domain", "rect:b1=2,b2=2", "--h", "0.2", "--p", "0",
+                     "--k", "1", "--out", str(tmp_path))
     assert rc == 0
+    assert factored == [0.0]
     max_b = json.loads((tmp_path / "report.json").read_text())["max_B"]
 
     domain = geometry.build_domain(geometry.RectangleSpec(2.0, 2.0))
@@ -250,14 +260,14 @@ def test_flag_of_another_command_rejected(tmp_path, capsys):
 
 
 def test_report_echoes_tolerances(tmp_path):
-    rc = run_cli("solve", "--domain", "disk:R=1", "--h", "0.15", "--count", "2",
-                 "--out", str(tmp_path))
-    assert rc == 0
-    report = json.loads((tmp_path / "report.json").read_text())
-    assert report["tolerances"]["root_residual"] == 1e-10
-    # nothing reads or measures these two, so the report does not claim them
-    assert "multiplicity_tol" not in report["tolerances"]
-    assert "schur_symmetry_abs" not in report["tolerances"]
+    """A report lists the tolerances its run checked: validate-rect checks
+    ``root_residual``, and solve checks none."""
+    assert run_cli("validate-rect", "--h", "0.2", "--count", "3", "--out", str(tmp_path / "rect")) == 0
+    report = json.loads((tmp_path / "rect" / "report.json").read_text())
+    assert report["tolerances"] == {"root_residual": 1e-10}
+    assert run_cli("solve", "--domain", "disk:R=1", "--h", "0.15", "--count", "2",
+                   "--out", str(tmp_path / "solve")) == 0
+    assert "tolerances" not in json.loads((tmp_path / "solve" / "report.json").read_text())
 
 
 def test_domain_keys_accept_spec_field_names():
@@ -321,6 +331,30 @@ def test_bad_sweep_grid_exits_2(tmp_path, capsys, grid):
                    "--out", str(tmp_path)) == 2
     assert json.loads(capsys.readouterr().err.strip())["exit_code"] == 2
     assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["localize", "--bin-width", "0"],
+        ["localize", "--bin-width", "-0.1"],
+        ["localize", "--k", "-1"],
+        ["norms", "--dp", "0"],
+        ["norms", "--p", "0.3", "--dp", "-0.5"],
+        ["green-solve", "--m", "0"],
+        ["green-solve", "--q", "0"],
+    ],
+)
+def test_out_of_range_setting_exits_2_before_meshing(tmp_path, capsys, monkeypatch, command):
+    def no_mesh(*args, **kwargs):
+        raise AssertionError("meshed before the settings were checked")
+
+    monkeypatch.setattr(dtnlab.mesh, "generate_mesh", no_mesh)
+    monkeypatch.setattr(pipeline, "generate_mesh", no_mesh)
+    assert run_cli(*command, "--domain", "disk:R=1", "--h", "0.3", "--out", str(tmp_path)) == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["exit_code"] == 2 and record["command"] == command[0]
+    assert not (tmp_path / "report.json").exists()
 
 
 # every dtnlab error class and the exit code the module docstring of cli

@@ -108,7 +108,7 @@ def test_extract_ck_values():
 
 def test_compare_conjecture_with_stub_solver():
     dom = geometry.build_domain(geometry.RegularPolygonSpec(5))
-    trace = effective_angle_sequence(dom.angle_sequence(), 7)
+    trace = effective_angle_sequence(dom.angles, 7)
 
     perfect = trace.coefficients * math.sqrt(1e3)
     report = compare_conjecture(dom, 1e3, perfect)

@@ -4,7 +4,6 @@ from scipy.sparse.linalg import splu
 
 from dtnlab import analytic, dtn, geometry
 from dtnlab.dtn import (
-    BoundaryPartition,
     DtnError,
     attach_extensions,
     build_dtn,
@@ -15,7 +14,7 @@ from dtnlab.dtn import (
     write_node_vector,
 )
 from dtnlab import fem
-from dtnlab.fem import assemble, factor_interior, solve_dirichlet
+from dtnlab.fem import BoundaryPartition, FemError, assemble, factor_interior, solve_dirichlet
 from dtnlab.mesh import Mesh, generate_mesh
 from dtnlab.pipeline import solve_steklov
 
@@ -29,10 +28,10 @@ PARTITION_ARCS = [
 ]
 
 
-def partition_roles(n, arcs):
+def partition_of(n, arcs):
     return None if arcs is None else BoundaryPartition.from_arcs(
         n, [(int(a * n), int(b * n), name) for a, b, name in arcs]
-    ).roles
+    )
 
 
 def reference_blocks(mats, fac):
@@ -70,7 +69,7 @@ def test_schur_elimination_matches_interior_solves(disk_matrices, arcs):
     """The trailing block of one LU with the data nodes last, less the Robin
     shift, is the Schur complement that interior solves with an independent
     LU of A_uu give."""
-    fac = factor_interior(disk_matrices, 1.0, partition_roles(disk_matrices.n_boundary, arcs))
+    fac = factor_interior(disk_matrices, 1.0, partition_of(disk_matrices.n_boundary, arcs))
     a_uu, a_ud, a_dd = reference_blocks(disk_matrices, fac)
     s_solve = a_dd - a_ud.T @ splu(a_uu).solve(a_ud.toarray())
     s_elim = build_dtn(fac).schur
@@ -84,7 +83,7 @@ def test_extensions_match_independent_solve(disk_matrices, rng, p, arcs):
     """Back substitution through the boundary-last factor gives the harmonic
     extension that an independent LU of A_uu gives, and it solves A u = 0
     on the unknowns."""
-    fac = factor_interior(disk_matrices, p, partition_roles(disk_matrices.n_boundary, arcs))
+    fac = factor_interior(disk_matrices, p, partition_of(disk_matrices.n_boundary, arcs))
     a_uu, a_ud, _ = reference_blocks(disk_matrices, fac)
     f = rng.standard_normal((len(fac.data_nodes), 3))
     u = solve_dirichlet(fac, f)
@@ -104,7 +103,7 @@ def test_boundary_last_factor_needs_no_fallback(disk_matrices, p, arcs):
     """The Robin shift bounds every trailing pivot below by
     sigma * lambda_min(M_b,s): the trailing block is S + sigma M_b,s with
     S >= 0, so no pivot is near zero, also at p = 0."""
-    fac = factor_interior(disk_matrices, p, partition_roles(disk_matrices.n_boundary, arcs))
+    fac = factor_interior(disk_matrices, p, partition_of(disk_matrices.n_boundary, arcs))
     floor = fem.ROBIN_SHIFT * np.linalg.eigvalsh(fac.boundary_mass_s.toarray())[0]
     assert fac.u22.diagonal().min() >= floor > 0
 
@@ -219,7 +218,7 @@ def test_eigenvalues_monotone_in_p(square_domain, square_mesh, square_matrices):
 def test_mixed_dirichlet_lifts_kernel(disk_matrices):
     n = disk_matrices.n_boundary
     part = BoundaryPartition.from_arcs(n, [(0, n // 4, "dirichlet_zero"), (n // 4, n, "steklov")])
-    fac = factor_interior(disk_matrices, 0.0, part.roles)
+    fac = factor_interior(disk_matrices, 0.0, part)
     op = build_dtn(fac)
     sp = eigensolve(op, 3)
     assert sp.eigenvalues[0] > 1e-3
@@ -228,23 +227,23 @@ def test_mixed_dirichlet_lifts_kernel(disk_matrices):
 def test_mixed_neumann_keeps_constant_mode(disk_matrices):
     n = disk_matrices.n_boundary
     part = BoundaryPartition.from_arcs(n, [(0, n // 4, "neumann_zero"), (n // 4, n, "steklov")])
-    fac = factor_interior(disk_matrices, 0.0, part.roles)
+    fac = factor_interior(disk_matrices, 0.0, part)
     op = build_dtn(fac)
     sp = eigensolve(op, 3)
     assert abs(sp.eigenvalues[0]) < 1e-6  # constants still satisfy the Neumann condition
 
 
 def test_partition_validation():
-    with pytest.raises(DtnError):
+    with pytest.raises(FemError):
         BoundaryPartition(np.array([1, 1, 1], dtype=np.int8))
-    with pytest.raises(DtnError):
+    with pytest.raises(FemError):
         BoundaryPartition(np.array([0, 5], dtype=np.int8))
-    with pytest.raises(DtnError):
+    with pytest.raises(FemError):
         BoundaryPartition.from_arcs(8, [(0, 4, "steklov")])
 
 
 def test_partition_rejects_unknown_role_name():
-    with pytest.raises(DtnError, match="stekloff"):
+    with pytest.raises(FemError, match="stekloff"):
         BoundaryPartition.from_arcs(10, [(0, 10, "stekloff")])
 
 
@@ -259,13 +258,25 @@ def test_partition_rejects_unknown_role_name():
 )
 def test_partition_rejects_arc_outside_loop(arcs):
     # each of these covered all 10 nodes by wrapping indices modulo 10
-    with pytest.raises(DtnError, match="outside"):
+    with pytest.raises(FemError, match="outside"):
         BoundaryPartition.from_arcs(10, arcs)
 
 
 def test_partition_wrapping_arc():
     part = BoundaryPartition.from_arcs(8, [(6, 2, "dirichlet_zero"), (2, 6, "steklov")])
     assert part.roles.tolist() == [1, 1, 0, 0, 0, 0, 1, 1]
+
+
+def test_unknown_role_code_cannot_reach_the_factor(disk_matrices):
+    """A node with a code other than the three roles would be neither data nor
+    unknown, held at 0 unseen. The factor takes roles only as a partition,
+    which rejects the code."""
+    roles = np.zeros(disk_matrices.n_boundary, dtype=np.int8)
+    roles[:5] = 7
+    with pytest.raises(FemError, match="unknown boundary role"):
+        BoundaryPartition(roles)
+    with pytest.raises(TypeError):
+        factor_interior(disk_matrices, 1.0, roles)
 
 
 def test_eigensolve_count_bounds(disk_solution):

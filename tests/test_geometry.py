@@ -33,19 +33,19 @@ def test_disk_metrics_exact():
 
 def test_regular_pentagon_angles():
     d = build_domain(RegularPolygonSpec(5))
-    assert np.allclose(d.angle_sequence(), 3 * PI / 5, atol=1e-12)
+    assert np.allclose(d.angles, 3 * PI / 5, atol=1e-12)
 
 
 def test_triangle_third_angle():
     d = build_domain(TriangleSpec(side=2, angle1=PI / 12, angle2=PI / 3))
-    angles = np.sort(d.angle_sequence())
+    angles = np.sort(d.angles)
     assert np.allclose(angles, [PI / 12, PI / 3, 7 * PI / 12], atol=1e-12)
 
 
 def test_koch_generation_one_structure():
     d = build_domain(KochSpec(generation=1, side=2.0))
     assert len(d.vertices) == 12
-    angles = d.angle_sequence()
+    angles = d.angles
     sharp = np.isclose(angles, PI / 3, atol=1e-9).sum()
     reflex = np.isclose(angles, 4 * PI / 3, atol=1e-9).sum()
     assert sharp == 6
@@ -65,35 +65,33 @@ def test_koch_perimeter_and_segment_count(g):
 def test_koch_sharp_corner_count_follows_generation():
     for g in (1, 2):
         d = build_domain(KochSpec(generation=g, side=2.0))
-        sharp = np.isclose(d.angle_sequence(), PI / 3, atol=1e-9).sum()
+        sharp = np.isclose(d.angles, PI / 3, atol=1e-9).sum()
         assert sharp == 2 + 4**g
 
 
 def test_square_angle_sequence():
     d = build_domain(RectangleSpec(2.0, 2.0))
-    assert np.allclose(d.angle_sequence(), PI / 2, atol=1e-12)
+    assert np.allclose(d.angles, PI / 2, atol=1e-12)
 
 
 def test_polygon_angles_sum():
     for spec in (RegularPolygonSpec(7), KochSpec(1), TriangleSpec()):
         d = build_domain(spec)
         n = len(d.vertices)
-        assert abs(d.angle_sequence().sum() - (n - 2) * PI) < 1e-9
+        assert abs(d.angles.sum() - (n - 2) * PI) < 1e-9
 
 
 def test_reflex_octagon_realizes_target_angles():
     d = build_domain(PolygonSpec(vertices=tuple(map(tuple, reflex_octagon_vertices()))))
-    angles = np.sort(d.angle_sequence())
+    angles = np.sort(d.angles)
     target = np.sort(
         [PI / 12, PI / 12, PI / 4, PI / 4, 1.9064, 1.5 * PI - 1.9064, 23 * PI / 12, 23 * PI / 12]
     )
     assert np.allclose(angles, target, atol=1e-7)
 
 
-def test_angle_sequence_rejects_smooth():
-    d = build_domain(DiskSpec())
-    with pytest.raises(GeometryError):
-        d.angle_sequence()
+def test_smooth_domain_has_no_angles():
+    assert build_domain(DiskSpec()).angles is None
 
 
 def test_distance_disk_center():

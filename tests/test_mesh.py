@@ -116,6 +116,33 @@ def test_import_rejects_boundary_edge_off_triangle(tmp_path):
         import_mesh(path)
 
 
+def _interior_triangle(msh):
+    """Index of a triangle with all three vertices interior."""
+    return int(np.flatnonzero((msh.triangles < msh.n_interior).all(axis=1))[0])
+
+
+def test_import_rejects_a_hole(tmp_path, disk_domain):
+    """A mesh with one interior triangle removed is the mesh of a domain with
+    a hole, whose edges are single-triangle edges but no boundary edges."""
+    msh = generate_mesh(disk_domain, 0.2)
+    holed = replace(msh, triangles=np.delete(msh.triangles, _interior_triangle(msh), axis=0))
+    assert "3 single-triangle edges are not declared boundary edges" in validate_mesh(holed).violations
+    path = tmp_path / "hole.mesh"
+    export_mesh(holed, path)
+    with pytest.raises(MeshError, match="single-triangle edges"):
+        import_mesh(path)
+
+
+def test_import_rejects_a_non_manifold_edge(tmp_path, disk_domain):
+    msh = generate_mesh(disk_domain, 0.2)
+    extra = msh.triangles[[_interior_triangle(msh)]]
+    doubled = replace(msh, triangles=np.vstack([msh.triangles, extra]))
+    path = tmp_path / "non_manifold.mesh"
+    export_mesh(doubled, path)
+    with pytest.raises(MeshError, match="incidence count other than 1 or 2"):
+        import_mesh(path)
+
+
 def test_import_rejects_malformed_header(tmp_path):
     path = tmp_path / "garbage.mesh"
     path.write_text("vertices 3 4\n")
