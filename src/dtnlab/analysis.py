@@ -11,15 +11,17 @@ import numpy as np
 
 from .geometry import Domain
 from .mesh import Mesh
-from .fem import BoundaryPartition, FemMatrices
+from .fem import FemMatrices
 from .dtn import Spectrum, numerical_groups
 from .pipeline import solve
-from .conjecture import effective_angle_sequence
 
 
 # relative gap under which neighbouring eigenvalues count as one multiplet
 # (``numerical_groups``)
 GROUP_TOL = 1e-3
+
+# |A_k| at or below this counts as cancelled by symmetry (``symmetry_audit``)
+CANCEL_TOL = 1e-3
 
 
 class AnalysisError(RuntimeError):
@@ -57,22 +59,13 @@ def ak_via_volume(spectrum: Spectrum, matrices: FemMatrices) -> np.ndarray:
     return p * vol / (spectrum.eigenvalues * math.sqrt(measure))
 
 
-@dataclass
-class SymmetryAudit:
-    survivors: list[int]
-    cancelled: list[int]
+def symmetry_audit(ak: np.ndarray) -> list[int]:
+    """Indices of the coefficients that survive symmetry cancellation,
+    |A_k| > ``CANCEL_TOL``."""
+    return np.flatnonzero(np.abs(np.asarray(ak)) > CANCEL_TOL).tolist()
 
 
-def symmetry_audit(ak: np.ndarray, threshold: float = 1e-3) -> SymmetryAudit:
-    """Split coefficient indices into survivors (|A_k| > threshold) and the
-    symmetry-cancelled rest."""
-    mags = np.abs(np.asarray(ak))
-    surv = np.flatnonzero(mags > threshold)
-    gone = np.flatnonzero(mags <= threshold)
-    return SymmetryAudit(surv.tolist(), gone.tolist())
-
-
-def last_group_complete(spectrum: Spectrum, group_tol: float) -> bool:
+def last_group_complete(spectrum: Spectrum) -> bool:
     """Whether the window's last numerical group is known to be complete.
 
     It is when the spectrum's guard (the first eigenvalue past the window)
@@ -84,20 +77,18 @@ def last_group_complete(spectrum: Spectrum, group_tol: float) -> bool:
         return False
     if math.isinf(guard):
         return True
-    groups = numerical_groups(np.append(spectrum.eigenvalues, guard), group_tol)
+    groups = numerical_groups(np.append(spectrum.eigenvalues, guard), GROUP_TOL)
     return groups[-1] == [spectrum.count]
 
 
-def _complete_groups(spectrum: Spectrum, group_tol: float) -> list[list[int]]:
+def _complete_groups(spectrum: Spectrum) -> list[list[int]]:
     """``numerical_groups`` of the window, less a last group that
     ``last_group_complete`` cannot vouch for."""
-    groups = numerical_groups(spectrum.eigenvalues, group_tol)
-    return groups if last_group_complete(spectrum, group_tol) else groups[:-1]
+    groups = numerical_groups(spectrum.eigenvalues, GROUP_TOL)
+    return groups if last_group_complete(spectrum) else groups[:-1]
 
 
-def concentrate_degenerate_ak(
-    spectrum: Spectrum, matrices: FemMatrices, group_tol: float = GROUP_TOL
-) -> np.ndarray:
+def concentrate_degenerate_ak(spectrum: Spectrum, matrices: FemMatrices) -> np.ndarray:
     """Boundary-integral coefficients with each numerically degenerate group
     rotated so its weight sits on a single member.
 
@@ -111,7 +102,7 @@ def concentrate_degenerate_ak(
     coefficients are returned unrotated."""
     ak = ak_coefficients(spectrum, matrices)
     out = ak.copy()
-    for group in _complete_groups(spectrum, group_tol):
+    for group in _complete_groups(spectrum):
         if len(group) > 1:
             weight = float(np.sqrt(np.sum(ak[group] ** 2)))
             out[group] = 0.0
@@ -119,13 +110,7 @@ def concentrate_degenerate_ak(
     return out
 
 
-def bk_group_max(
-    spectrum: Spectrum,
-    k: int,
-    mesh: Mesh,
-    domain: Domain,
-    group_tol: float = GROUP_TOL,
-) -> float:
+def bk_group_max(spectrum: Spectrum, k: int, mesh: Mesh, domain: Domain) -> float:
     """Peak amplified value over all unit combinations within the numerically
     degenerate group containing mode k.
 
@@ -136,7 +121,7 @@ def bk_group_max(
     guard eigenvalue shows it is complete (``last_group_complete``); a group
     the window may have cut, or any such group of a spectrum without a guard,
     raises ``AnalysisError``."""
-    group = next((g for g in _complete_groups(spectrum, group_tol) if k in g), None)
+    group = next((g for g in _complete_groups(spectrum) if k in g), None)
     if group is None:
         raise AnalysisError(
             "the group containing this mode touches the end of the computed "
@@ -189,7 +174,6 @@ class RadialProfile:
     mu: float
     bin_centers: np.ndarray
     values: np.ndarray        # U_k per band: sqrt(|dOmega|) max |V_k|
-    half_width: float
 
 
 def uk_profile(
@@ -216,7 +200,6 @@ def uk_profile(
         mu=float(spectrum.eigenvalues[k]),
         bin_centers=centers,
         values=np.asarray(values),
-        half_width=w / 2,
     )
 
 
@@ -237,12 +220,13 @@ def match_branches(ref: Spectrum, other: Spectrum, matrices: FemMatrices) -> np.
     return out
 
 
+def default_dp(p: float) -> float:
+    """The central-difference step of ``norm_identities`` when none is given."""
+    return max(1e-3, 1e-2 * p)
+
+
 def norm_identities(
-    matrices: FemMatrices,
-    p: float,
-    count: int,
-    dp: float | None = None,
-    partition: BoundaryPartition | None = None,
+    matrices: FemMatrices, p: float, count: int, dp: float | None = None
 ) -> list[dict]:
     """Residuals of the three quadratic-form identities per mode:
 
@@ -251,14 +235,14 @@ def norm_identities(
     (c) V^T K V = mu - p d(mu)/dp.
     """
     if dp is None:
-        dp = max(1e-3, 1e-2 * p)
+        dp = default_dp(p)
     if p - dp < 0:
         raise AnalysisError("need p - dp >= 0 for the central difference")
 
     wide = min(count + 4, matrices.n_boundary)
-    spec0 = solve(matrices, p, count, partition, extensions=True)[1]
-    lo = solve(matrices, p - dp, wide, partition)[1]
-    hi = solve(matrices, p + dp, wide, partition)[1]
+    spec0 = solve(matrices, p, count, extensions=True)[1]
+    lo = solve(matrices, p - dp, wide)[1]
+    hi = solve(matrices, p + dp, wide)[1]
     i_lo = match_branches(spec0, lo, matrices)
     i_hi = match_branches(spec0, hi, matrices)
 
@@ -301,29 +285,14 @@ class PSweep:
     p_grid: np.ndarray
     eigenvalues: np.ndarray      # (len(grid), count), each row ascending
     small_p_slope: float         # area / perimeter
-    conjecture_c: np.ndarray | None  # per-k large-p prefactors for polygons
 
 
-def p_sweep(
-    domain: Domain,
-    matrices: FemMatrices,
-    p_grid,
-    count: int,
-    partition: BoundaryPartition | None = None,
-) -> PSweep:
+def p_sweep(domain: Domain, matrices: FemMatrices, p_grid, count: int) -> PSweep:
     """Spectra over an increasing pressure grid (sorted-index bookkeeping)."""
     p_grid = np.asarray(p_grid, dtype=float)
     if np.any(np.diff(p_grid) <= 0) or np.any(p_grid < 0):
         raise AnalysisError("pressure grid must be nonnegative and strictly increasing")
     rows = np.empty((len(p_grid), count))
     for i, p in enumerate(p_grid):
-        rows[i] = solve(matrices, p, count, partition)[1].eigenvalues
-    conj = None
-    if domain.is_polygon:
-        conj = effective_angle_sequence(domain.angles, count).coefficients
-    return PSweep(
-        p_grid=p_grid,
-        eigenvalues=rows,
-        small_p_slope=domain.area / domain.perimeter,
-        conjecture_c=conj,
-    )
+        rows[i] = solve(matrices, p, count)[1].eigenvalues
+    return PSweep(p_grid=p_grid, eigenvalues=rows, small_p_slope=domain.area / domain.perimeter)

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-_OVERFLOW_X = 700.0
-
 
 class AnalyticError(ValueError):
     pass
@@ -33,35 +31,14 @@ def bessel_i_scaled(n_max: int, x: float) -> np.ndarray:
     return special.ive(np.arange(n_max + 1), x)
 
 
-def _bessel_i_scaled_deriv(n: int, x: float) -> tuple[float, float]:
-    """(e^{-x} I_n(x), e^{-x} I_n'(x)), with I_n' = (I_{n-1} + I_{n+1})/2 and
-    I_{-1} = I_1."""
-    vals = bessel_i_scaled(n + 1, x)
-    i_prev = vals[1] if n == 0 else vals[n - 1]
-    return vals[n], 0.5 * (i_prev + vals[n + 1])
-
-
-def bessel_i(n: int, x: float) -> tuple[float, float]:
-    """(I_n(x), I_n'(x)) with relative error <= 1e-12.
-
-    Raises for x beyond the exp overflow threshold; use
-    :func:`bessel_i_scaled` there.
-    """
-    if x > _OVERFLOW_X:
-        raise AnalyticError(
-            f"I_n({x}) overflows double precision; use bessel_i_scaled"
-        )
-    i_n, deriv = _bessel_i_scaled_deriv(n, x)
-    scale = math.exp(x)
-    return i_n * scale, deriv * scale
-
-
 def bessel_ratio_deriv(n: int, x: float) -> float:
-    """I_n'(x) / I_n(x), overflow-free (scaled values cancel)."""
+    """I_n'(x) / I_n(x), with I_n' = (I_{n-1} + I_{n+1})/2 and I_{-1} = I_1;
+    overflow-free (the scaled values of ``bessel_i_scaled`` cancel)."""
     if x == 0.0:
         raise AnalyticError("ratio singular at x = 0 for n >= 1")
-    i_n, deriv = _bessel_i_scaled_deriv(n, x)
-    return deriv / i_n
+    vals = bessel_i_scaled(n + 1, x)
+    i_prev = vals[1] if n == 0 else vals[n - 1]
+    return 0.5 * (i_prev + vals[n + 1]) / vals[n]
 
 
 # ---------------------------------------------------------------------------

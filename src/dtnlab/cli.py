@@ -269,7 +269,7 @@ def cmd_ak(cfg: argparse.Namespace, rep: Reporter) -> None:
         for p in p_values:
             ak = analysis.ak_coefficients(solve(matrices, p, cfg.count)[1], matrices)
             rows.append((p, ak))
-            survivors[str(p)] = analysis.symmetry_audit(ak).survivors
+            survivors[str(p)] = analysis.symmetry_audit(ak)
     dtn.write_csv(
         rep.path("ak.csv"),
         ["p", "k", "abs_ak"],
@@ -282,32 +282,33 @@ def cmd_ak(cfg: argparse.Namespace, rep: Reporter) -> None:
 def cmd_localize(cfg: argparse.Namespace, rep: Reporter) -> None:
     from . import analysis
 
-    domain = geometry.build_domain(parse_domain(cfg.domain))
+    domain, msh, matrices = _mesh(cfg, rep)
+    if cfg.k >= msh.n_boundary:
+        raise CliError(f"k must be in 0..{msh.n_boundary - 1} on this mesh", EXIT_CONFIG)
     with rep.time("solve"):
-        res = solve_steklov(domain, cfg.h, cfg.p, cfg.k + 1, extensions=True)
-        spectrum = res.spectrum
+        op, spectrum = solve(matrices, cfg.p, cfg.k + 1, extensions=True)
         # max_B spans mode k's whole multiplet: while the window may cut it,
         # solve the pencil of the same factor again with twice the modes
         while (cfg.k in dtn.numerical_groups(spectrum.eigenvalues, analysis.GROUP_TOL)[-1]
-               and not analysis.last_group_complete(spectrum, analysis.GROUP_TOL)):
+               and not analysis.last_group_complete(spectrum)):
             count = min(2 * spectrum.count, len(spectrum.steklov_nodes))
-            spectrum = dtn.eigensolve(res.operator, count)
-            dtn.attach_extensions(spectrum, res.operator.factor)
+            spectrum = dtn.eigensolve(op, count)
+            dtn.attach_extensions(spectrum, op.factor)
     with rep.time("maps"):
-        loc = analysis.bk_map(spectrum, cfg.k, res.mesh, domain)
-        prof = analysis.uk_profile(spectrum, cfg.k, res.mesh, domain, cfg.bin_width)
-        max_b = analysis.bk_group_max(spectrum, cfg.k, res.mesh, domain)
+        loc = analysis.bk_map(spectrum, cfg.k, msh, domain)
+        prof = analysis.uk_profile(spectrum, cfg.k, msh, domain, cfg.bin_width)
+        max_b = analysis.bk_group_max(spectrum, cfg.k, msh, domain)
     dtn.write_csv(
         rep.path("bkmap.csv"),
         ["node", "x", "y", "dist", "V", "B"],
-        zip(range(res.mesh.n_nodes), *res.mesh.nodes.T, loc.distances, loc.values, loc.amplified),
+        zip(range(msh.n_nodes), *msh.nodes.T, loc.distances, loc.values, loc.amplified),
     )
     dtn.write_csv(
         rep.path("profile.csv"),
         ["k", "delta", "U"],
         ((prof.k, d, u) for d, u in zip(prof.bin_centers, prof.values)),
     )
-    rep.domain_metrics(domain, res.mesh)
+    rep.domain_metrics(domain, msh)
     rep.payload["k"] = cfg.k
     rep.payload["mu_k"] = loc.mu
     rep.payload["max_B"] = max_b
@@ -460,6 +461,14 @@ def _p_list(text: str) -> list[float]:
     return values
 
 
+def _norms_step_fits(cfg: argparse.Namespace) -> bool:
+    """Whether the central difference of ``norms`` stays at p >= 0; the
+    default step is ``analysis.default_dp`` (analysis loads with norms only)."""
+    from .analysis import default_dp
+
+    return cfg.p - (default_dp(cfg.p) if cfg.dp is None else cfg.dp) >= 0
+
+
 # setting -> (flag, argparse keywords, default): the one table of settings
 _FLAGS = {
     "domain": ("--domain", dict(help="shape, e.g. disk:R=1 or rect:b1=1,b2=2"), None),
@@ -495,6 +504,7 @@ _CHECKS = (
     ("m", lambda c: c.m >= 1, "m must be >= 1"),
     ("q", lambda c: c.q > 0, "q must be positive"),
     ("dp", lambda c: c.dp is None or c.dp > 0, "dp must be positive"),
+    ("dp", _norms_step_fits, "the central difference in p needs p - dp >= 0"),
     ("bin_width", lambda c: c.bin_width is None or c.bin_width > 0, "bin-width must be positive"),
 )
 

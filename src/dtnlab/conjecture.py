@@ -16,6 +16,9 @@ from .geometry import Domain
 
 _TIE_TOL = 1e-9  # radians; inputs mix exact multiples of pi with 4-decimal values
 
+# |c_conjecture - c_numeric| above this flags a row of a ``ConjectureReport``
+FLAG_TOL = 1e-2
+
 
 class ConjectureError(ValueError):
     pass
@@ -63,13 +66,6 @@ def effective_angle_sequence(angles, steps: int) -> EffectiveAngleTrace:
     return EffectiveAngleTrace(seqs, chosen, coeff)
 
 
-def extract_ck(eigenvalues, p: float) -> np.ndarray:
-    """Measured prefactors mu_k / sqrt(p) at a large fixed p."""
-    if p <= 0:
-        raise ConjectureError("p must be positive to extract prefactors")
-    return np.asarray(eigenvalues, dtype=float) / math.sqrt(p)
-
-
 @dataclass
 class ConjectureRow:
     k: int
@@ -84,10 +80,9 @@ class ConjectureRow:
 @dataclass
 class ConjectureReport:
     rows: list[ConjectureRow]
-    tolerance: float
 
     def flagged(self) -> list[ConjectureRow]:
-        return [r for r in self.rows if r.abs_diff > self.tolerance]
+        return [r for r in self.rows if r.abs_diff > FLAG_TOL]
 
     def max_abs_diff(self) -> float:
         return max(r.abs_diff for r in self.rows)
@@ -95,23 +90,24 @@ class ConjectureReport:
     def format_table(self) -> str:
         lines = [f"{'k':>3} {'c_conj':>10} {'c_num':>10} {'|diff|':>10} flag"]
         for r in self.rows:
-            flag = "  *" if r.abs_diff > self.tolerance else ""
+            flag = "  *" if r.abs_diff > FLAG_TOL else ""
             lines.append(
                 f"{r.k:>3} {r.c_conjecture:>10.4f} {r.c_numeric:>10.4f} {r.abs_diff:>10.4f}{flag}"
             )
         return "\n".join(lines)
 
 
-def compare_conjecture(
-    domain: Domain, p: float, eigenvalues, tolerance: float = 1e-2
-) -> ConjectureReport:
-    """Conjectured vs measured prefactors for a polygonal domain, from its
-    lowest ``eigenvalues`` at pressure ``p``; one row per eigenvalue."""
+def compare_conjecture(domain: Domain, p: float, eigenvalues) -> ConjectureReport:
+    """Conjectured vs measured prefactors mu_k / sqrt(p) for a polygonal
+    domain, from its lowest ``eigenvalues`` at a large pressure ``p``; one row
+    per eigenvalue."""
     if not domain.is_polygon:
         raise ConjectureError("conjecture comparison needs a polygonal domain")
+    if p <= 0:
+        raise ConjectureError("p must be positive to extract prefactors")
     count = len(eigenvalues)
     trace = effective_angle_sequence(domain.angles, count)
-    numeric = extract_ck(eigenvalues, p)
+    numeric = np.asarray(eigenvalues, dtype=float) / math.sqrt(p)
     rows = [
         ConjectureRow(
             k=k,
@@ -120,4 +116,4 @@ def compare_conjecture(
         )
         for k in range(count)
     ]
-    return ConjectureReport(rows=rows, tolerance=tolerance)
+    return ConjectureReport(rows=rows)

@@ -21,6 +21,11 @@ from scipy.linalg import eigh
 from .fem import InteriorFactor, solve_dirichlet
 
 
+# relative distance within which a computed eigenvalue pairs with an analytic
+# multiplet (``eigenfunction_rmse``)
+PAIRING_TOL = 0.05
+
+
 class DtnError(RuntimeError):
     pass
 
@@ -89,6 +94,13 @@ def _fix_signs(vectors: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return vectors
 
 
+def _check_count(count: int, n_s: int) -> None:
+    """The bound on a requested mode count over ``n_s`` data nodes, shared by
+    both routes to the spectrum."""
+    if count < 1 or count > n_s:
+        raise DtnError(f"count must be in 1..{n_s}")
+
+
 def eigensolve(op: DtnOperator, count: int) -> Spectrum:
     """Lowest ``count`` eigenpairs of S v = mu M_b v, M_b-orthonormalized.
 
@@ -96,8 +108,7 @@ def eigensolve(op: DtnOperator, count: int) -> Spectrum:
     can tell whether the last multiplet of the window is complete."""
     fac = op.factor
     n_s = len(fac.data_nodes)
-    if count < 1 or count > n_s:
-        raise DtnError(f"count must be in 1..{n_s}")
+    _check_count(count, n_s)
     n = min(count + 1, n_s)
     mb = fac.boundary_mass_s.toarray()
     try:
@@ -121,13 +132,7 @@ def attach_extensions(spectrum: Spectrum, factor: InteriorFactor) -> Spectrum:
     return spectrum
 
 
-def eigenfunction_rmse(
-    spectrum: Spectrum,
-    oracle,
-    boundary_points: np.ndarray,
-    count: int | None = None,
-    pairing_tol: float = 0.05,
-) -> np.ndarray:
+def eigenfunction_rmse(spectrum: Spectrum, oracle, boundary_points: np.ndarray) -> np.ndarray:
     """Per-mode boundary RMSE against an analytic oracle.
 
     Each numeric eigenvector is aligned by least squares to the analytic
@@ -135,7 +140,7 @@ def eigenfunction_rmse(
     projecting onto the whole multiplet), then compared node by node:
     sqrt(mean((numeric - aligned)^2)).
     """
-    count = spectrum.count if count is None else count
+    count = spectrum.count
     mus = oracle.eigenvalues(count + 4)
     traces = oracle.trace_matrix(boundary_points, count + 4)
     clusters = numerical_groups(mus, 1e-6)  # analytic multiplets
@@ -145,7 +150,7 @@ def eigenfunction_rmse(
     for k in range(count):
         mu_k = spectrum.eigenvalues[k]
         j = int(np.argmin(np.abs(centers - mu_k)))
-        if abs(centers[j] - mu_k) > pairing_tol * max(1.0, abs(mu_k)):
+        if abs(centers[j] - mu_k) > PAIRING_TOL * max(1.0, abs(mu_k)):
             raise DtnError(
                 f"eigenvalue {mu_k:.6g} (k={k}) matches no analytic multiplet "
                 f"(closest {centers[j]:.6g})"
@@ -191,10 +196,3 @@ def write_node_vector(values: np.ndarray, path) -> None:
     with open(path, "w") as f:
         for v in values:
             f.write(f"{v:.17g}\n")
-
-
-def embed_boundary_vector(spectrum: Spectrum, k: int) -> np.ndarray:
-    """Boundary eigenvector placed at its global node indices, zeros elsewhere."""
-    out = np.zeros(spectrum.n_nodes)
-    out[spectrum.steklov_nodes] = spectrum.vectors[:, k]
-    return out

@@ -207,6 +207,10 @@ def points_in_polygon(vertices: np.ndarray, points: np.ndarray) -> np.ndarray:
 # host 20-degree triangles (the mesher exempts them from its angle floor)
 SHARP_ANGLE = math.radians(40.0)
 
+# the largest spacing of the polyline that stands in for a smooth boundary in
+# distance queries; the mesher's check of boundary nodes allows its square
+POLYLINE_SPACING = 1e-3
+
 
 def _edge_subdivision(length: float, spacing: float, ang0: float, ang1: float) -> np.ndarray:
     """Node positions along one polygon edge, in [0, length), endpoint included.
@@ -480,7 +484,7 @@ def _smooth_domain(
         parametrization=lambda th: param(np.atleast_1d(np.asarray(th, dtype=float))),
         _contains_fn=contains_fn,
     )
-    _attach_smooth_caches(dom, min(1e-3, perimeter / 4096))
+    _attach_smooth_caches(dom, min(POLYLINE_SPACING, perimeter / 4096))
     return dom
 
 

@@ -15,7 +15,7 @@ from scipy import sparse
 from scipy.sparse.linalg import eigsh
 
 from .fem import FemMatrices
-from .dtn import Spectrum, _fix_signs
+from .dtn import Spectrum, _check_count, _fix_signs
 
 
 class GreensError(RuntimeError):
@@ -27,10 +27,6 @@ class RobinEigenbasis:
     q: float
     eigenvalues: np.ndarray   # (m,) ascending
     modes: np.ndarray         # (n_nodes, m), M-orthonormal columns
-
-    @property
-    def truncation(self) -> int:
-        return len(self.eigenvalues)
 
 
 def boundary_mass_embedded(matrices: FemMatrices) -> sparse.csr_matrix:
@@ -115,9 +111,11 @@ def dtn_spectrum_via_green(
 
     The kernel matrix is symmetrized with the quadrature weights, so eta and
     the recovered eigenvectors stay real; mu = sqrt(1/eta + q^2/4) - q/2.
+    ``count`` is bounded by the boundary nodes as in ``dtn.eigensolve``.
     """
     if q <= 0:
         raise GreensError("kernel regularization needs q > 0")
+    _check_count(count, matrices.n_boundary)
     if basis0 is None:
         basis0 = robin_eigenbasis(matrices, 0.0, m)
     if basis_q is None:
@@ -190,8 +188,6 @@ def kernel_consistency_report(
     return {
         "max_abs_deviation": float(np.abs(kernel - recon).max()),
         "kernel_scale": float(np.abs(kernel).max()),
-        "modes_fem": fem_spectrum.count,
-        "modes_green": basis0.truncation,
         "dtn_tail_cut": float(1.0 / (tail * (tail + q))),
         "robin_tail_cut": float(1.0 / (p + basis0.eigenvalues[-1])),
     }

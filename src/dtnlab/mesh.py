@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import Delaunay, cKDTree
 
-from .geometry import SHARP_ANGLE, Domain
+from .geometry import POLYLINE_SPACING, SHARP_ANGLE, Domain
 
 MIN_ANGLE_DEG = 20.0
 # an edge stays Delaunay unless the opposite vertex is inside the circumcircle
@@ -452,7 +452,7 @@ def generate_mesh(domain: Domain, h: float) -> Mesh:
         raise MeshError(f"h={h} too large to resolve the domain")
 
     # a finer polyline for distance queries on smooth boundaries, on a copy
-    domain = domain.refined(min(h / 2, 1e-3))
+    domain = domain.refined(min(h / 2, POLYLINE_SPACING))
     scale = 1.0
     last_problems: list[str] = []
     for attempt in range(1, 5):
@@ -544,7 +544,7 @@ def validate_mesh(mesh: Mesh, domain: Domain | None = None) -> MeshReport:
 
     if domain is not None:
         bnodes = mesh.nodes[mesh.boundary_indices]
-        tol = 1e-9 if domain.is_polygon else max(1e-9, (1e-3) ** 2)
+        tol = 1e-9 if domain.is_polygon else max(1e-9, POLYLINE_SPACING ** 2)
         d = domain.distance_to_boundary(bnodes, upper=tol)
         n_off = int((d > tol).sum())
         if n_off:

@@ -23,12 +23,12 @@ def solve_steklov(
     h: float,
     p: float,
     count: int,
-    partition: BoundaryPartition | None = None,
     extensions: bool = False,
     mesh: Mesh | None = None,
     matrices: FemMatrices | None = None,
 ) -> SolveResult:
-    """Full pipeline for one (domain, h, p) combination.
+    """Full pipeline for one (domain, h, p) combination, every boundary node
+    spectral; a mixed partition goes to :func:`solve`.
 
     ``mesh``/``matrices`` can be passed in to reuse across several p values.
     """
@@ -37,7 +37,7 @@ def solve_steklov(
         mesh = generate_mesh(domain, h)
     if matrices is None:
         matrices = assemble(mesh)
-    op, spectrum = solve(matrices, p, count, partition, extensions)
+    op, spectrum = solve(matrices, p, count, extensions=extensions)
     return SolveResult(domain, mesh, matrices, op, spectrum)
 
 

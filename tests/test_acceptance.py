@@ -201,11 +201,11 @@ def test_criterion_9_square_symmetry(square_mesh_fine):
         # coefficients within numerically degenerate multiplets are defined
         # only up to rotation; concentrate each group before classifying
         ak = analysis.concentrate_degenerate_ak(res.spectrum, mats)[:21]
-        audit = analysis.symmetry_audit(ak, 1e-3)
-        extra = set(audit.survivors) - {0, 5, 15}
-        others = np.delete(np.abs(ak), audit.survivors)
+        survivors = analysis.symmetry_audit(ak)
+        extra = set(survivors) - {0, 5, 15}
+        others = np.delete(np.abs(ak), survivors)
         ok &= not extra and others.max() <= 1e-3
-        details.append(f"p={p}: survivors={audit.survivors}")
+        details.append(f"p={p}: survivors={survivors}")
     report(9, ok, "square survivors subset of {0,5,15}, others <= 1e-3: " + "; ".join(details))
 
 
@@ -260,7 +260,7 @@ def test_criterion_9_ellipse_symmetry():
     for p in (0.1, 1.0, 10.0):
         res = solve_steklov(domain, 0.015, p, 13, mesh=msh, matrices=mats)
         ak = analysis.concentrate_degenerate_ak(res.spectrum, mats)
-        audit = analysis.symmetry_audit(ak, 1e-3)
+        survivors = analysis.symmetry_audit(ak)
         parity = _reflection_parities(res.spectrum, msh.nodes)
         parity_dev = float(np.abs(np.abs(parity) - 1.0).max())
         even_even = np.flatnonzero((parity > 0).all(axis=0)).tolist()
@@ -268,11 +268,11 @@ def test_criterion_9_ellipse_symmetry():
         ok &= (
             parity_dev <= 1e-2
             and even_even == expected[p]
-            and set(audit.survivors) <= set(even_even)
+            and set(survivors) <= set(even_even)
             and off_class <= 1e-3
         )
         details.append(
-            f"p={p}: even-even={even_even}, survivors={audit.survivors}, "
+            f"p={p}: even-even={even_even}, survivors={survivors}, "
             f"max |A_k| off class {off_class:.1e}, parity deviation {parity_dev:.0e}"
         )
     report(

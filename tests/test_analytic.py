@@ -11,7 +11,6 @@ from dtnlab.analytic import (
     AxisFactor,
     DiskOracle,
     RectangleOracle,
-    bessel_i,
     bessel_i_scaled,
     bessel_ratio_deriv,
     disk_spectrum,
@@ -33,23 +32,20 @@ RECT_1x2_P1_FIRST11 = [0.3105, 0.7511, 1.6451, 1.7342, 2.2304,
 # ---------------------------------------------------------------------------
 
 def test_bessel_at_zero():
-    assert bessel_i(0, 0.0) == (1.0, 0.0)
-    for n in (1, 2, 7):
-        val, deriv = bessel_i(n, 0.0)
-        assert val == 0.0
-        assert deriv == (0.5 if n == 1 else 0.0)
+    assert bessel_i_scaled(7, 0.0).tolist() == [1.0] + [0.0] * 7
+    with pytest.raises(AnalyticError):
+        bessel_ratio_deriv(1, 0.0)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 10, 20, 30])
 @pytest.mark.parametrize("x", [1e-3, 0.1, 1.0, 5.0, 11.9, 12.1, 50.0, 200.0, 600.0])
 def test_bessel_against_mpmath(n, x):
-    val, deriv = bessel_i(n, x)
-    ref = float(mpmath.besseli(n, x))
-    ref_d = float(mpmath.besseli(n - 1, x) + mpmath.besseli(n + 1, x)) / 2 if n else float(
-        mpmath.besseli(1, x)
-    )
-    assert abs(val - ref) <= 1e-12 * abs(ref)
-    assert abs(deriv - ref_d) <= 1e-12 * abs(ref_d)
+    ref = mpmath.besseli(n, x)
+    ref_d = (mpmath.besseli(n - 1, x) + mpmath.besseli(n + 1, x)) / 2
+    scaled = float(ref * mpmath.exp(-x))
+    ratio = float(ref_d / ref)
+    assert abs(bessel_i_scaled(n, x)[n] - scaled) <= 1e-12 * abs(scaled)
+    assert abs(bessel_ratio_deriv(n, x) - ratio) <= 1e-12 * abs(ratio)
 
 
 @pytest.mark.parametrize("x", [800.0, 1000.0])
@@ -60,23 +56,17 @@ def test_bessel_scaled_beyond_overflow(x):
         assert abs(vals[n] - ref) <= 1e-12 * abs(ref)
 
 
-def test_bessel_overflow_guard():
-    with pytest.raises(AnalyticError):
-        bessel_i(0, 720.0)
-
-
 def test_ratio_values_from_tables():
-    assert abs(bessel_i(1, 1.0)[0] / bessel_i(0, 1.0)[0] - 0.4464) < 5e-5
-    i1, i1p = bessel_i(1, 1.0)
-    assert abs(i1p / i1 - 1.2402) < 5e-5
+    # the unit disk's mu_0 and mu_1 at p = 1: I_0'/I_0 = I_1/I_0 and I_1'/I_1 at 1
+    assert abs(bessel_ratio_deriv(0, 1.0) - 0.4464) < 5e-5
+    assert abs(bessel_ratio_deriv(1, 1.0) - 1.2402) < 5e-5
 
 
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(0, 10), x=st.floats(0.05, 30.0))
 def test_wronskian_type_sign(n, x):
-    in_, inp = bessel_i(n, x)
-    in1, in1p = bessel_i(n + 1, x)
-    assert in_ * in1p - inp * in1 > 0.0
+    # I_n I_{n+1}' - I_n' I_{n+1} > 0, divided by I_n I_{n+1} > 0
+    assert bessel_ratio_deriv(n + 1, x) > bessel_ratio_deriv(n, x)
 
 
 # ---------------------------------------------------------------------------

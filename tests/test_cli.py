@@ -132,11 +132,30 @@ def test_localize_max_b_spans_a_cut_multiplet(tmp_path):
 
     domain = geometry.build_domain(geometry.RectangleSpec(2.0, 2.0))
     cut = pipeline.solve_steklov(domain, 0.2, 0.0, 2, extensions=True)
-    assert not analysis.last_group_complete(cut.spectrum, analysis.GROUP_TOL)
+    assert not analysis.last_group_complete(cut.spectrum)
     wide = pipeline.solve(cut.matrices, 0.0, 6, extensions=True)[1]
     assert max_b == pytest.approx(analysis.bk_group_max(wide, 1, cut.mesh, domain), rel=1e-9)
     single = analysis.bk_map(cut.spectrum, 1, cut.mesh, domain).amplified.max()
     assert max_b > single * 1.1
+
+
+def test_localize_k_past_the_spectrum_exits_2_before_factoring(tmp_path, capsys):
+    """k has no upper flag bound: the mesh sets it (32 boundary nodes on the
+    disk at h = 0.3), so the check follows meshing and precedes the factor."""
+    factored = []
+
+    def counting_factor(*args, **kwargs):
+        factored.append(args[1])
+        return fem.factor_interior(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "factor_interior", counting_factor)
+        rc = run_cli("localize", "--domain", "disk:R=1", "--h", "0.3", "--k", "500",
+                     "--out", str(tmp_path))
+    assert rc == 2
+    assert factored == []
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "k must be in 0..31 on this mesh"
 
 
 def test_norms_command(tmp_path):
@@ -154,6 +173,16 @@ def test_green_solve_command(tmp_path):
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["method"] == "green"
     assert abs(report["eigenvalues"][0] - 0.4464) < 1e-2
+
+
+def test_green_solve_count_past_boundary_exits_2(tmp_path, capsys):
+    """Both routes bound count by the boundary nodes (32 on the disk at
+    h = 0.3) and exit 2 past it, as ``solve`` does."""
+    rc = run_cli("green-solve", "--domain", "disk:R=1", "--h", "0.3", "--m", "93",
+                 "--count", "40", "--out", str(tmp_path))
+    assert rc == 2
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "count must be in 1..32"
+    assert not (tmp_path / "eigenvalues.csv").exists()
 
 
 def test_ck_command(tmp_path):
@@ -343,6 +372,8 @@ def test_bad_sweep_grid_exits_2(tmp_path, capsys, grid):
         ["norms", "--p", "0.3", "--dp", "-0.5"],
         ["green-solve", "--m", "0"],
         ["green-solve", "--q", "0"],
+        ["norms", "--p", "0.3", "--dp", "0.5"],
+        ["norms", "--p", "0"],
     ],
 )
 def test_out_of_range_setting_exits_2_before_meshing(tmp_path, capsys, monkeypatch, command):

@@ -9,7 +9,6 @@ from dtnlab.conjecture import (
     ConjectureError,
     compare_conjecture,
     effective_angle_sequence,
-    extract_ck,
 )
 from dtnlab.dtn import write_csv
 
@@ -98,12 +97,13 @@ def test_input_validation():
     with pytest.raises(ConjectureError):
         effective_angle_sequence([0.0, 1.0], 2)
     with pytest.raises(ConjectureError):
-        extract_ck([1.0], 0.0)
+        compare_conjecture(geometry.build_domain(geometry.RegularPolygonSpec(4)), 0.0, [1.0])
 
 
-def test_extract_ck_values():
-    ck = extract_ck(np.array([5.0, 10.0]), 100.0)
-    assert np.allclose(ck, [0.5, 1.0])
+def test_compare_conjecture_numeric_prefactors():
+    dom = geometry.build_domain(geometry.RegularPolygonSpec(4))
+    report = compare_conjecture(dom, 100.0, np.array([5.0, 10.0]))
+    assert np.allclose([r.c_numeric for r in report.rows], [0.5, 1.0])
 
 
 def test_compare_conjecture_with_stub_solver():
@@ -116,7 +116,7 @@ def test_compare_conjecture_with_stub_solver():
     assert not report.flagged()
 
     off = (trace.coefficients + 0.05) * math.sqrt(1e3)
-    report2 = compare_conjecture(dom, 1e3, off, tolerance=1e-2)
+    report2 = compare_conjecture(dom, 1e3, off)
     assert len(report2.flagged()) == 7
     assert "*" in report2.format_table()
 

@@ -9,14 +9,13 @@ from dtnlab.dtn import (
     build_dtn,
     eigenfunction_rmse,
     eigensolve,
-    embed_boundary_vector,
     write_csv,
     write_node_vector,
 )
 from dtnlab import fem
 from dtnlab.fem import BoundaryPartition, FemError, assemble, factor_interior, solve_dirichlet
 from dtnlab.mesh import Mesh, generate_mesh
-from dtnlab.pipeline import solve_steklov
+from dtnlab.pipeline import solve, solve_steklov
 
 from conftest import four_triangle_square
 
@@ -218,18 +217,15 @@ def test_eigenvalues_monotone_in_p(square_domain, square_mesh, square_matrices):
 def test_mixed_dirichlet_lifts_kernel(disk_matrices):
     n = disk_matrices.n_boundary
     part = BoundaryPartition.from_arcs(n, [(0, n // 4, "dirichlet_zero"), (n // 4, n, "steklov")])
-    fac = factor_interior(disk_matrices, 0.0, part)
-    op = build_dtn(fac)
-    sp = eigensolve(op, 3)
+    sp = solve(disk_matrices, 0.0, 3, part)[1]
+    assert len(sp.steklov_nodes) == n - n // 4
     assert sp.eigenvalues[0] > 1e-3
 
 
 def test_mixed_neumann_keeps_constant_mode(disk_matrices):
     n = disk_matrices.n_boundary
     part = BoundaryPartition.from_arcs(n, [(0, n // 4, "neumann_zero"), (n // 4, n, "steklov")])
-    fac = factor_interior(disk_matrices, 0.0, part)
-    op = build_dtn(fac)
-    sp = eigensolve(op, 3)
+    sp = solve(disk_matrices, 0.0, 3, part)[1]
     assert abs(sp.eigenvalues[0]) < 1e-6  # constants still satisfy the Neumann condition
 
 
@@ -326,7 +322,9 @@ def test_spectrum_serialization(tmp_path, disk_solution):
     assert lines[0] == "k,mu"
     assert len(lines) == sp.count + 1
     vec = tmp_path / "v0.txt"
-    write_node_vector(embed_boundary_vector(sp, 0), vec)
+    v0 = np.zeros(sp.n_nodes)
+    v0[sp.steklov_nodes] = sp.vectors[:, 0]
+    write_node_vector(v0, vec)
     vals = np.loadtxt(vec)
     assert len(vals) == sp.n_nodes
     assert np.count_nonzero(vals) == len(sp.steklov_nodes)

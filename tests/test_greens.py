@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import jnp_zeros
 
-from dtnlab import analytic
+from dtnlab import analytic, greens
+from dtnlab.dtn import DtnError
 from dtnlab.greens import (
     GreensError,
     boundary_weights,
@@ -115,6 +116,20 @@ def test_insufficient_truncation_raises(disk_matrices):
 def test_q_must_be_positive(disk_matrices):
     with pytest.raises(GreensError):
         dtn_spectrum_via_green(disk_matrices, q=0.0, p=1.0, m=10, count=2)
+
+
+def test_count_bounded_like_the_schur_route(disk_matrices, monkeypatch):
+    """A count past the boundary nodes (or below 1) raises the Schur route's
+    DtnError before any basis or kernel is built, instead of returning fewer
+    pairs."""
+    def no_basis(*args, **kwargs):
+        raise AssertionError("built a basis before checking count")
+
+    monkeypatch.setattr(greens, "robin_eigenbasis", no_basis)
+    n_b = disk_matrices.n_boundary
+    for count in (0, n_b + 1):
+        with pytest.raises(DtnError, match=f"count must be in 1..{n_b}"):
+            dtn_spectrum_via_green(disk_matrices, q=1.0, p=1.0, m=10, count=count)
 
 
 def test_extend_via_green_disk_profile(disk_matrices, disk_mesh):
