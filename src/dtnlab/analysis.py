@@ -81,7 +81,7 @@ def last_group_complete(spectrum: Spectrum) -> bool:
     return groups[-1] == [spectrum.count]
 
 
-def _complete_groups(spectrum: Spectrum) -> list[list[int]]:
+def complete_groups(spectrum: Spectrum) -> list[list[int]]:
     """``numerical_groups`` of the window, less a last group that
     ``last_group_complete`` cannot vouch for."""
     groups = numerical_groups(spectrum.eigenvalues, GROUP_TOL)
@@ -102,7 +102,7 @@ def concentrate_degenerate_ak(spectrum: Spectrum, matrices: FemMatrices) -> np.n
     coefficients are returned unrotated."""
     ak = ak_coefficients(spectrum, matrices)
     out = ak.copy()
-    for group in _complete_groups(spectrum):
+    for group in complete_groups(spectrum):
         if len(group) > 1:
             weight = float(np.sqrt(np.sum(ak[group] ** 2)))
             out[group] = 0.0
@@ -121,7 +121,7 @@ def bk_group_max(spectrum: Spectrum, k: int, mesh: Mesh, domain: Domain) -> floa
     guard eigenvalue shows it is complete (``last_group_complete``); a group
     the window may have cut, or any such group of a spectrum without a guard,
     raises ``AnalysisError``."""
-    group = next((g for g in _complete_groups(spectrum) if k in g), None)
+    group = next((g for g in complete_groups(spectrum) if k in g), None)
     if group is None:
         raise AnalysisError(
             "the group containing this mode touches the end of the computed "

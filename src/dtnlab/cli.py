@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analytic, dtn, fem, geometry, mesh as meshmod
-from .pipeline import solve, solve_steklov
+from .pipeline import solve
 
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
@@ -106,14 +106,13 @@ class Reporter:
         yield
         self.timings[label] = self.timings.get(label, 0.0) + time.perf_counter() - start
 
-    def domain_metrics(self, domain: geometry.Domain, msh=None):
+    def domain_metrics(self, domain: geometry.Domain, msh: meshmod.Mesh):
         self.payload["domain"] = json.loads(geometry.spec_to_json(domain.spec))
         self.payload["area"] = domain.area
         self.payload["perimeter"] = domain.perimeter
-        if msh is not None:
-            self.payload["n_interior"] = msh.n_interior
-            self.payload["n_boundary"] = msh.n_boundary
-            self.payload["n_triangles"] = len(msh.triangles)
+        self.payload["n_interior"] = msh.n_interior
+        self.payload["n_boundary"] = msh.n_boundary
+        self.payload["n_triangles"] = len(msh.triangles)
 
     def finish(self) -> None:
         self.timings["total"] = time.perf_counter() - self._t0
@@ -125,11 +124,23 @@ class Reporter:
 # commands
 # ---------------------------------------------------------------------------
 
-def _mesh(cfg: argparse.Namespace, rep: Reporter):
-    """The command's domain, its mesh (timed as "mesh") and the assembled matrices."""
-    domain = geometry.build_domain(parse_domain(cfg.domain))
+def _mesh(cfg: argparse.Namespace, rep: Reporter, spec: geometry.DomainSpec | None = None):
+    """The command's domain (``spec``, else ``--domain``), its mesh (timed as
+    "mesh") and the assembled matrices.
+
+    The bounds the mesh sets on the command's settings (``count`` and
+    ``localize --k`` by the boundary nodes, ``green-solve --m`` by all nodes)
+    are checked before assembly, so a setting past them exits 2 at once."""
+    domain = geometry.build_domain(parse_domain(cfg.domain) if spec is None else spec)
     with rep.time("mesh"):
         msh = meshmod.generate_mesh(domain, cfg.h)
+    rep.domain_metrics(domain, msh)
+    if "count" in cfg:
+        dtn._check_count(cfg.count, msh.n_boundary)
+    if "k" in cfg and cfg.k >= msh.n_boundary:
+        raise CliError(f"k must be in 0..{msh.n_boundary - 1} on this mesh", EXIT_CONFIG)
+    if "m" in cfg and cfg.m > msh.n_nodes - 2:
+        raise CliError(f"m must be in 1..{msh.n_nodes - 2} on this mesh", EXIT_CONFIG)
     return domain, msh, fem.assemble(msh)
 
 
@@ -145,25 +156,22 @@ def cmd_mesh(cfg: argparse.Namespace, rep: Reporter) -> None:
 
 
 def cmd_solve(cfg: argparse.Namespace, rep: Reporter) -> None:
-    domain = geometry.build_domain(parse_domain(cfg.domain))
+    _, msh, matrices = _mesh(cfg, rep)
     with rep.time("solve"):
-        res = solve_steklov(domain, cfg.h, cfg.p, cfg.count, extensions=cfg.vectors)
-    rep.domain_metrics(domain, res.mesh)
-    dtn.write_csv(rep.path("eigenvalues.csv"), ["k", "mu"], enumerate(res.spectrum.eigenvalues))
-    meshmod.export_mesh(res.mesh, rep.path("mesh.txt"))
+        spectrum = solve(matrices, cfg.p, cfg.count, extensions=cfg.vectors)[1]
+    dtn.write_csv(rep.path("eigenvalues.csv"), ["k", "mu"], enumerate(spectrum.eigenvalues))
+    meshmod.export_mesh(msh, rep.path("mesh.txt"))
     if cfg.vectors:
-        for k in range(res.spectrum.count):
-            dtn.write_node_vector(
-                res.spectrum.extensions[:, k], rep.path(f"eigenvector_{k:03d}.txt")
-            )
-    rep.payload["eigenvalues"] = res.spectrum.eigenvalues
+        for k in range(spectrum.count):
+            dtn.write_node_vector(spectrum.extensions[:, k], rep.path(f"eigenvector_{k:03d}.txt"))
+    rep.payload["eigenvalues"] = spectrum.eigenvalues
     rep.payload["method"] = "fem"
 
 
 def cmd_green_solve(cfg: argparse.Namespace, rep: Reporter) -> None:
     from . import greens
 
-    domain, msh, matrices = _mesh(cfg, rep)
+    _, _, matrices = _mesh(cfg, rep)
     with rep.time("robin_bases"):
         basis0 = greens.robin_eigenbasis(matrices, 0.0, cfg.m)
         basis_q = greens.robin_eigenbasis(matrices, cfg.q, cfg.m)
@@ -171,7 +179,6 @@ def cmd_green_solve(cfg: argparse.Namespace, rep: Reporter) -> None:
         spec = greens.dtn_spectrum_via_green(
             matrices, cfg.q, cfg.p, cfg.m, cfg.count, basis0, basis_q
         )
-    rep.domain_metrics(domain, msh)
     dtn.write_csv(rep.path("eigenvalues.csv"), ["k", "mu"], enumerate(spec.eigenvalues))
     rep.payload["eigenvalues"] = spec.eigenvalues
     rep.payload["method"] = "green"
@@ -180,38 +187,34 @@ def cmd_green_solve(cfg: argparse.Namespace, rep: Reporter) -> None:
 
 
 def cmd_validate_disk(cfg: argparse.Namespace, rep: Reporter) -> None:
-    domain = geometry.build_domain(geometry.DiskSpec(radius=cfg.radius))
+    _, msh, matrices = _mesh(cfg, rep, geometry.DiskSpec(radius=cfg.radius))
     with rep.time("solve"):
-        res = solve_steklov(domain, cfg.h, cfg.p, cfg.count)
+        spectrum = solve(matrices, cfg.p, cfg.count)[1]
     oracle = analytic.DiskOracle(cfg.radius, cfg.p)
     exact = oracle.eigenvalues(cfg.count)
-    bpts = res.mesh.nodes[res.mesh.boundary_indices]
-    rmse = dtn.eigenfunction_rmse(res.spectrum, oracle, bpts)
-    mus = res.spectrum.eigenvalues
+    rmse = dtn.eigenfunction_rmse(spectrum, oracle, msh.nodes[msh.boundary_indices])
+    mus = spectrum.eigenvalues
     dtn.write_csv(
         rep.path("validation.csv"),
         ["k", "exact", "fem", "abs_err", "rmse"],
         zip(range(cfg.count), exact, mus, np.abs(mus - exact), rmse),
     )
-    rep.domain_metrics(domain, res.mesh)
     rep.payload["max_abs_err"] = float(np.abs(mus - exact).max())
     rep.payload["max_rmse"] = float(rmse.max())
 
 
 def cmd_validate_rect(cfg: argparse.Namespace, rep: Reporter) -> None:
-    domain = geometry.build_domain(geometry.RectangleSpec(b1=cfg.b1, b2=cfg.b2))
+    _, _, matrices = _mesh(cfg, rep, geometry.RectangleSpec(b1=cfg.b1, b2=cfg.b2))
     with rep.time("roots"):
         pairs = analytic.rectangle_spectrum(cfg.b1, cfg.b2, cfg.p, cfg.count)
     with rep.time("solve"):
-        res = solve_steklov(domain, cfg.h, cfg.p, cfg.count)
+        mus = solve(matrices, cfg.p, cfg.count)[1].eigenvalues
     exact = np.array([e.mu for e in pairs])
-    mus = res.spectrum.eigenvalues
     dtn.write_csv(
         rep.path("validation.csv"),
         ["k", "exact", "fem", "abs_err", "root_residual"],
         zip(range(cfg.count), exact, mus, np.abs(mus - exact), [e.residual for e in pairs]),
     )
-    rep.domain_metrics(domain, res.mesh)
     rep.payload["max_abs_err"] = float(np.abs(mus - exact).max())
     residual = float(max(e.residual for e in pairs))
     rep.payload["max_root_residual"] = residual
@@ -227,7 +230,7 @@ def cmd_validate_rect(cfg: argparse.Namespace, rep: Reporter) -> None:
 def cmd_sweep(cfg: argparse.Namespace, rep: Reporter) -> None:
     from . import analysis
 
-    domain, msh, matrices = _mesh(cfg, rep)
+    domain, _, matrices = _mesh(cfg, rep)
     grid = np.logspace(math.log10(cfg.p_min), math.log10(cfg.p_max), cfg.n_p)
     with rep.time("sweep"):
         sweep = analysis.p_sweep(domain, matrices, grid, cfg.count)
@@ -236,16 +239,15 @@ def cmd_sweep(cfg: argparse.Namespace, rep: Reporter) -> None:
         ["p", "k", "mu"],
         ((p, k, mu) for p, row in zip(sweep.p_grid, sweep.eigenvalues) for k, mu in enumerate(row)),
     )
-    rep.domain_metrics(domain, msh)
     rep.payload["small_p_slope"] = sweep.small_p_slope
 
 
 def cmd_ck(cfg: argparse.Namespace, rep: Reporter) -> None:
     from . import conjecture
 
-    domain = geometry.build_domain(parse_domain(cfg.domain))
+    domain, _, matrices = _mesh(cfg, rep)
     with rep.time("ck"):
-        eigenvalues = solve_steklov(domain, cfg.h, cfg.p, cfg.count).spectrum.eigenvalues
+        eigenvalues = solve(matrices, cfg.p, cfg.count)[1].eigenvalues
         report = conjecture.compare_conjecture(domain, cfg.p, eigenvalues)
     dtn.write_csv(
         rep.path("ck.csv"),
@@ -253,7 +255,6 @@ def cmd_ck(cfg: argparse.Namespace, rep: Reporter) -> None:
         ((r.k, r.c_conjecture, r.c_numeric, r.abs_diff) for r in report.rows),
     )
     rep.path("ck.txt").write_text(report.format_table() + "\n")
-    rep.domain_metrics(domain)
     rep.payload["max_abs_diff"] = report.max_abs_diff()
     rep.payload["flagged"] = [r.k for r in report.flagged()]
 
@@ -261,7 +262,7 @@ def cmd_ck(cfg: argparse.Namespace, rep: Reporter) -> None:
 def cmd_ak(cfg: argparse.Namespace, rep: Reporter) -> None:
     from . import analysis
 
-    domain, msh, matrices = _mesh(cfg, rep)
+    _, _, matrices = _mesh(cfg, rep)
     p_values = cfg.p_list or [cfg.p]
     rows = []
     survivors = {}
@@ -275,7 +276,6 @@ def cmd_ak(cfg: argparse.Namespace, rep: Reporter) -> None:
         ["p", "k", "abs_ak"],
         ((p, k, abs(a)) for p, ak in rows for k, a in enumerate(ak)),
     )
-    rep.domain_metrics(domain, msh)
     rep.payload["survivors"] = survivors
 
 
@@ -283,14 +283,11 @@ def cmd_localize(cfg: argparse.Namespace, rep: Reporter) -> None:
     from . import analysis
 
     domain, msh, matrices = _mesh(cfg, rep)
-    if cfg.k >= msh.n_boundary:
-        raise CliError(f"k must be in 0..{msh.n_boundary - 1} on this mesh", EXIT_CONFIG)
     with rep.time("solve"):
         op, spectrum = solve(matrices, cfg.p, cfg.k + 1, extensions=True)
         # max_B spans mode k's whole multiplet: while the window may cut it,
         # solve the pencil of the same factor again with twice the modes
-        while (cfg.k in dtn.numerical_groups(spectrum.eigenvalues, analysis.GROUP_TOL)[-1]
-               and not analysis.last_group_complete(spectrum)):
+        while not any(cfg.k in g for g in analysis.complete_groups(spectrum)):
             count = min(2 * spectrum.count, len(spectrum.steklov_nodes))
             spectrum = dtn.eigensolve(op, count)
             dtn.attach_extensions(spectrum, op.factor)
@@ -308,7 +305,6 @@ def cmd_localize(cfg: argparse.Namespace, rep: Reporter) -> None:
         ["k", "delta", "U"],
         ((prof.k, d, u) for d, u in zip(prof.bin_centers, prof.values)),
     )
-    rep.domain_metrics(domain, msh)
     rep.payload["k"] = cfg.k
     rep.payload["mu_k"] = loc.mu
     rep.payload["max_B"] = max_b
@@ -317,13 +313,12 @@ def cmd_localize(cfg: argparse.Namespace, rep: Reporter) -> None:
 def cmd_norms(cfg: argparse.Namespace, rep: Reporter) -> None:
     from . import analysis
 
-    domain, msh, matrices = _mesh(cfg, rep)
+    _, _, matrices = _mesh(cfg, rep)
     with rep.time("norms"):
         rows = analysis.norm_identities(matrices, cfg.p, cfg.count, cfg.dp)
     header = ["k", "mu", "energy_residual_rel", "l2_volume", "dmu_dp", "l2_residual_rel",
               "grad_sq", "grad_residual_rel", "tracked"]
     dtn.write_csv(rep.path("norms.csv"), header, ([r[h] for h in header] for r in rows))
-    rep.domain_metrics(domain, msh)
     rep.payload["max_energy_residual_rel"] = max(r["energy_residual_rel"] for r in rows)
 
 

@@ -175,14 +175,81 @@ def test_green_solve_command(tmp_path):
     assert abs(report["eigenvalues"][0] - 0.4464) < 1e-2
 
 
-def test_green_solve_count_past_boundary_exits_2(tmp_path, capsys):
-    """Both routes bound count by the boundary nodes (32 on the disk at
-    h = 0.3) and exit 2 past it, as ``solve`` does."""
-    rc = run_cli("green-solve", "--domain", "disk:R=1", "--h", "0.3", "--m", "93",
-                 "--count", "40", "--out", str(tmp_path))
+# every command that takes --count, with a domain and the boundary nodes of its
+# mesh at h = 0.3 (32 on the unit disk, 36 on the 1 x 2 rectangle)
+COUNT_COMMANDS = [
+    (["solve", "--domain", "disk:R=1"], 32),
+    (["green-solve", "--domain", "disk:R=1", "--m", "40"], 32),
+    (["validate-disk"], 32),
+    (["validate-rect"], 36),
+    (["sweep", "--domain", "disk:R=1", "--n-p", "2"], 32),
+    (["ck", "--domain", "rect:b1=1,b2=2"], 36),
+    (["ak", "--domain", "disk:R=1"], 32),
+    (["norms", "--domain", "disk:R=1"], 32),
+]
+
+
+def _fail_if_called(monkeypatch):
+    """Make assembly, the interior factor and the Robin bases raise."""
+    from dtnlab import greens
+
+    def called(*args, **kwargs):
+        raise AssertionError("a setting the mesh bounds was checked after assembly")
+
+    monkeypatch.setattr(fem, "assemble", called)
+    monkeypatch.setattr(pipeline, "factor_interior", called)
+    monkeypatch.setattr(greens, "robin_eigenbasis", called)
+
+
+def _command_id(value):
+    return value[0] if isinstance(value, list) else str(value)
+
+
+@pytest.mark.parametrize("command, n_boundary", COUNT_COMMANDS, ids=_command_id)
+def test_count_past_boundary_exits_2_before_assembly(tmp_path, capsys, monkeypatch,
+                                                     command, n_boundary):
+    """A count past the mesh's boundary nodes is a configuration error on
+    both routes, found right after meshing."""
+    _fail_if_called(monkeypatch)
+    rc = run_cli(*command, "--h", "0.3", "--count", str(n_boundary + 1), "--out", str(tmp_path))
     assert rc == 2
-    assert json.loads(capsys.readouterr().err.strip())["error"] == "count must be in 1..32"
-    assert not (tmp_path / "eigenvalues.csv").exists()
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == f"count must be in 1..{n_boundary}"
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_green_solve_m_past_the_mesh_exits_2_before_assembly(tmp_path, capsys, monkeypatch):
+    """The truncation m is bounded by the mesh's nodes (95 on the disk at
+    h = 0.3): past it is a bad setting (exit 2), not a solver failure."""
+    _fail_if_called(monkeypatch)
+    rc = run_cli("green-solve", "--domain", "disk:R=1", "--h", "0.3", "--m", "500",
+                 "--count", "3", "--out", str(tmp_path))
+    assert rc == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "m must be in 1..93 on this mesh"
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["mesh", "--domain", "disk:R=1"],
+        ["solve", "--domain", "disk:R=1", "--count", "2"],
+        ["green-solve", "--domain", "disk:R=1", "--m", "20", "--count", "2"],
+        ["validate-disk", "--count", "2"],
+        ["validate-rect", "--count", "2"],
+        ["sweep", "--domain", "disk:R=1", "--count", "2", "--n-p", "2"],
+        ["ck", "--domain", "rect:b1=2,b2=2", "--p", "100", "--count", "2"],
+        ["ak", "--domain", "disk:R=1", "--count", "2"],
+        ["localize", "--domain", "disk:R=1", "--k", "1"],
+        ["norms", "--domain", "disk:R=1", "--count", "2"],
+    ],
+    ids=_command_id,
+)
+def test_every_meshing_command_reports_its_mesh(tmp_path, command):
+    assert run_cli(*command, "--h", "0.3", "--out", str(tmp_path)) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert {"n_interior", "n_boundary", "n_triangles"} <= set(report)
+    assert report["n_boundary"] >= 24 and "mesh" in report["timings_s"]
 
 
 def test_ck_command(tmp_path):
