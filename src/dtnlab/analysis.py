@@ -1,6 +1,8 @@
-"""Derived spectral quantities: boundary-integral coefficients, pressure sweeps,
-localization maps and radial decay profiles, and the quadratic-form identities
-tying eigenvalues to volume norms of the extended eigenfunctions.
+"""Derived spectral quantities: boundary-integral coefficients and their
+symmetry audit, pressure sweeps, the quadratic-form identities tying
+eigenvalues to volume norms of the extended eigenfunctions, and
+``localization``, which gives the amplified map B_k, the decay profile U_k and
+the multiplet peak of one mode from one distance-to-boundary field.
 """
 from __future__ import annotations
 
@@ -110,96 +112,72 @@ def concentrate_degenerate_ak(spectrum: Spectrum, matrices: FemMatrices) -> np.n
     return out
 
 
-def bk_group_max(spectrum: Spectrum, k: int, mesh: Mesh, domain: Domain) -> float:
-    """Peak amplified value over all unit combinations within the numerically
-    degenerate group containing mode k.
+# ---------------------------------------------------------------------------
+# localization diagnostics
+# ---------------------------------------------------------------------------
 
-    The maximum of |sum_i c_i V_i(x)| over unit coefficient vectors is the
-    pointwise root sum of squares, so the group version is closed-form. For a
-    well-separated eigenvalue this reduces to the single-mode peak. A group
-    that ends on the last computed mode is accepted only when the spectrum's
-    guard eigenvalue shows it is complete (``last_group_complete``); a group
-    the window may have cut, or any such group of a spectrum without a guard,
-    raises ``AnalysisError``."""
+@dataclass
+class Localization:
+    k: int
+    mu: float
+    distances: np.ndarray     # d, distance to the boundary at every node
+    values: np.ndarray        # V_k at every node
+    amplified: np.ndarray     # B_k = sqrt(|dOmega|) |V_k| exp(mu d) at every node
+    bin_centers: np.ndarray   # occupied bands of d, the first (boundary) one at 0
+    profile: np.ndarray       # U_k per band: sqrt(|dOmega|) max |V_k|
+    group_max: float          # peak of B over unit combinations of k's multiplet
+
+
+def localization(
+    spectrum: Spectrum, k: int, mesh: Mesh, domain: Domain, bin_width: float | None = None
+) -> Localization:
+    """The amplified map B_k, the decay profile U_k and the multiplet peak of
+    mode k, from one distance-to-boundary field.
+
+    B_k is flat only where |V_k| decays at rate mu_k exactly, so its peaks
+    locate slower-than-expected decay. U_k is the max of |V_k| over bands of
+    distance to the boundary (a binned stand-in for the exact contour-line
+    maximum; the band width defaults to 2h). ``group_max`` is the maximum of
+    the amplified |sum_i c_i V_i| over unit coefficient vectors on the
+    numerically degenerate group of k, the pointwise root sum of squares, so it
+    does not depend on the eigenbasis; for a well-separated eigenvalue it is
+    the peak of B_k. The group must be one ``complete_groups`` vouches for: a
+    group the window may have cut, or any group that ends the window of a
+    spectrum without a guard, raises ``AnalysisError``."""
+    ext = _extensions(spectrum)
     group = next((g for g in complete_groups(spectrum) if k in g), None)
     if group is None:
         raise AnalysisError(
             "the group containing this mode touches the end of the computed "
             "window, so it may be truncated; compute more modes"
         )
-    return float(_amplified(spectrum, group, k, mesh, domain)[0].max())
-
-
-# ---------------------------------------------------------------------------
-# localization diagnostics
-# ---------------------------------------------------------------------------
-
-def _amplified(
-    spectrum: Spectrum, group: list[int], k: int, mesh: Mesh, domain: Domain
-) -> tuple[np.ndarray, np.ndarray]:
-    """sqrt(|dOmega|) sqrt(sum_{j in group} V_j^2) exp(mu_k d) at every node,
-    and the distances d to the boundary."""
-    V = _extensions(spectrum)[:, group]
     dist = domain.distance_to_boundary(mesh.nodes)
     mu = float(spectrum.eigenvalues[k])
-    amp = math.sqrt(domain.perimeter) * np.sqrt((V**2).sum(axis=1)) * np.exp(mu * dist)
-    return amp, dist
-
-
-@dataclass
-class LocalizationMap:
-    k: int
-    mu: float
-    values: np.ndarray        # V_k at every node
-    amplified: np.ndarray     # B_k = sqrt(|dOmega|) |V_k| exp(mu * dist)
-    distances: np.ndarray
-
-
-def bk_map(spectrum: Spectrum, k: int, mesh: Mesh, domain: Domain) -> LocalizationMap:
-    """Exponentially amplified eigenfunction map; flat only where the decay
-    rate equals mu_k exactly, so its peaks locate slower-than-expected decay."""
-    amplified, dist = _amplified(spectrum, [k], k, mesh, domain)
-    return LocalizationMap(
-        k=k,
-        mu=float(spectrum.eigenvalues[k]),
-        values=spectrum.extensions[:, k],
-        amplified=amplified,
-        distances=dist,
-    )
-
-
-@dataclass
-class RadialProfile:
-    k: int
-    mu: float
-    bin_centers: np.ndarray
-    values: np.ndarray        # U_k per band: sqrt(|dOmega|) max |V_k|
-
-
-def uk_profile(
-    spectrum: Spectrum, k: int, mesh: Mesh, domain: Domain, bin_width: float | None = None
-) -> RadialProfile:
-    """Max |V_k| over bands of distance-to-boundary (binned stand-in for the
-    exact contour-line maximum; band width defaults to 2h)."""
-    w = 2.0 * mesh.h_max if bin_width is None else bin_width
-    v = np.abs(_extensions(spectrum)[:, k])
-    dist = domain.distance_to_boundary(mesh.nodes)
-    nbin = int(dist.max() / w) + 1
-    idx = np.minimum((dist / w).astype(int), nbin - 1)
     sqrt_per = math.sqrt(domain.perimeter)
-    centers, values = [], []
-    for b in range(nbin):
-        mask = idx == b
-        if mask.any():
-            centers.append(b * w)  # band [b*w, (b+1)*w); label by inner edge + w/2
-            values.append(sqrt_per * v[mask].max())
-    centers = np.asarray(centers) + w / 2
-    centers[0] = 0.0  # the first band contains the boundary nodes themselves
-    return RadialProfile(
+    growth = np.exp(mu * dist)
+
+    def amplified(cols: list[int]) -> np.ndarray:
+        return sqrt_per * np.sqrt((ext[:, cols] ** 2).sum(axis=1)) * growth
+
+    # band b is [b w, (b + 1) w), labelled by its middle; the first occupied
+    # band holds the boundary nodes themselves and is labelled 0
+    w = 2.0 * mesh.h_max if bin_width is None else bin_width
+    if dist.max() >= w * 2.0**62:
+        raise AnalysisError(f"bin width {w:g} makes more bands than an int64 can number")
+    bands, of_node = np.unique((dist / w).astype(int), return_inverse=True)
+    band_max = np.zeros(len(bands))
+    np.maximum.at(band_max, of_node, np.abs(ext[:, k]))
+    centers = bands * w + w / 2
+    centers[0] = 0.0
+    return Localization(
         k=k,
-        mu=float(spectrum.eigenvalues[k]),
+        mu=mu,
+        distances=dist,
+        values=ext[:, k],
+        amplified=amplified([k]),
         bin_centers=centers,
-        values=np.asarray(values),
+        profile=sqrt_per * band_max,
+        group_max=float(amplified(group).max()),
     )
 
 

@@ -268,7 +268,9 @@ def cmd_ak(cfg: argparse.Namespace, rep: Reporter) -> None:
     survivors = {}
     with rep.time("ak"):
         for p in p_values:
-            ak = analysis.ak_coefficients(solve(matrices, p, cfg.count)[1], matrices)
+            # A_k of a degenerate multiplet depend on its eigenbasis; the
+            # concentrated ones do not, so the CSV and the audit read those
+            ak = analysis.concentrate_degenerate_ak(solve(matrices, p, cfg.count)[1], matrices)
             rows.append((p, ak))
             survivors[str(p)] = analysis.symmetry_audit(ak)
     dtn.write_csv(
@@ -292,9 +294,7 @@ def cmd_localize(cfg: argparse.Namespace, rep: Reporter) -> None:
             spectrum = dtn.eigensolve(op, count)
             dtn.attach_extensions(spectrum, op.factor)
     with rep.time("maps"):
-        loc = analysis.bk_map(spectrum, cfg.k, msh, domain)
-        prof = analysis.uk_profile(spectrum, cfg.k, msh, domain, cfg.bin_width)
-        max_b = analysis.bk_group_max(spectrum, cfg.k, msh, domain)
+        loc = analysis.localization(spectrum, cfg.k, msh, domain, cfg.bin_width)
     dtn.write_csv(
         rep.path("bkmap.csv"),
         ["node", "x", "y", "dist", "V", "B"],
@@ -303,11 +303,11 @@ def cmd_localize(cfg: argparse.Namespace, rep: Reporter) -> None:
     dtn.write_csv(
         rep.path("profile.csv"),
         ["k", "delta", "U"],
-        ((prof.k, d, u) for d, u in zip(prof.bin_centers, prof.values)),
+        ((loc.k, d, u) for d, u in zip(loc.bin_centers, loc.profile)),
     )
     rep.payload["k"] = cfg.k
     rep.payload["mu_k"] = loc.mu
-    rep.payload["max_B"] = max_b
+    rep.payload["max_B"] = loc.group_max
 
 
 def cmd_norms(cfg: argparse.Namespace, rep: Reporter) -> None:

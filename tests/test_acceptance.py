@@ -328,7 +328,7 @@ def test_criterion_10_norm_identities(spec, label):
 def test_criterion_11_square_amplified_map():
     domain = geometry.build_domain(geometry.RectangleSpec(2.0, 2.0))
     res = solve_steklov(domain, 0.0075, 0.0, 17, extensions=True)
-    b15 = analysis.bk_group_max(res.spectrum, 15, res.mesh, domain)
+    b15 = analysis.localization(res.spectrum, 15, res.mesh, domain).group_max
     report(
         11,
         4.8 <= b15 <= 6.4,
@@ -340,19 +340,19 @@ def test_criterion_11_square_amplified_map():
 def test_criterion_11_pentagon_amplified_map():
     domain = geometry.build_domain(geometry.RegularPolygonSpec(5, 1.0))
     res = solve_steklov(domain, 0.0075, 0.0, 17, extensions=True)
-    b15 = analysis.bk_group_max(res.spectrum, 15, res.mesh, domain)
+    b15 = analysis.localization(res.spectrum, 15, res.mesh, domain).group_max
     report(11, 2.2 <= b15 <= 3.0, f"pentagon k=15 p=0: max amplified value {b15:.2f} in [2.2, 3.0]")
 
 
 def test_criterion_11_disk_profile():
     domain = geometry.build_domain(geometry.DiskSpec(1.0))
     res = solve_steklov(domain, 0.01, 0.0, 21, extensions=True)
-    prof = analysis.uk_profile(res.spectrum, 20, res.mesh, domain)
-    mask = prof.values >= 1e-3
+    prof = analysis.localization(res.spectrum, 20, res.mesh, domain)
+    mask = prof.profile >= 1e-3
     guide = math.sqrt(2) * np.exp(-10.0 * prof.bin_centers[mask])
-    value_ok = bool((prof.values[mask] <= 1.5 * guide).all())
+    value_ok = bool((prof.profile[mask] <= 1.5 * guide).all())
     pos = prof.bin_centers[mask] > 0
-    rate = np.log(math.sqrt(2) / prof.values[mask][pos]) / (10.0 * prof.bin_centers[mask][pos])
+    rate = np.log(math.sqrt(2) / prof.profile[mask][pos]) / (10.0 * prof.bin_centers[mask][pos])
     rate_ok = bool((rate <= 1.5).all() and (rate >= 1 / 1.5 - 1e-9).all())
     report(
         11,
@@ -365,11 +365,11 @@ def test_criterion_11_disk_profile():
 def test_criterion_11_deformed_disk_slowdown():
     domain = geometry.build_domain(geometry.DeformedDiskSpec(0.02, 5))
     res = solve_steklov(domain, 0.0075, 0.0, 21, extensions=True)
-    prof = analysis.uk_profile(res.spectrum, 20, res.mesh, domain)
-    guide = prof.values[0] * np.exp(-prof.mu * prof.bin_centers)
+    prof = analysis.localization(res.spectrum, 20, res.mesh, domain)
+    guide = prof.profile[0] * np.exp(-prof.mu * prof.bin_centers)
     inradius = 0.98
     sel = prof.bin_centers > 0.5 * inradius
-    ratio = (prof.values / guide)[sel]
+    ratio = (prof.profile / guide)[sel]
     report(
         11,
         ratio.max() > 3.0,

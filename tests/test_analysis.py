@@ -9,16 +9,14 @@ from dtnlab.analysis import (
     AnalysisError,
     ak_coefficients,
     ak_via_volume,
-    bk_group_max,
-    bk_map,
     concentrate_degenerate_ak,
     last_group_complete,
+    localization,
     match_branches,
     norm_identities,
     numerical_groups,
     p_sweep,
     symmetry_audit,
-    uk_profile,
 )
 from dtnlab import dtn, fem
 from dtnlab.dtn import summary_to_json, write_csv
@@ -86,21 +84,23 @@ def test_bk_group_max_reduces_to_single_mode(disk_domain, disk_mesh, disk_matric
     res = solve_steklov(disk_domain, 0.05, 0.0, 4, extensions=True,
                         mesh=disk_mesh, matrices=disk_matrices)
     # k=0 at p=0 is the isolated constant mode: group of one
-    single = bk_map(res.spectrum, 0, disk_mesh, disk_domain).amplified.max()
-    grouped = bk_group_max(res.spectrum, 0, disk_mesh, disk_domain)
-    assert single == grouped
+    loc = localization(res.spectrum, 0, disk_mesh, disk_domain)
+    assert loc.group_max == loc.amplified.max()
+    # mode 1 shares its multiplet with mode 2, whose weight only adds
+    pair = localization(res.spectrum, 1, disk_mesh, disk_domain)
+    assert pair.group_max >= pair.amplified.max()
 
 
 def test_bk_group_max_rotation_invariant(disk_domain, disk_mesh, disk_matrices):
     # mix the degenerate pair (1, 2) by hand: the group maximum must not move
     res = solve_steklov(disk_domain, 0.05, 0.0, 4, extensions=True,
                         mesh=disk_mesh, matrices=disk_matrices)
-    base = bk_group_max(res.spectrum, 1, disk_mesh, disk_domain)
+    base = localization(res.spectrum, 1, disk_mesh, disk_domain).group_max
     th = 0.3
     rot = np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
     res.spectrum.vectors[:, 1:3] = res.spectrum.vectors[:, 1:3] @ rot
     res.spectrum.extensions[:, 1:3] = res.spectrum.extensions[:, 1:3] @ rot
-    mixed = bk_group_max(res.spectrum, 1, disk_mesh, disk_domain)
+    mixed = localization(res.spectrum, 1, disk_mesh, disk_domain).group_max
     assert abs(base - mixed) < 1e-12
 
 
@@ -108,7 +108,7 @@ def test_bk_group_max_needs_full_group(disk_domain, disk_mesh, disk_matrices):
     res = solve_steklov(disk_domain, 0.05, 0.0, 4, extensions=True,
                         mesh=disk_mesh, matrices=disk_matrices)
     with pytest.raises(AnalysisError):
-        bk_group_max(res.spectrum, 3, disk_mesh, disk_domain)  # pair split at window end
+        localization(res.spectrum, 3, disk_mesh, disk_domain)  # pair split at window end
 
 
 def test_guard_is_next_eigenvalue(disk_domain, disk_mesh, disk_matrices):
@@ -126,8 +126,8 @@ def test_bk_group_max_accepts_guarded_group(disk_domain, disk_mesh, disk_matrice
     wide = solve_steklov(disk_domain, 0.05, 0.0, 5, extensions=True,
                          mesh=disk_mesh, matrices=disk_matrices)
     assert last_group_complete(res.spectrum)
-    got = bk_group_max(res.spectrum, 1, disk_mesh, disk_domain)
-    assert abs(got - bk_group_max(wide.spectrum, 1, disk_mesh, disk_domain)) < 1e-12
+    got = localization(res.spectrum, 1, disk_mesh, disk_domain).group_max
+    assert abs(got - localization(wide.spectrum, 1, disk_mesh, disk_domain).group_max) < 1e-12
 
 
 def test_bk_group_max_needs_guard(disk_domain, disk_mesh, disk_matrices):
@@ -136,7 +136,7 @@ def test_bk_group_max_needs_guard(disk_domain, disk_mesh, disk_matrices):
     res.spectrum.guard = None  # as on spectra that no eigensolve filled in
     assert not last_group_complete(res.spectrum)
     with pytest.raises(AnalysisError):
-        bk_group_max(res.spectrum, 1, disk_mesh, disk_domain)
+        localization(res.spectrum, 1, disk_mesh, disk_domain)
 
 
 def test_guard_infinite_for_full_window():
@@ -164,7 +164,7 @@ def test_concentrate_leaves_truncated_group(disk_domain, disk_mesh, disk_matrice
 def test_bk_boundary_values(disk_domain, disk_mesh, disk_matrices):
     res = solve_steklov(disk_domain, 0.05, 0.0, 4, extensions=True,
                         mesh=disk_mesh, matrices=disk_matrices)
-    loc = bk_map(res.spectrum, 2, disk_mesh, disk_domain)
+    loc = localization(res.spectrum, 2, disk_mesh, disk_domain)
     bidx = disk_mesh.boundary_indices
     expected = math.sqrt(disk_domain.perimeter) * np.abs(res.spectrum.vectors[:, 2])
     assert np.abs(loc.amplified[bidx] - expected).max() < 1e-6
@@ -174,9 +174,9 @@ def test_bk_boundary_values(disk_domain, disk_mesh, disk_matrices):
 def test_uk_profile_bin_zero(disk_domain, disk_mesh, disk_matrices):
     res = solve_steklov(disk_domain, 0.05, 0.0, 5, extensions=True,
                         mesh=disk_mesh, matrices=disk_matrices)
-    prof = uk_profile(res.spectrum, 4, disk_mesh, disk_domain)
+    prof = localization(res.spectrum, 4, disk_mesh, disk_domain)
     expected = math.sqrt(disk_domain.perimeter) * np.abs(res.spectrum.vectors[:, 4]).max()
-    assert abs(prof.values[0] - expected) < 1e-9
+    assert abs(prof.profile[0] - expected) < 1e-9
     assert prof.bin_centers[0] == 0.0
     assert (np.diff(prof.bin_centers) > 0).all()
 
@@ -186,12 +186,39 @@ def test_uk_profile_tracks_power_law(disk_domain, disk_mesh, disk_matrices):
     # sqrt(2)(1-delta)^2 evaluated at the band's inner edge
     res = solve_steklov(disk_domain, 0.05, 0.0, 5, extensions=True,
                         mesh=disk_mesh, matrices=disk_matrices)
-    prof = uk_profile(res.spectrum, 4, disk_mesh, disk_domain)
+    prof = localization(res.spectrum, 4, disk_mesh, disk_domain)
     mid = np.argmin(np.abs(prof.bin_centers - 0.4))
     c, hw = prof.bin_centers[mid], disk_mesh.h_max  # the default band is 2 h_max wide
     upper = math.sqrt(2) * (1 - (c - hw)) ** 2 + 0.03
     lower = math.sqrt(2) * (1 - (c + hw)) ** 2 - 0.03
-    assert lower <= prof.values[mid] <= upper
+    assert lower <= prof.profile[mid] <= upper
+
+
+def test_uk_profile_matches_a_loop_over_every_band(disk_domain, disk_mesh, disk_matrices):
+    """Reducing over the occupied bands gives the centers and maxima of a plain
+    loop over every band from 0 to dist.max() / w, bit for bit."""
+    res = solve_steklov(disk_domain, 0.05, 0.0, 5, extensions=True,
+                        mesh=disk_mesh, matrices=disk_matrices)
+    v = np.abs(res.spectrum.extensions[:, 4])
+    dist = disk_domain.distance_to_boundary(disk_mesh.nodes)
+    for w in (2.0 * disk_mesh.h_max, 0.037, 1e-3):
+        prof = localization(res.spectrum, 4, disk_mesh, disk_domain, bin_width=w)
+        idx = (dist / w).astype(int)
+        centers, values = [], []
+        for b in range(idx.max() + 1):
+            if (idx == b).any():
+                centers.append(b * w + w / 2)
+                values.append(math.sqrt(disk_domain.perimeter) * v[idx == b].max())
+        centers[0] = 0.0
+        assert np.array_equal(prof.bin_centers, centers)
+        assert np.array_equal(prof.profile, values)
+
+
+def test_uk_profile_rejects_a_band_count_past_int64(disk_domain, disk_mesh, disk_matrices):
+    res = solve_steklov(disk_domain, 0.05, 0.0, 5, extensions=True,
+                        mesh=disk_mesh, matrices=disk_matrices)
+    with pytest.raises(AnalysisError, match="int64"):
+        localization(res.spectrum, 4, disk_mesh, disk_domain, bin_width=1e-320)
 
 
 def test_norm_identities_disk(disk_matrices):
@@ -254,18 +281,14 @@ def test_csv_writers(tmp_path, disk_domain, disk_mesh, disk_matrices):
     assert [line.split(",")[3] for line in lines[1:]] == ["1", "0", "0", "0"]
     back = np.loadtxt(path, delimiter=",", skiprows=1)
     assert np.array_equal(back[:, 2], np.abs(ak))
-    loc = bk_map(res.spectrum, 3, disk_mesh, disk_domain)
-    summary_to_json(tmp_path / "s.json", max_B=loc.amplified.max(), survivors=[0])
+    loc = localization(res.spectrum, 2, disk_mesh, disk_domain)
+    summary_to_json(tmp_path / "s.json", max_B=loc.group_max, survivors=[0])
     assert (tmp_path / "s.json").exists()
 
 
 def test_requires_extensions(disk_domain, disk_mesh, disk_matrices):
     res = solve_steklov(disk_domain, 0.05, 1.0, 3, mesh=disk_mesh, matrices=disk_matrices)
     with pytest.raises(AnalysisError):
-        bk_map(res.spectrum, 0, disk_mesh, disk_domain)
-    with pytest.raises(AnalysisError):
-        uk_profile(res.spectrum, 0, disk_mesh, disk_domain)
-    with pytest.raises(AnalysisError):
-        bk_group_max(res.spectrum, 0, disk_mesh, disk_domain)
+        localization(res.spectrum, 0, disk_mesh, disk_domain)
     with pytest.raises(AnalysisError):
         ak_via_volume(res.spectrum, disk_matrices)

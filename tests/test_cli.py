@@ -3,6 +3,7 @@ import importlib
 import json
 import math
 import pkgutil
+import signal
 
 import numpy as np
 import pytest
@@ -114,7 +115,7 @@ def test_localize_and_plots(tmp_path):
 def test_localize_max_b_spans_a_cut_multiplet(tmp_path):
     """On the coarse 2x2 square at p = 0, modes 1 and 2 are one multiplet, so
     the k + 1 = 2 mode window of k = 1 cuts it. ``max_B`` is the multiplet's
-    basis-free maximum (``bk_group_max``), not the peak of whichever vector
+    basis-free maximum (``Localization.group_max``), not the peak of whichever vector
     the solver returned as mode 1. The wider window reuses the one factor."""
     factored = []
 
@@ -134,9 +135,56 @@ def test_localize_max_b_spans_a_cut_multiplet(tmp_path):
     cut = pipeline.solve_steklov(domain, 0.2, 0.0, 2, extensions=True)
     assert not analysis.last_group_complete(cut.spectrum)
     wide = pipeline.solve(cut.matrices, 0.0, 6, extensions=True)[1]
-    assert max_b == pytest.approx(analysis.bk_group_max(wide, 1, cut.mesh, domain), rel=1e-9)
-    single = analysis.bk_map(cut.spectrum, 1, cut.mesh, domain).amplified.max()
+    group_max = analysis.localization(wide, 1, cut.mesh, domain).group_max
+    assert max_b == pytest.approx(group_max, rel=1e-9)
+    # the peak of B_1 = sqrt(|dOmega|) |V_1| exp(mu_1 d) for the cut window's own mode 1
+    growth = np.exp(cut.spectrum.eigenvalues[1] * domain.distance_to_boundary(cut.mesh.nodes))
+    single = (math.sqrt(domain.perimeter) * np.abs(cut.spectrum.extensions[:, 1]) * growth).max()
     assert max_b > single * 1.1
+
+
+def test_localize_makes_one_unbounded_distance_query(tmp_path, monkeypatch):
+    """The map, the profile and the multiplet peak share one distance field.
+    On a smooth non-disk shape each unbounded query walks the polyline tree;
+    the mesher's bounded queries (``upper`` given) are not counted."""
+    query = geometry.Domain.distance_to_boundary
+    unbounded = []
+
+    def counting(self, points, upper=np.inf):
+        if upper == np.inf:
+            unbounded.append(len(points))
+        return query(self, points, upper)
+
+    monkeypatch.setattr(geometry.Domain, "distance_to_boundary", counting)
+    rc = run_cli("localize", "--domain", "deformed:gamma=0.02,m=5", "--h", "0.1", "--p", "0",
+                 "--k", "4", "--out", str(tmp_path))
+    assert rc == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert unbounded == [report["n_interior"] + report["n_boundary"]]
+
+
+def test_localize_tiny_bin_width_reduces_only_occupied_bands(tmp_path):
+    """A band width of 1e-9 cuts the unit disk's depth into about 1e9 bands,
+    nearly all empty. The profile reduces over the occupied bands alone, so the
+    run takes about a second; a loop over every band would take about an hour,
+    and the alarm stops it after 30 s."""
+
+    def too_slow(signum, frame):
+        raise TimeoutError("localize with a 1e-9 band width ran past 30 s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(30)
+    try:
+        rc = run_cli("localize", "--domain", "disk:R=1", "--h", "0.2", "--p", "0", "--k", "1",
+                     "--bin-width", "1e-9", "--out", str(tmp_path))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert rc == 0
+    profile = np.loadtxt(tmp_path / "profile.csv", delimiter=",", skiprows=1, ndmin=2)
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert len(profile) <= report["n_interior"] + report["n_boundary"]
+    assert profile[0, 1] == 0.0 and (np.diff(profile[:, 1]) > 0).all()
 
 
 def test_localize_k_past_the_spectrum_exits_2_before_factoring(tmp_path, capsys):
@@ -269,6 +317,25 @@ def test_ak_command(tmp_path):
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["survivors"]["0.5"] == [0]
     assert report["survivors"]["1.0"] == [0]
+
+
+def test_ak_audits_the_concentrated_coefficients(tmp_path):
+    """Inside a degenerate multiplet A_k is defined only up to a rotation of
+    its eigenbasis, so ``ak`` writes and audits the concentrated coefficients,
+    which are not: ak.csv and the survivors agree, and on the 2 x 2 square at
+    p = 10 each multiplet keeps at most its last member."""
+    rc = run_cli("ak", "--domain", "rect:b1=2,b2=2", "--h", "0.05", "--count", "21",
+                 "--p-list", "10", "--out", str(tmp_path))
+    assert rc == 0
+    survivors = json.loads((tmp_path / "report.json").read_text())["survivors"]["10.0"]
+    assert survivors == [0, 5, 7, 12, 14, 15, 20]
+
+    domain = geometry.build_domain(geometry.RectangleSpec(2.0, 2.0))
+    res = pipeline.solve_steklov(domain, 0.05, 10.0, 21)
+    conc = analysis.concentrate_degenerate_ak(res.spectrum, res.matrices)
+    table = np.loadtxt(tmp_path / "ak.csv", delimiter=",", skiprows=1)
+    assert np.array_equal(table[:, 2], np.abs(conc))
+    assert survivors == np.flatnonzero(table[:, 2] > analysis.CANCEL_TOL).tolist()
 
 
 def test_config_file_overrides(tmp_path):
