@@ -4,6 +4,21 @@ import pytest
 from dtnlab import geometry, mesh as meshmod, fem
 from dtnlab.pipeline import solve_steklov
 
+# boundary partitions of the factor tests, as fractions of the boundary loop
+PARTITION_ARCS = [
+    None,
+    [(0, 0.25, "dirichlet_zero"), (0.25, 1.0, "steklov")],
+    [(0, 0.25, "neumann_zero"), (0.25, 0.6, "steklov"), (0.6, 0.8, "dirichlet_zero"),
+     (0.8, 1.0, "steklov")],
+]
+
+
+def partition_of(n, arcs):
+    return None if arcs is None else fem.BoundaryPartition.from_arcs(
+        n, [(int(a * n), int(b * n), name) for a, b, name in arcs]
+    )
+
+
 # one line per acceptance criterion, echoed in the terminal summary
 ACCEPTANCE_LINES: list[str] = []
 

@@ -17,20 +17,7 @@ from dtnlab.fem import BoundaryPartition, FemError, assemble, factor_interior, s
 from dtnlab.mesh import Mesh, generate_mesh
 from dtnlab.pipeline import solve, solve_steklov
 
-from conftest import four_triangle_square
-
-PARTITION_ARCS = [
-    None,
-    [(0, 0.25, "dirichlet_zero"), (0.25, 1.0, "steklov")],
-    [(0, 0.25, "neumann_zero"), (0.25, 0.6, "steklov"), (0.6, 0.8, "dirichlet_zero"),
-     (0.8, 1.0, "steklov")],
-]
-
-
-def partition_of(n, arcs):
-    return None if arcs is None else BoundaryPartition.from_arcs(
-        n, [(int(a * n), int(b * n), name) for a, b, name in arcs]
-    )
+from conftest import PARTITION_ARCS, four_triangle_square, partition_of
 
 
 def reference_blocks(mats, fac):
@@ -44,8 +31,7 @@ def reference_blocks(mats, fac):
 def test_schur_matches_dense_brute_force():
     """The Schur complement agrees with dense linear algebra to near machine
     precision: on a hand-built 5-node mesh, and at p = 0 on two coarse meshes
-    whose unshifted trailing block meets an exactly zero pivot (the constants
-    are in the kernel of S), where also mu_0 = 0."""
+    where S is singular (the constants are in its kernel) and mu_0 = 0."""
     cases = [(four_triangle_square(), 0.7)] + [
         (generate_mesh(geometry.build_domain(spec), h), 0.0)
         for spec, h in [(geometry.RectangleSpec(1.0, 2.0), 0.45),
@@ -65,9 +51,8 @@ def test_schur_matches_dense_brute_force():
 
 @pytest.mark.parametrize("arcs", PARTITION_ARCS)
 def test_schur_elimination_matches_interior_solves(disk_matrices, arcs):
-    """The trailing block of one LU with the data nodes last, less the Robin
-    shift, is the Schur complement that interior solves with an independent
-    LU of A_uu give."""
+    """S from the U12 block of one LU with the data nodes last is the Schur
+    complement that interior solves with an independent LU of A_uu give."""
     fac = factor_interior(disk_matrices, 1.0, partition_of(disk_matrices.n_boundary, arcs))
     a_uu, a_ud, a_dd = reference_blocks(disk_matrices, fac)
     s_solve = a_dd - a_ud.T @ splu(a_uu).solve(a_ud.toarray())
@@ -79,7 +64,7 @@ def test_schur_elimination_matches_interior_solves(disk_matrices, arcs):
 @pytest.mark.parametrize("p", [0.0, 1.0, 1e3])
 @pytest.mark.parametrize("arcs", PARTITION_ARCS)
 def test_extensions_match_independent_solve(disk_matrices, rng, p, arcs):
-    """Back substitution through the boundary-last factor gives the harmonic
+    """A solve with the boundary-last factor gives the harmonic
     extension that an independent LU of A_uu gives, and it solves A u = 0
     on the unknowns."""
     fac = factor_interior(disk_matrices, p, partition_of(disk_matrices.n_boundary, arcs))
@@ -99,12 +84,40 @@ def test_extensions_match_independent_solve(disk_matrices, rng, p, arcs):
 @pytest.mark.parametrize("p", [0.0, 1.0, 1e3])
 @pytest.mark.parametrize("arcs", PARTITION_ARCS)
 def test_boundary_last_factor_needs_no_fallback(disk_matrices, p, arcs):
-    """The Robin shift bounds every trailing pivot below by
-    sigma * lambda_min(M_b,s): the trailing block is S + sigma M_b,s with
-    S >= 0, so no pivot is near zero, also at p = 0."""
+    """Nothing is pivoted, and the data rows [0, I] of the factored matrix
+    are never updated: L's and U's trailing blocks are exactly the identity
+    and L21 is empty, so the trailing pivots are exactly 1, also at p = 0,
+    where S is singular."""
     fac = factor_interior(disk_matrices, p, partition_of(disk_matrices.n_boundary, arcs))
-    floor = fem.ROBIN_SHIFT * np.linalg.eigvalsh(fac.boundary_mass_s.toarray())[0]
-    assert fac.u22.diagonal().min() >= floor > 0
+    lu = fac.lu
+    natural = np.arange(len(fac.unknown_nodes) + len(fac.data_nodes))
+    assert np.array_equal(lu.perm_r, natural) and np.array_equal(lu.perm_c, natural)
+    n_u = len(fac.unknown_nodes)
+    identity = np.eye(len(fac.data_nodes))
+    for factor in (lu.L, lu.U):
+        assert np.array_equal(factor[n_u:, n_u:].toarray(), identity)
+    assert lu.L[n_u:, :n_u].count_nonzero() == 0
+    assert lu.U.diagonal()[:n_u].min() > 0
+
+
+@pytest.mark.parametrize("share", [0.0, fem.DENSE_ROW_SHARE, 2.0])
+def test_schur_dense_and_sparse_rows_match_interior_solves(disk_matrices, monkeypatch, share):
+    """Through the syrk rows alone, the sparse-product rows alone, and both
+    (the module's split, where both row sets are non-empty on this mesh), S
+    is the Schur complement that interior solves with an independent LU of
+    A_uu give."""
+    fac = factor_interior(disk_matrices, 1.0)
+    n_u, n_s = len(fac.unknown_nodes), len(fac.data_nodes)
+    row_nnz = np.diff(fac.lu.U[:n_u, n_u:].tocsr().indptr)
+    if share == fem.DENSE_ROW_SHARE:
+        dense = row_nnz > share * n_s
+        assert dense.any() and (row_nnz[~dense] > 0).any()
+    monkeypatch.setattr(fem, "DENSE_ROW_SHARE", share)
+    a_uu, a_ud, a_dd = reference_blocks(disk_matrices, fac)
+    s_solve = a_dd - a_ud.T @ splu(a_uu).solve(a_ud.toarray())
+    s = fac.schur()
+    assert np.array_equal(s, s.T)
+    assert np.abs(s - s_solve).max() <= 1e-12 * np.abs(s_solve).max()
 
 
 def test_schur_on_disconnected_mesh():

@@ -18,7 +18,7 @@ from dtnlab.fem import (
 )
 from dtnlab.mesh import Mesh, generate_mesh
 
-from conftest import four_triangle_square
+from conftest import PARTITION_ARCS, four_triangle_square, partition_of
 
 
 def reference_triangle_mesh():
@@ -190,35 +190,36 @@ def test_nested_dissection_fill_at_most_minimum_degree(i):
 
 
 def test_factor_arrays_unchanged_by_extensions(disk_matrices, rng):
-    """Extensions and the Schur product leave the factor as it was, also when
-    threads share it."""
-    fac = factor_interior(disk_matrices, p=1.0)
-    kept = {name: [getattr(fac, name)] for name in ("l11t", "l21t", "u22")}
-    for name, entry in kept.items():
-        entry += [entry[0].data.copy(), entry[0].indices.copy(), entry[0].indptr.copy()]
-    f = rng.standard_normal((disk_matrices.n_boundary, 4))
-    first = solve_dirichlet(fac, f)
-    second = solve_dirichlet(fac, f)
-    assert np.array_equal(first, second)
-    s_first = fac.schur()
-    assert np.array_equal(fac.schur(), s_first)
+    """For every partition and p, repeated and threaded extensions and Schur
+    products are bit-identical and leave the kept factor as it was."""
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            futures = [pool.submit(solve_dirichlet, fac, f) for _ in range(8)]
-            schurs = [pool.submit(fac.schur) for _ in range(4)]
-            results = [fut.result(timeout=60) for fut in futures]
-            s_results = [fut.result(timeout=60) for fut in schurs]
+        for arcs in PARTITION_ARCS:
+            for p in (0.0, 1.0, 1e3):
+                fac = factor_interior(disk_matrices, p, partition_of(disk_matrices.n_boundary, arcs))
+                s_first = fac.schur()
+                lu = fac.lu
+                kept = [(m, m.data.copy(), m.indices.copy(), m.indptr.copy()) for m in (lu.L, lu.U)]
+                f = rng.standard_normal((len(fac.data_nodes), 4))
+                first = solve_dirichlet(fac, f)
+                assert np.array_equal(solve_dirichlet(fac, f), first)
+                assert np.array_equal(fac.schur(), s_first)
+                with ThreadPoolExecutor(max_workers=4) as pool:
+                    futures = [pool.submit(solve_dirichlet, fac, f) for _ in range(8)]
+                    schurs = [pool.submit(fac.schur) for _ in range(4)]
+                    results = [fut.result(timeout=60) for fut in futures]
+                    s_results = [fut.result(timeout=60) for fut in schurs]
+                assert all(np.array_equal(r, first) for r in results)
+                assert all(np.array_equal(s, s_first) for s in s_results)
+                assert fac.lu is lu
+                for mat, (cached, data, indices, indptr) in zip((lu.L, lu.U), kept):
+                    assert mat is cached
+                    assert np.array_equal(mat.data, data)
+                    assert np.array_equal(mat.indices, indices)
+                    assert np.array_equal(mat.indptr, indptr)
     finally:
         sys.setswitchinterval(interval)
-    assert all(np.array_equal(r, first) for r in results)
-    assert all(np.array_equal(s, s_first) for s in s_results)
-    for name, (mat, data, indices, indptr) in kept.items():
-        assert getattr(fac, name) is mat
-        assert np.array_equal(mat.data, data)
-        assert np.array_equal(mat.indices, indices)
-        assert np.array_equal(mat.indptr, indptr)
 
 
 def test_negative_p_rejected(disk_matrices):
