@@ -6,7 +6,7 @@ one by one, then the node count, n_b, the stored entries of the factor the
 solve keeps (nnz(L + U)) and the process's peak RSS (``ru_maxrss``).
 ``--quick`` runs the same cases on coarse meshes, in a few seconds.
 
-    python scripts/bench.py [--quick] [--cases disk octagon] [--out bench.json]
+    python scripts/bench.py [--quick] [--out bench.json]
 
 ``--out`` also writes each case's eigenvalues, so two runs can be compared.
 """
@@ -75,7 +75,6 @@ def run_case(name: str, quick: bool) -> dict:
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--quick", action="store_true", help="coarse meshes, a few seconds in all")
-    ap.add_argument("--cases", nargs="+", choices=list(CASES), default=list(CASES))
     ap.add_argument("--out", help="write the table and the eigenvalues to this JSON file")
     ap.add_argument("--case", choices=list(CASES), help=argparse.SUPPRESS)  # one case, in this process
     args = ap.parse_args()
@@ -88,7 +87,7 @@ def main() -> None:
     results = {}
     print(f"{'case':<9}{'nodes':>8}{'n_b':>6}" + "".join(f"{s:>11}" for s in STAGES)
           + f"{'kept nnz':>12}{'RSS MB':>8}")
-    for name in args.cases:
+    for name in CASES:
         cmd = [sys.executable, __file__, "--case", name] + (["--quick"] if args.quick else [])
         proc = subprocess.run(cmd, env=env, capture_output=True, text=True)
         if proc.returncode:
@@ -102,7 +101,7 @@ def main() -> None:
             json.dump({
                 "quick": args.quick, "blas_threads": 1, "nproc": os.cpu_count(),
                 "python": platform.python_version(), "numpy": np.__version__, "scipy": scipy.__version__,
-                "use": {name: CASES[name][0] for name in args.cases}, "cases": results,
+                "use": {name: use for name, (use, *_) in CASES.items()}, "cases": results,
             }, f, indent=1)
             f.write("\n")
 

@@ -294,7 +294,9 @@ class InteriorFactor:
         than ``DENSE_ROW_SHARE`` * n_s entries (the top separators) are
         subtracted as one dense block by a single BLAS-3 ``syrk``, the others
         by one sparse product; only the upper triangle is formed and then
-        mirrored."""
+        mirrored. Beside S only the dense rows and the upper triangle of the
+        sparse rows' product are held; the dense rows are freed before that
+        triangle is subtracted."""
         n_u, n_s = len(self.unknown_nodes), len(self.data_nodes)
         upper = self.lu.U
         w = upper[:n_u, n_u:].tocsr()
@@ -304,13 +306,13 @@ class InteriorFactor:
         top = w[dense].toarray(order="F")
         rest = w[~dense]
         del w
-        low = (rest.T.tocsr() @ rest).tocoo()
+        low = sparse.triu(rest.T.tocsr() @ rest, format="coo")
         del rest
         s = self._a_dd.toarray(order="F")
         if len(top):
             s = dsyrk(-1.0, top, beta=1.0, c=s, trans=1, overwrite_c=1)
-        keep = low.row <= low.col
-        s[low.row[keep], low.col[keep]] -= low.data[keep]
+        del top
+        s[low.row, low.col] -= low.data
         for j0 in range(0, n_s, _MIRROR_BLOCK):
             j1 = min(j0 + _MIRROR_BLOCK, n_s)
             diag = s[j0:j1, j0:j1]
