@@ -246,9 +246,7 @@ class InteriorFactor:
     [0, I], so the trailing block is never updated and its pivots are
     exactly 1, also at p = 0, where the constants are in the kernel of S.
 
-    - ``schur`` forms S = A_dd - U12^T D11^{-1} U12 from U;
-    - ``extend`` solves a [x; y] = [0; f], whose x is the harmonic extension
-      of f and whose y is f.
+    ``schur`` forms S = A_dd - U12^T D11^{-1} U12 from U.
 
     Immutable, apart from SuperLU caching L and U once U is first read;
     solves and ``schur`` are reusable and thread-safe.
@@ -320,15 +318,6 @@ class InteriorFactor:
             s[j1:, j0:j1] = s[j0:j1, j1:].T
         return s
 
-    def extend(self, f: np.ndarray) -> np.ndarray:
-        """Values on the unknowns of the discrete (p - Lap)-harmonic extension of
-        data ``f`` (one column per data set) on the data nodes: x of
-        a [x; y] = [0; f]."""
-        n_u = len(self.unknown_nodes)
-        rhs = np.zeros((n_u + f.shape[0], f.shape[1]))
-        rhs[n_u:] = f
-        return self.lu.solve(rhs)[:n_u]
-
 
 # Rows of W = D11^{-1/2} U12 with more entries than this share of the data
 # nodes go through the dense syrk in ``InteriorFactor.schur``, the rest
@@ -367,8 +356,10 @@ def solve_dirichlet(factor: InteriorFactor, f: np.ndarray) -> np.ndarray:
     """Solve (p - Lap)u = 0 at the factor's p with u = f on the data nodes;
     returns all node values.
 
-    The returned vector restricts to ``f`` exactly on the data nodes and to 0
-    on eliminated (dirichlet_zero) nodes.
+    The factor solves a [x; y] = [0; f], whose x is the harmonic extension
+    of f on the unknowns and whose y is f. The returned vector restricts to
+    ``f`` exactly on the data nodes and to 0 on eliminated (dirichlet_zero)
+    nodes.
     """
     f = np.asarray(f, dtype=float)
     single = f.ndim == 1
@@ -379,7 +370,10 @@ def solve_dirichlet(factor: InteriorFactor, f: np.ndarray) -> np.ndarray:
         )
     if not np.all(np.isfinite(fcols)):
         raise FemError("boundary data must be finite")
+    n_u = len(factor.unknown_nodes)
+    rhs = np.zeros((n_u + fcols.shape[0], fcols.shape[1]))
+    rhs[n_u:] = fcols
     u = np.zeros((factor.n_nodes, fcols.shape[1]))
     u[factor.data_nodes] = fcols
-    u[factor.unknown_nodes] = factor.extend(fcols)
+    u[factor.unknown_nodes] = factor.lu.solve(rhs)[:n_u]
     return u[:, 0] if single else u

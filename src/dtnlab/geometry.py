@@ -446,12 +446,18 @@ def _polygon_domain(spec: DomainSpec, vertices: np.ndarray) -> Domain:
         raise GeometryError("polygon vertices must be in CCW order with positive area")
     if not is_simple_polygon(vertices):
         raise GeometryError("polygon is self-intersecting")
+    # a repeated vertex or an edge that doubles back on the one before it
+    # passes the crossing test; both leave no room to mesh
+    angles = interior_angles(vertices)
+    edge_len = np.hypot(*(np.roll(vertices, -1, axis=0) - vertices).T)
+    if not ((edge_len > 0).all() and (angles > 0).all()):
+        raise GeometryError("polygon has a repeated vertex or a zero interior angle")
     return Domain(
         spec=spec,
         area=area,
         perimeter=polygon_perimeter(vertices),
         vertices=vertices,
-        angles=interior_angles(vertices),
+        angles=angles,
     )
 
 

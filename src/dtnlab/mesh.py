@@ -18,7 +18,7 @@ so the triangulation is then kept from one pass to the next and repaired where
 the moved nodes break it: edges that fail the incircle test (an exact form of
 the DistMesh rule, Persson & Strang, SIAM Review 46, 2004) are flipped until
 all pass (Lawson 1977), and qhull runs on all points only when a triangle
-loses its orientation, the hull moves, an edge of a flat simplex fails or the
+stops being CCW, the hull moves, an edge of a flat simplex fails or the
 flips do not converge. By the Delaunay lemma a triangulation that passes both
 checks is the Delaunay triangulation of the moved nodes, so meshes are the
 ones a fresh qhull triangulation per pass gives, up to the order of the
@@ -47,6 +47,8 @@ MAX_FLIP_ROUNDS = 20
 # a triangle is flat when twice its area is under this times its longest edge
 # squared: qhull's zero-area simplices of collinear samples, to rounding
 FLAT_AREA = 1e-12
+# neighbour-averaging passes of the interior nodes per mesh attempt
+N_SMOOTH = 8
 
 log = logging.getLogger("dtnlab")
 
@@ -220,21 +222,24 @@ def _band_delaunay(pts: np.ndarray, grid: np.ndarray, shape: tuple[int, int],
 class _KeptDelaunay:
     """A Delaunay triangulation, kept to be tested against moved points.
 
+    Every simplex that is not flat is CCW: scipy's 2-D
+    ``Delaunay.simplices`` are, so are the lattice triangles
+    (``_lattice_triangles``), and an edge flip keeps it (``refreshed``). A
+    simplex that stops being CCW when the points move is past repair by
+    flips. ``flat`` marks the flat simplices (``_flat``), whose orientation
+    is rounding noise; only fixed samples on the hull make them.
+
     ``quads`` holds each interior edge (a, b) with a moving endpoint or
     opposite vertex (index < n_free) as a row (a, b, c, d): c and d are the
     vertices opposite the edge, (a, b, c) a rotation of simplex ``quad_tris[:,
-    0]`` whose orientation sign is the row's ``quad_signs`` entry, and d a
-    vertex of simplex ``quad_tris[:, 1]``. Edges among fixed boundary samples
-    are left out: they never change, and they hold exact cocircular ties
-    (symmetric graded points around a sharp corner, equally spaced points on
-    straight sides) that rounding would flag at random. ``flat`` marks the
-    flat simplices (``_flat``); only fixed samples on the hull make them.
+    0]`` and d a vertex of simplex ``quad_tris[:, 1]``. Edges among fixed
+    boundary samples are left out: they never change, and they hold exact
+    cocircular ties (symmetric graded points around a sharp corner, equally
+    spaced points on straight sides) that rounding would flag at random.
     """
 
     simplices: np.ndarray
-    signs: np.ndarray
     quads: np.ndarray
-    quad_signs: np.ndarray
     quad_tris: np.ndarray
     flat: np.ndarray
     hull_fixed: bool
@@ -242,8 +247,8 @@ class _KeptDelaunay:
 
     @classmethod
     def from_simplices(cls, pts: np.ndarray, n_free: int, simplices: np.ndarray) -> "_KeptDelaunay":
-        """Neighbours, quads, signs and hull of a triangulation, matched by
-        the integer keys of its edges."""
+        """Neighbours, quads, flat simplices and hull of a triangulation,
+        matched by the integer keys of its edges."""
         # qhull's index type: the mesh keeps its triangles' dtype, and the
         # temporaries below stay half the size
         s = np.asarray(simplices, dtype=np.int32)
@@ -258,13 +263,11 @@ class _KeptDelaunay:
         single[first] = single[second] = False
         i, j = np.divmod(first, 3)
         quads = np.stack([opp[first, 0], opp[first, 1], s[i, j], s.ravel()[second]], axis=1)
-        signs = np.sign(_orientation(pts, s))
         moving = quads.min(axis=1) < n_free
         flat = np.zeros(len(s), dtype=bool)
         fixed = np.flatnonzero(s.min(axis=1) >= n_free)
         flat[fixed] = _flat(pts, s[fixed])
-        return cls(s, signs, quads[moving], signs[i[moving]],
-                   np.stack([i, second // 3], axis=1)[moving], flat,
+        return cls(s, quads[moving], np.stack([i, second // 3], axis=1)[moving], flat,
                    bool(opp[single].min(initial=n_free) >= n_free), n_free)
 
     @classmethod
@@ -275,10 +278,10 @@ class _KeptDelaunay:
     def failing_edges(self, pts: np.ndarray) -> np.ndarray | None:
         """Mask of the tested edges that fail the incircle test at ``pts``, or
         None when flips cannot repair the kept simplices: a moving point is
-        on the hull, or a simplex changed its orientation sign."""
+        on the hull, or a simplex that is not flat stopped being CCW."""
         if not self.hull_fixed:
             return None
-        if not np.array_equal(np.sign(_orientation(pts, self.simplices)), self.signs):
+        if ((_orientation(pts, self.simplices) <= 0) & ~self.flat).any():
             return None
         # gathers from contiguous columns are faster than row gathers of pts
         x, y = pts[:, 0].copy(), pts[:, 1].copy()
@@ -294,20 +297,13 @@ class _KeptDelaunay:
             - ady * (bdx * lc - lb * cdx)
             + la * (bdx * cdy - bdy * cdx)
         )
-        return self.quad_signs * incircle > INCIRCLE_MARGIN * la * lb
-
-    def still_delaunay(self, pts: np.ndarray) -> bool:
-        """True when the kept simplices are a Delaunay triangulation of
-        ``pts``: the hull is made of fixed points, every simplex keeps its
-        orientation sign and every tested edge passes the incircle test."""
-        bad = self.failing_edges(pts)
-        return bad is not None and not bad.any()
+        return incircle > INCIRCLE_MARGIN * la * lb
 
     def refreshed(self, pts: np.ndarray) -> tuple["_KeptDelaunay", bool]:
         """A Delaunay triangulation of the moved ``pts`` and whether qhull
         made it. Edges that fail the incircle test are flipped, one per
         simplex per round, until every edge passes (Lawson 1977); qhull runs
-        on all points only after an orientation change, a moving hull point,
+        on all points after a simplex stops being CCW, a moving hull point,
         a failing edge of a flat simplex (whose side is rounding noise) or
         ``MAX_FLIP_ROUNDS`` rounds of flips."""
         kept = self
@@ -319,22 +315,18 @@ class _KeptDelaunay:
                 return kept, False
             if kept.flat[kept.quad_tris[bad]].any():
                 break
-            s, signs = kept.simplices.copy(), kept.signs.copy()
+            s = kept.simplices.copy()
             touched = np.zeros(len(s), dtype=bool)
-            for (a, b, c, d), sign, (t1, t2) in zip(
-                kept.quads[bad], kept.quad_signs[bad], kept.quad_tris[bad]
-            ):
+            for (a, b, c, d), (t1, t2) in zip(kept.quads[bad], kept.quad_tris[bad]):
                 if touched[t1] or touched[t2]:
                     continue
                 touched[t1] = touched[t2] = True
-                # (a, b, c) and (b, a, d) become (a, d, c) and (d, b, c), with
-                # the orientation of (a, b, c): the quad is convex because d is
-                # inside the circle through a, b, c
+                # (a, b, c) and (b, a, d) become (a, d, c) and (d, b, c), CCW
+                # like them: the quad is convex because d is inside the circle
+                # through a, b, c. The next round's check catches rounding
+                # that says otherwise
                 s[t1], s[t2] = (a, d, c), (d, b, c)
-                signs[t1] = signs[t2] = sign
             kept = _KeptDelaunay.from_simplices(pts, self.n_free, s)
-            if not np.array_equal(kept.signs, signs):
-                break
         return _KeptDelaunay.build(pts, self.n_free), True
 
 
@@ -376,20 +368,20 @@ def _seed(domain: Domain, hb: float, a: float) -> tuple[np.ndarray, int, _KeptDe
     return pts, len(grid), _KeptDelaunay.from_simplices(pts, len(grid), simplices), 1
 
 
-def _build_once(domain: Domain, h: float, scale: float, n_smooth: int = 8):
+def _build_once(domain: Domain, h: float, scale: float):
     """One mesh at boundary/lattice spacing ``scale`` times the nominal one,
     and the number of qhull calls it took."""
     hb = 0.66 * h * scale
     pts, n_free, kept, n_qhull = _seed(domain, hb, 0.70 * h * scale)
     nb = len(pts) - n_free
-    for step in range(n_smooth + 1):
+    for step in range(N_SMOOTH + 1):
         if step:
             kept, qhull = kept.refreshed(pts)
             n_qhull += qhull
         s = kept.simplices
         # a flat simplex on a straight side has its centroid on the boundary
         tris = s[~kept.flat & domain.contains((pts[s[:, 0]] + pts[s[:, 1]] + pts[s[:, 2]]) / 3)]
-        if step == n_smooth:
+        if step == N_SMOOTH:
             break
         new = _neighbor_average(pts, tris, n_free)
         moved = new[:n_free]
@@ -409,10 +401,8 @@ def _build_once(domain: Domain, h: float, scale: float, n_smooth: int = 8):
         tris = remap[tris]
         n_free = int(used[:n_free].sum())
 
-    # renumber interior-first / boundary-last-CCW (already in that layout)
-    flip = _orientation(pts, tris) < 0
-    tris[flip] = tris[flip][:, ::-1]
-
+    # interior-first / boundary-last-CCW already, and the triangles are CCW
+    # like the kept simplices: ``validate_mesh`` reports any that are not
     bidx = np.arange(n_free, n_free + nb)
     bedges = np.stack([bidx, np.roll(bidx, -1)], axis=1)
     return Mesh(
@@ -576,11 +566,12 @@ def export_mesh(mesh: Mesh, path) -> None:
 
 
 def import_mesh(path) -> Mesh:
-    """Parse the text format. A malformed line or header, a boundary edge off
-    the boundary nodes, or any violation of ``_structure`` (an index out of
-    range, a flipped triangle, a boundary edge not on exactly one triangle, a
-    non-manifold edge, or a single-triangle edge that is no boundary edge, as
-    around a hole) raises ``MeshError``."""
+    """Parse the text format. A malformed line or header (a negative count
+    among them), a boundary edge off the boundary nodes, or any violation of
+    ``_structure`` (an index out of range, a flipped triangle, a boundary
+    edge not on exactly one triangle, a non-manifold edge, or a
+    single-triangle edge that is no boundary edge, as around a hole) raises
+    ``MeshError``."""
     with open(path) as f:
         lines = [ln.strip() for ln in f if ln.strip()]
     pos = 0
@@ -594,9 +585,12 @@ def import_mesh(path) -> Mesh:
             raise MeshError(f"malformed '{tag}' header: {lines[pos]!r}")
         pos += 1
         try:
-            return [int(p) for p in parts[1:]]
+            counts = [int(p) for p in parts[1:]]
         except ValueError:
             raise MeshError(f"non-integer count in '{tag}' header") from None
+        if min(counts) < 0:
+            raise MeshError(f"negative count in '{tag}' header")
+        return counts
 
     def read_block(name: str, count: int, width: int, cast) -> np.ndarray:
         nonlocal pos
@@ -612,8 +606,8 @@ def import_mesh(path) -> Mesh:
         return np.array(rows, dtype=cast).reshape(count, width)
 
     ni, ne = expect_header("nodes", 2)
-    if ni < 0 or ne < 3:
-        raise MeshError("need n_interior >= 0 and n_boundary >= 3")
+    if ne < 3:
+        raise MeshError("need n_boundary >= 3")
     ntot = ni + ne
     nodes = read_block("node", ntot, 2, float)
     (nt,) = expect_header("triangles", 1)

@@ -225,6 +225,9 @@ def test_contains_basic():
         TriangleSpec(side=2, angle1=2.0, angle2=2.0),
         DeformedDiskSpec(amplitude=1.01),
         KochSpec(generation=-1),
+        # a repeated vertex, and an edge (0.5, 0) -> (1, 0) that doubles back
+        PolygonSpec(((1, 0), (0.5, 0), (0.5, 0), (0.5403, 0.8415), (-0.6536, -0.7568))),
+        PolygonSpec(((0.75, 0), (0.5, 0), (1, 0), (0.5403, 0.8415), (-0.6536, -0.7568))),
     ],
 )
 def test_invalid_specs_raise(bad):

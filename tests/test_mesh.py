@@ -1,8 +1,10 @@
 import logging
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.spatial import Delaunay
 
 from dtnlab import geometry
@@ -164,6 +166,20 @@ def test_import_rejects_malformed_index_line(tmp_path, block, line):
         import_mesh(path)
 
 
+@pytest.mark.parametrize(
+    "block, header", [("nodes", "nodes -1 4"), ("triangles", "triangles -1"),
+                      ("boundary_edges", "boundary_edges -2")]
+)
+def test_import_rejects_negative_count(tmp_path, block, header):
+    path = tmp_path / "negative.mesh"
+    export_mesh(four_triangle_square(), path)
+    lines = path.read_text().splitlines()
+    lines[next(i for i, ln in enumerate(lines) if ln.startswith(block))] = header
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(MeshError, match=f"negative count in '{block}' header"):
+        import_mesh(path)
+
+
 def test_import_rejects_flipped_triangle(tmp_path):
     m = four_triangle_square()
     m.triangles = m.triangles.copy()
@@ -263,24 +279,31 @@ def _canonical(triangles):
     return t[np.lexsort(t.T[::-1])]
 
 
+def _still_delaunay(kept, pts):
+    """True when the kept simplices are a Delaunay triangulation of ``pts``:
+    flips have nothing to repair and no edge fails the incircle test."""
+    bad = kept.failing_edges(pts)
+    return bad is not None and not bad.any()
+
+
 def test_kept_delaunay_accepts_small_move_rejects_flip_and_inversion():
     kept = meshmod._KeptDelaunay.build(QUAD, n_free=4)
     assert kept.hull_fixed
-    assert kept.still_delaunay(QUAD)
+    assert _still_delaunay(kept, QUAD)
     small = QUAD.copy()
     small[3] += [-0.02, 0.01]
-    assert kept.still_delaunay(small)
+    assert _still_delaunay(kept, small)
     # point 3 inside the circle through 0, 1, 2: qhull flips the diagonal
     flip = QUAD.copy()
     flip[3] = [0.2, 0.5]
-    assert not kept.still_delaunay(flip)
+    assert not _still_delaunay(kept, flip)
     fresh = meshmod._KeptDelaunay.build(flip, n_free=4).simplices
     assert not np.array_equal(_canonical(fresh), _canonical(kept.simplices))
     # point 1 pushed out through the frame edge (5, 6) inverts triangle
     # (6, 1, 5); no incircle test sees a hull edge, the orientation check does
     invert = QUAD.copy()
     invert[1] = [3.2, 0.3]
-    assert not kept.still_delaunay(invert)
+    assert not _still_delaunay(kept, invert)
 
 
 def test_kept_delaunay_with_moving_hull_point_is_never_reused():
@@ -288,7 +311,7 @@ def test_kept_delaunay_with_moving_hull_point_is_never_reused():
     # inward without inverting a triangle, so the rule does not apply
     kept = meshmod._KeptDelaunay.build(QUAD[:4], n_free=4)
     assert not kept.hull_fixed
-    assert not kept.still_delaunay(QUAD[:4])
+    assert not _still_delaunay(kept, QUAD[:4])
 
 
 def test_flip_repair_matches_fresh_qhull():
@@ -297,7 +320,7 @@ def test_flip_repair_matches_fresh_qhull():
     flip[3] = [0.2, 0.5]
     repaired, qhull = kept.refreshed(flip)
     assert not qhull
-    assert repaired.still_delaunay(flip)
+    assert _still_delaunay(repaired, flip)
     fresh = Delaunay(flip).simplices
     assert np.array_equal(_canonical(repaired.simplices), _canonical(fresh))
     # an inverted triangle is past repair by flips: qhull runs on all points
@@ -319,7 +342,7 @@ def test_flat_simplex_is_marked_and_never_flipped():
     assert kept.flat.tolist() == [False, True, False, False, False, False]
     # 2 lies inside the circle through 1, 3, 0: the failing edge (1, 3) borders
     # the flat simplex, whose side is rounding noise, so qhull takes over
-    assert not kept.still_delaunay(pts)
+    assert not _still_delaunay(kept, pts)
     rebuilt, qhull = kept.refreshed(pts)
     assert qhull
     assert np.array_equal(_canonical(rebuilt.simplices), _canonical(Delaunay(pts).simplices))
@@ -344,6 +367,61 @@ def test_flat_hull_simplices_stay_out_of_the_mesh(caplog):
             assert "non-positive" not in record.getMessage(), record.getMessage()
 
 
+def _star_polygon(angles, radii):
+    """The polygon with vertices at ``radii`` along the sorted ``angles``,
+    star-shaped about the origin, coordinates rounded to 4 decimals."""
+    return geometry.PolygonSpec(tuple(
+        (round(r * math.cos(t), 4), round(r * math.sin(t), 4))
+        for t, r in zip(sorted(angles), radii)
+    ))
+
+
+def _mesh_checking_ccw(dom, h):
+    """Mesh ``dom`` at ``h`` and check the result and every triangulation
+    the mesher keeps on the way: CCW on the simplices that are not flat."""
+    real = meshmod._KeptDelaunay.from_simplices.__func__
+
+    def from_simplices(cls, pts, n_free, simplices):
+        kept = real(cls, pts, n_free, simplices)
+        assert (meshmod._orientation(pts, kept.simplices)[~kept.flat] > 0).all()
+        return kept
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(meshmod._KeptDelaunay, "from_simplices", classmethod(from_simplices))
+        msh = generate_mesh(dom, h)
+    assert validate_mesh(msh, dom).ok
+    assert (msh.signed_areas() > 0).all()
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    shape=st.integers(5, 12).flatmap(lambda n: st.tuples(
+        st.lists(st.floats(0, 2 * math.pi, exclude_max=True), min_size=n, max_size=n, unique=True),
+        st.lists(st.floats(0.5, 1.0), min_size=n, max_size=n),
+    )),
+    h=st.sampled_from([0.05, 0.08]),
+)
+def test_star_polygons_mesh_ccw_or_raise(shape, h):
+    try:
+        dom = geometry.build_domain(_star_polygon(*shape))
+    except geometry.GeometryError:
+        assume(False)
+    try:
+        _mesh_checking_ccw(dom, h)
+    except MeshError:
+        pass
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_seeded_star_polygons_mesh_ccw(seed):
+    # a third of these put straight sides on the hull, where qhull returns
+    # flat simplices of collinear samples
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(5, 13))
+    spec = _star_polygon(rng.uniform(0, 2 * np.pi, n), rng.uniform(0.5, 1.0, n))
+    _mesh_checking_ccw(geometry.build_domain(spec), (0.05, 0.08)[seed % 2])
+
+
 def _step0(monkeypatch, dom, h, scale):
     """The points and triangles of one mesh attempt before smoothing, and the
     sizes of the point sets qhull saw."""
@@ -356,7 +434,8 @@ def _step0(monkeypatch, dom, h, scale):
 
     monkeypatch.setattr(meshmod, "Delaunay", counting_delaunay)
     monkeypatch.setattr(meshmod, "_seed", lambda *args: seeds.append(real_seed(*args)) or seeds[0])
-    meshmod._build_once(dom, h, scale, n_smooth=0)
+    monkeypatch.setattr(meshmod, "N_SMOOTH", 0)
+    meshmod._build_once(dom, h, scale)
     monkeypatch.undo()
     pts, _, kept, _ = seeds[0]
     return pts, kept.simplices, calls
@@ -378,7 +457,7 @@ def test_band_step0_is_the_delaunay_triangulation(monkeypatch, spec, h, scale):
     assert len(simplices) == len(fresh)
     # every interior edge passes the incircle test, fixed-point edges too
     kept = meshmod._KeptDelaunay.from_simplices(pts, len(pts), simplices)
-    assert replace(kept, hull_fixed=True).still_delaunay(pts)
+    assert _still_delaunay(replace(kept, hull_fixed=True), pts)
 
     def inside(t):
         return t[dom.contains(pts[t].mean(axis=1))]
