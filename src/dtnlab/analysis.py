@@ -258,19 +258,13 @@ def norm_identities(
 # pressure sweep
 # ---------------------------------------------------------------------------
 
-@dataclass
-class PSweep:
-    p_grid: np.ndarray
-    eigenvalues: np.ndarray      # (len(grid), count), each row ascending
-    small_p_slope: float         # area / perimeter
-
-
-def p_sweep(domain: Domain, matrices: FemMatrices, p_grid, count: int) -> PSweep:
-    """Spectra over an increasing pressure grid (sorted-index bookkeeping)."""
+def p_sweep(matrices: FemMatrices, p_grid, count: int) -> np.ndarray:
+    """The lowest ``count`` eigenvalues at each p of an increasing pressure
+    grid: a (len(p_grid), count) array, each row ascending."""
     p_grid = np.asarray(p_grid, dtype=float)
     if np.any(np.diff(p_grid) <= 0) or np.any(p_grid < 0):
         raise AnalysisError("pressure grid must be nonnegative and strictly increasing")
     rows = np.empty((len(p_grid), count))
     for i, p in enumerate(p_grid):
         rows[i] = solve(matrices, p, count)[1].eigenvalues
-    return PSweep(p_grid=p_grid, eigenvalues=rows, small_p_slope=domain.area / domain.perimeter)
+    return rows

@@ -233,13 +233,13 @@ def cmd_sweep(cfg: argparse.Namespace, rep: Reporter) -> None:
     domain, _, matrices = _mesh(cfg, rep)
     grid = np.logspace(math.log10(cfg.p_min), math.log10(cfg.p_max), cfg.n_p)
     with rep.time("sweep"):
-        sweep = analysis.p_sweep(domain, matrices, grid, cfg.count)
+        eigenvalues = analysis.p_sweep(matrices, grid, cfg.count)
     dtn.write_csv(
         rep.path("sweep.csv"),
         ["p", "k", "mu"],
-        ((p, k, mu) for p, row in zip(sweep.p_grid, sweep.eigenvalues) for k, mu in enumerate(row)),
+        ((p, k, mu) for p, row in zip(grid, eigenvalues) for k, mu in enumerate(row)),
     )
-    rep.payload["small_p_slope"] = sweep.small_p_slope
+    rep.payload["small_p_slope"] = domain.area / domain.perimeter
 
 
 def cmd_ck(cfg: argparse.Namespace, rep: Reporter) -> None:

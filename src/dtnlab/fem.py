@@ -59,17 +59,16 @@ class BoundaryPartition:
         ``0 <= start < n_boundary`` and ``0 <= stop <= n_boundary``."""
         roles = -np.ones(n_boundary, dtype=np.int8)
         for start, stop, name in arcs:
-            if isinstance(name, str) and name not in _ROLE_NAMES:
+            if name not in _ROLE_NAMES:
                 raise FemError(f"unknown boundary role {name!r}")
             if not (0 <= start < n_boundary and 0 <= stop <= n_boundary):
                 raise FemError(f"arc ({start}, {stop}) outside 0..{n_boundary}")
-            role = _ROLE_NAMES[name] if isinstance(name, str) else int(name)
             idx = (
                 np.arange(start, stop)
                 if start < stop
                 else np.concatenate([np.arange(start, n_boundary), np.arange(0, stop)])
             )
-            roles[idx] = role
+            roles[idx] = _ROLE_NAMES[name]
         if (roles < 0).any():
             raise FemError("arcs do not cover every boundary node")
         return cls(roles)

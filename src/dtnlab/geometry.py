@@ -2,13 +2,13 @@
 
 Every domain is simply connected with a counterclockwise boundary. Polygonal
 domains carry an explicit CCW vertex list; smooth domains carry a parametrization
-theta -> point plus a dense polyline cache used for distance queries.
+theta -> point plus a dense polyline used for distance queries.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Union
 
 import numpy as np
@@ -207,6 +207,12 @@ def points_in_polygon(vertices: np.ndarray, points: np.ndarray) -> np.ndarray:
 # host 20-degree triangles (the mesher exempts them from its angle floor)
 SHARP_ANGLE = math.radians(40.0)
 
+# polygons with a corner below this are rejected before meshing: the graded
+# samples per arm grow like log(2 / beta^2) / beta (beta = 2 sin(angle / 2));
+# 1 degree is the sharpest spike measured to mesh at h = 0.05 and 0.02, and the
+# margin admits a corner built as 1 degree whose angle rounds a few ulps short
+MIN_CORNER_ANGLE = math.radians(1.0) * (1 - 1e-9)
+
 # the largest spacing of the polyline that stands in for a smooth boundary in
 # distance queries; the mesher's check of boundary nodes allows its square
 POLYLINE_SPACING = 1e-3
@@ -328,9 +334,9 @@ def reflex_octagon_vertices() -> np.ndarray:
 # domain
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class Domain:
-    """Realized domain: immutable after construction; safe for concurrent reads."""
+    """Realized domain, built once by ``build_domain``: frozen, safe for concurrent reads."""
 
     spec: DomainSpec
     area: float
@@ -426,16 +432,6 @@ class Domain:
         theta = np.interp(s_targets, self._arclength_s, self._arclength_theta)
         return self.parametrization(theta)
 
-    def refined(self, spacing: float) -> "Domain":
-        """This domain with its smooth-boundary polyline at ``spacing`` or finer:
-        ``self`` when the polyline already is that fine (and for polygons),
-        otherwise a copy with rebuilt caches; ``self`` is never changed."""
-        if self.is_polygon or not 0 < spacing < self.perimeter / len(self._polyline):
-            return self
-        copy = replace(self)
-        _attach_smooth_caches(copy, spacing)
-        return copy
-
 
 def _polygon_domain(spec: DomainSpec, vertices: np.ndarray) -> Domain:
     vertices = np.asarray(vertices, dtype=float)
@@ -450,8 +446,12 @@ def _polygon_domain(spec: DomainSpec, vertices: np.ndarray) -> Domain:
     # passes the crossing test; both leave no room to mesh
     angles = interior_angles(vertices)
     edge_len = np.hypot(*(np.roll(vertices, -1, axis=0) - vertices).T)
-    if not ((edge_len > 0).all() and (angles > 0).all()):
-        raise GeometryError("polygon has a repeated vertex or a zero interior angle")
+    if not (edge_len > 0).all():
+        raise GeometryError("polygon has a repeated vertex")
+    if angles.min() < MIN_CORNER_ANGLE:
+        raise GeometryError(
+            f"polygon has a {math.degrees(angles.min()):.3g}-degree corner, below the 1-degree floor"
+        )
     return Domain(
         spec=spec,
         area=area,
@@ -461,18 +461,17 @@ def _polygon_domain(spec: DomainSpec, vertices: np.ndarray) -> Domain:
     )
 
 
-def _attach_smooth_caches(dom: Domain, spacing: float) -> None:
-    n = max(4096, int(math.ceil(dom.perimeter / spacing)))
-    th_dense = TWO_PI * np.arange(n + 1) / n
-    pts = dom.parametrization(th_dense)
-    seg = np.hypot(*np.diff(pts, axis=0).T)
-    s = np.concatenate([[0.0], np.cumsum(seg)])
+def _polyline_table(param, perimeter: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The closed polyline of at least 4096 equal-theta samples spaced at most
+    ``POLYLINE_SPACING`` apart, and the table (theta, arclength) from its
+    vertices, the arclength scaled to end at the exact perimeter."""
+    n = max(4096, int(math.ceil(perimeter / POLYLINE_SPACING)))
+    theta = TWO_PI * np.arange(n + 1) / n
+    pts = param(theta)
+    s = np.concatenate([[0.0], np.cumsum(np.hypot(*np.diff(pts, axis=0).T))])
     # rescale to the exact perimeter so interpolation hits the endpoints
-    s *= dom.perimeter / s[-1]
-    dom._arclength_theta = th_dense
-    dom._arclength_s = s
-    dom._polyline = pts[:-1]
-    dom._polyline_tree = cKDTree(dom._polyline)
+    s *= perimeter / s[-1]
+    return pts[:-1], theta, s
 
 
 def _smooth_domain(
@@ -482,16 +481,19 @@ def _smooth_domain(
     perimeter: float,
     contains_fn: Callable[[np.ndarray], np.ndarray],
 ) -> Domain:
-    dom = Domain(
+    polyline, theta, s = _polyline_table(param, perimeter)
+    return Domain(
         spec=spec,
         area=area,
         perimeter=perimeter,
         # ``param`` maps a 1-D float array of angles to (n, 2) points
         parametrization=lambda th: param(np.atleast_1d(np.asarray(th, dtype=float))),
+        _polyline=polyline,
+        _polyline_tree=cKDTree(polyline),
+        _arclength_theta=theta,
+        _arclength_s=s,
         _contains_fn=contains_fn,
     )
-    _attach_smooth_caches(dom, min(POLYLINE_SPACING, perimeter / 4096))
-    return dom
 
 
 def build_domain(spec: DomainSpec) -> Domain:

@@ -441,8 +441,6 @@ def generate_mesh(domain: Domain, h: float) -> Mesh:
     if h > 0.5 * diameter:
         raise MeshError(f"h={h} too large to resolve the domain")
 
-    # a finer polyline for distance queries on smooth boundaries, on a copy
-    domain = domain.refined(min(h / 2, POLYLINE_SPACING))
     scale = 1.0
     last_problems: list[str] = []
     for attempt in range(1, 5):

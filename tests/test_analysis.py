@@ -251,19 +251,23 @@ def test_match_branches_identity(disk_solution, disk_matrices):
 
 
 def test_p_sweep_small_p_asymptote(disk_domain, disk_matrices):
-    sweep = p_sweep(disk_domain, disk_matrices, [1e-2, 1e-1, 1.0], 3)
-    assert abs(sweep.eigenvalues[0, 0] / (1e-2 * sweep.small_p_slope) - 1) < 0.02
+    # mu_0(p) ~ p |Omega| / |dOmega| as p -> 0
+    eigenvalues = p_sweep(disk_matrices, [1e-2, 1e-1, 1.0], 3)
+    slope = disk_domain.area / disk_domain.perimeter
+    assert abs(eigenvalues[0, 0] / (1e-2 * slope) - 1) < 0.02
 
 
-def test_p_sweep_rows_are_solve_spectra(square_domain, square_matrices):
-    sweep = p_sweep(square_domain, square_matrices, [0.5, 1.0], 4)
-    for p, row in zip(sweep.p_grid, sweep.eigenvalues):
+def test_p_sweep_rows_are_solve_spectra(square_matrices):
+    grid = [0.5, 1.0]
+    eigenvalues = p_sweep(square_matrices, grid, 4)
+    assert eigenvalues.shape == (2, 4)
+    for p, row in zip(grid, eigenvalues):
         assert np.array_equal(row, solve(square_matrices, p, 4)[1].eigenvalues)
 
 
-def test_p_sweep_grid_validation(disk_domain, disk_matrices):
+def test_p_sweep_grid_validation(disk_matrices):
     with pytest.raises(AnalysisError):
-        p_sweep(disk_domain, disk_matrices, [1.0, 0.5], 2)
+        p_sweep(disk_matrices, [1.0, 0.5], 2)
 
 
 def test_csv_writers(tmp_path, disk_domain, disk_mesh, disk_matrices):

@@ -469,6 +469,17 @@ def test_unknown_shape_keys_exit_2(tmp_path, capsys, domain):
     assert not (out / "report.json").exists()
 
 
+def test_too_sharp_polygon_exits_2(tmp_path, capsys):
+    shape = tmp_path / "spike.json"  # a 0.1-degree corner at (2, 0)
+    y = 1.7 * math.tan(math.radians(0.1))
+    shape.write_text(geometry.spec_to_json(geometry.PolygonSpec(((0, 0), (2, 0), (0.3, y), (0, 1)))))
+    out = tmp_path / "out"
+    assert run_cli("mesh", "--domain", f"poly:file={shape}", "--h", "0.05", "--out", str(out)) == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["exit_code"] == 2 and "1-degree floor" in record["error"]
+    assert not (out / "report.json").exists()
+
+
 def test_emit_plots_carries_the_report_forward(tmp_path):
     assert run_cli("sweep", "--domain", "disk:R=1", "--h", "0.3", "--count", "2",
                    "--p-min", "0.1", "--p-max", "10", "--n-p", "2", "--out", str(tmp_path)) == 0

@@ -254,6 +254,9 @@ def test_partition_validation():
 def test_partition_rejects_unknown_role_name():
     with pytest.raises(FemError, match="stekloff"):
         BoundaryPartition.from_arcs(10, [(0, 10, "stekloff")])
+    # arcs name their roles; the int8 codes are not a spelling of them
+    with pytest.raises(FemError, match="unknown boundary role 0"):
+        BoundaryPartition.from_arcs(10, [(0, 10, 0)])
 
 
 @pytest.mark.parametrize(

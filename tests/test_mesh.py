@@ -1,6 +1,6 @@
 import logging
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -9,6 +9,7 @@ from scipy.spatial import Delaunay
 
 from dtnlab import geometry
 from dtnlab import mesh as meshmod
+from dtnlab.fem import assemble
 from dtnlab.mesh import (
     Mesh,
     MeshError,
@@ -17,6 +18,7 @@ from dtnlab.mesh import (
     import_mesh,
     validate_mesh,
 )
+from dtnlab.pipeline import solve
 
 from conftest import four_triangle_square
 
@@ -393,23 +395,52 @@ def _mesh_checking_ccw(dom, h):
     assert (msh.signed_areas() > 0).all()
 
 
-@settings(max_examples=15, deadline=None)
-@given(
-    shape=st.integers(5, 12).flatmap(lambda n: st.tuples(
-        st.lists(st.floats(0, 2 * math.pi, exclude_max=True), min_size=n, max_size=n, unique=True),
-        st.lists(st.floats(0.5, 1.0), min_size=n, max_size=n),
-    )),
-    h=st.sampled_from([0.05, 0.08]),
-)
-def test_star_polygons_mesh_ccw_or_raise(shape, h):
+# (angles, radii) of a star polygon with 5 to 12 vertices
+STAR_SHAPES = st.integers(5, 12).flatmap(lambda n: st.tuples(
+    st.lists(st.floats(0, 2 * math.pi, exclude_max=True), min_size=n, max_size=n, unique=True),
+    st.lists(st.floats(0.5, 1.0), min_size=n, max_size=n),
+))
+
+
+def _star_domain(shape):
     try:
-        dom = geometry.build_domain(_star_polygon(*shape))
+        return geometry.build_domain(_star_polygon(*shape))
     except geometry.GeometryError:
         assume(False)
+
+
+@settings(max_examples=15, deadline=None)
+@given(shape=STAR_SHAPES, h=st.sampled_from([0.05, 0.08]))
+def test_star_polygons_mesh_ccw_or_raise(shape, h):
+    dom = _star_domain(shape)
     try:
         _mesh_checking_ccw(dom, h)
     except MeshError:
         pass
+
+
+@settings(max_examples=15, deadline=None)
+@given(shape=STAR_SHAPES, h=st.sampled_from([0.05, 0.08]), t=st.sampled_from([0.5, 2.0]))
+def test_star_polygons_obey_the_scaling_law(shape, h, t):
+    """A power of two scales every coordinate, comparison and incircle
+    determinant exactly, so the mesh of t Omega at t h is t times the mesh of
+    Omega at h, and mu_{t Omega}(p) = mu_Omega(p t^2) / t."""
+    dom = _star_domain(shape)
+    scaled = geometry.build_domain(
+        geometry.PolygonSpec(tuple((t * x, t * y) for x, y in dom.spec.vertices))
+    )
+    try:
+        msh = generate_mesh(dom, h)
+    except MeshError:
+        with pytest.raises(MeshError):
+            generate_mesh(scaled, t * h)
+        return
+    big = generate_mesh(scaled, t * h)
+    assert np.array_equal(big.nodes, t * msh.nodes)
+    assert np.array_equal(big.triangles, msh.triangles)
+    mu = solve(assemble(msh), t * t, 6)[1].eigenvalues / t
+    mu_scaled = solve(assemble(big), 1.0, 6)[1].eigenvalues
+    assert np.allclose(mu_scaled, mu, rtol=1e-9, atol=0)
 
 
 @pytest.mark.parametrize("seed", range(30))
@@ -575,8 +606,8 @@ def test_generate_mesh_leaves_domain_untouched(monkeypatch):
 
     generate_mesh(dom, 0.1)
     assert_untouched()
-    # below h = 2e-3 the mesher needs a finer polyline than the domain holds;
-    # it must mesh a refined copy (stopped here before any meshing is done)
+    # at every h, the finest included, the mesher meshes the caller's own
+    # domain (stopped here before any meshing is done)
     seen = []
 
     def stop(domain, h, scale):
@@ -586,20 +617,27 @@ def test_generate_mesh_leaves_domain_untouched(monkeypatch):
     monkeypatch.setattr(meshmod, "_build_once", stop)
     with pytest.raises(MeshError, match="stop"):
         generate_mesh(dom, 0.0015)
-    assert seen[0] is not dom
-    assert len(seen[0]._polyline) > len(dom._polyline)
+    assert seen[0] is dom
     assert_untouched()
+    for f in fields(dom):
+        with pytest.raises(FrozenInstanceError):
+            setattr(dom, f.name, getattr(dom, f.name))
 
 
-def test_domain_refined_returns_copy_or_self():
-    dom = geometry.build_domain(geometry.EllipseSpec(1.0, 0.5))
-    spacing = dom.perimeter / len(dom._polyline)
-    assert dom.refined(2 * spacing) is dom
-    finer = dom.refined(spacing / 2)
-    assert finer is not dom and finer.spec == dom.spec
-    assert len(finer._polyline) >= 2 * len(dom._polyline) - 1
-    square = geometry.build_domain(geometry.RectangleSpec(1.0, 1.0))
-    assert square.refined(1e-6) is square
+def _spike(degrees):
+    """A quadrilateral whose corner at (2, 0) is ``degrees`` wide."""
+    y = 1.7 * math.tan(math.radians(degrees))
+    return geometry.PolygonSpec(((0.0, 0.0), (2.0, 0.0), (0.3, y), (0.0, 1.0)))
+
+
+def test_corner_floor_rejects_spikes_before_meshing():
+    # at h = 0.05 the 0.1-degree spike grades into 11,925 boundary samples,
+    # and meshing them fails only after seconds
+    with pytest.raises(geometry.GeometryError, match="below the 1-degree floor"):
+        geometry.build_domain(_spike(0.1))
+    dom = geometry.build_domain(_spike(1.0))
+    assert np.degrees(dom.angles.min()) < 1.0  # the floor's margin admits it
+    assert validate_mesh(generate_mesh(dom, 0.05), dom).ok
 
 
 def test_failed_mesh_attempts_are_logged(monkeypatch, caplog):
