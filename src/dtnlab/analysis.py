@@ -40,23 +40,22 @@ def _extensions(spectrum: Spectrum) -> np.ndarray:
 # boundary-integral coefficients
 # ---------------------------------------------------------------------------
 
-def ak_coefficients(spectrum: Spectrum, matrices: FemMatrices) -> np.ndarray:
-    """A_k = (1^T M_b v_k) / sqrt(1^T M_b 1): weight of mode k in the expansion
-    of a constant over the boundary eigenbasis. With the sign convention of the
-    eigensolver these are >= 0 up to quadrature noise."""
-    mb_s = matrices.boundary_mass_at(spectrum.steklov_nodes)
-    weights = np.asarray(mb_s.sum(axis=0)).ravel()
+def ak_coefficients(spectrum: Spectrum) -> np.ndarray:
+    """A_k = (1^T M_b v_k) / sqrt(1^T M_b 1), M_b the spectrum's own: weight of
+    mode k in the expansion of a constant over the boundary eigenbasis. With
+    the eigensolver's sign convention these are >= 0 up to quadrature noise."""
+    weights = np.asarray(spectrum.boundary_mass.sum(axis=0)).ravel()
     measure = weights.sum()
     return (weights @ spectrum.vectors) / math.sqrt(measure)
 
 
 def ak_via_volume(spectrum: Spectrum, matrices: FemMatrices) -> np.ndarray:
     """Volume route to the same coefficients: p/(mu_k sqrt(|dOmega|)) int V_k,
-    at the spectrum's p."""
+    at the spectrum's p, with |dOmega| measured by its ``boundary_mass``."""
     p = spectrum.p
     if p <= 0:
         raise AnalysisError("the volume formula degenerates at p = 0")
-    measure = float(matrices.boundary_mass.sum())
+    measure = float(spectrum.boundary_mass.sum())
     vol = np.asarray(matrices.mass.sum(axis=0)).ravel() @ _extensions(spectrum)
     return p * vol / (spectrum.eigenvalues * math.sqrt(measure))
 
@@ -90,7 +89,7 @@ def complete_groups(spectrum: Spectrum) -> list[list[int]]:
     return groups if last_group_complete(spectrum) else groups[:-1]
 
 
-def concentrate_degenerate_ak(spectrum: Spectrum, matrices: FemMatrices) -> np.ndarray:
+def concentrate_degenerate_ak(spectrum: Spectrum) -> np.ndarray:
     """Boundary-integral coefficients with each numerically degenerate group
     rotated so its weight sits on a single member.
 
@@ -102,7 +101,7 @@ def concentrate_degenerate_ak(spectrum: Spectrum, matrices: FemMatrices) -> np.n
     when the spectrum's guard shows it is complete (``last_group_complete``);
     otherwise its last computed member need not be the group's last, and its
     coefficients are returned unrotated."""
-    ak = ak_coefficients(spectrum, matrices)
+    ak = ak_coefficients(spectrum)
     out = ak.copy()
     for group in complete_groups(spectrum):
         if len(group) > 1:
@@ -185,13 +184,12 @@ def localization(
 # norm identities
 # ---------------------------------------------------------------------------
 
-def match_branches(ref: Spectrum, other: Spectrum, matrices: FemMatrices) -> np.ndarray:
+def match_branches(ref: Spectrum, other: Spectrum) -> np.ndarray:
     """For each mode of ``ref``, the index of the matching mode of ``other``
-    by maximal |M_b inner product| (sorted indices swap at crossings)."""
+    by maximal |inner product| in ref's M_b (sorted indices swap at crossings)."""
     from scipy.optimize import linear_sum_assignment  # its one call: not loaded with the module
 
-    mb = matrices.boundary_mass_at(ref.steklov_nodes)
-    overlap = np.abs(ref.vectors.T @ (mb @ other.vectors))
+    overlap = np.abs(ref.vectors.T @ (ref.boundary_mass @ other.vectors))
     rows, cols = linear_sum_assignment(-overlap)
     out = np.empty(ref.count, dtype=int)
     out[rows] = cols
@@ -221,13 +219,13 @@ def norm_identities(
     spec0 = solve(matrices, p, count, extensions=True)[1]
     lo = solve(matrices, p - dp, wide)[1]
     hi = solve(matrices, p + dp, wide)[1]
-    i_lo = match_branches(spec0, lo, matrices)
-    i_hi = match_branches(spec0, hi, matrices)
+    i_lo = match_branches(spec0, lo)
+    i_hi = match_branches(spec0, hi)
 
     A = (p * matrices.mass + matrices.stiffness).tocsr()
     K = matrices.stiffness
     M = matrices.mass
-    mb = matrices.boundary_mass_at(spec0.steklov_nodes)
+    mb = spec0.boundary_mass
     rows = []
     for k in range(count):
         V = spec0.extensions[:, k]

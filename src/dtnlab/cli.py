@@ -270,7 +270,7 @@ def cmd_ak(cfg: argparse.Namespace, rep: Reporter) -> None:
         for p in p_values:
             # A_k of a degenerate multiplet depend on its eigenbasis; the
             # concentrated ones do not, so the CSV and the audit read those
-            ak = analysis.concentrate_degenerate_ak(solve(matrices, p, cfg.count)[1], matrices)
+            ak = analysis.concentrate_degenerate_ak(solve(matrices, p, cfg.count)[1])
             rows.append((p, ak))
             survivors[str(p)] = analysis.symmetry_audit(ak)
     dtn.write_csv(
@@ -286,13 +286,13 @@ def cmd_localize(cfg: argparse.Namespace, rep: Reporter) -> None:
 
     domain, msh, matrices = _mesh(cfg, rep)
     with rep.time("solve"):
-        op, spectrum = solve(matrices, cfg.p, cfg.k + 1, extensions=True)
+        op, spectrum = solve(matrices, cfg.p, cfg.k + 1)
         # max_B spans mode k's whole multiplet: while the window may cut it,
         # solve the pencil of the same factor again with twice the modes
         while not any(cfg.k in g for g in analysis.complete_groups(spectrum)):
             count = min(2 * spectrum.count, len(spectrum.steklov_nodes))
             spectrum = dtn.eigensolve(op, count)
-            dtn.attach_extensions(spectrum, op.factor)
+        spectrum = dtn.attach_extensions(spectrum, op.factor)
     with rep.time("maps"):
         loc = analysis.localization(spectrum, cfg.k, msh, domain, cfg.bin_width)
     dtn.write_csv(

@@ -4,18 +4,22 @@ The boundary Schur complement S comes from the U12 block of the factor's
 LU (``fem.InteriorFactor.schur``). The operator is never formed as M_b^{-1} S;
 eigenpairs come from the symmetric pencil (S, M_b), which is mathematically
 identical and keeps eigenvalues real and eigenvectors M_b-orthogonal in
-floating point. Mixed Steklov problems are supported through per-node
-boundary roles (``fem.BoundaryPartition``), which the factor reads. Also here:
-the interior extensions of a spectrum, the boundary RMSE against an analytic
+floating point. A ``Spectrum`` carries the Gram matrix its vectors are
+orthonormal in, ``boundary_mass`` (M_b on the data nodes here, the lumped
+weights on the Green route); every boundary inner product of a spectrum
+reads it. Mixed Steklov problems are supported through per-node boundary
+roles (``fem.BoundaryPartition``), which the factor reads. Also here: the
+interior extensions of a spectrum, the boundary RMSE against an analytic
 oracle, and CSV and JSON output.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy import sparse
 from scipy.linalg import eigh
 
 from .fem import InteriorFactor, solve_dirichlet
@@ -30,7 +34,7 @@ class DtnError(RuntimeError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class DtnOperator:
     """The boundary Schur complement S of the factor's p*M + K onto its data
     (steklov) nodes. Everything else about the problem, p, the nodes and
@@ -45,13 +49,14 @@ def build_dtn(factor: InteriorFactor) -> DtnOperator:
     return DtnOperator(factor.schur(), factor)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Spectrum:
     p: float
     eigenvalues: np.ndarray        # (count,) ascending
-    vectors: np.ndarray            # (n_s, count), M_b-orthonormal columns
+    vectors: np.ndarray            # (n_s, count), orthonormal in boundary_mass
     steklov_nodes: np.ndarray      # global node indices
     n_nodes: int
+    boundary_mass: sparse.spmatrix  # (n_s, n_s) Gram matrix of the vectors
     extensions: np.ndarray | None = None  # (n_nodes, count)
     # first eigenvalue past the window (no vector kept): +inf when the window
     # holds the whole discrete spectrum, None when nothing computed it
@@ -78,9 +83,10 @@ def numerical_groups(eigenvalues: np.ndarray, tol: float) -> list[list[int]]:
     return groups
 
 
-def _fix_signs(vectors: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Normalize signs in place: boundary integral ``weights @ v`` >= 0, and
-    the first significant node positive where that integral is a tie."""
+def _fix_signs(vectors: np.ndarray, boundary_mass: sparse.spmatrix) -> np.ndarray:
+    """Normalize signs in place: boundary integral ``1^T boundary_mass v`` >= 0,
+    and the first significant node positive where that integral is a tie."""
+    weights = np.asarray(boundary_mass.sum(axis=0)).ravel()
     s = weights @ vectors
     tie = 1e-8 * np.sqrt(weights.sum())
     for k in range(vectors.shape[1]):
@@ -102,7 +108,8 @@ def _check_count(count: int, n_s: int) -> None:
 
 
 def eigensolve(op: DtnOperator, count: int) -> Spectrum:
-    """Lowest ``count`` eigenpairs of S v = mu M_b v, M_b-orthonormalized.
+    """Lowest ``count`` eigenpairs of S v = mu M_b v, orthonormal in the
+    factor's M_b, which the spectrum carries as its ``boundary_mass``.
 
     One more eigenvalue is computed as the spectrum's ``guard``, so callers
     can tell whether the last multiplet of the window is complete."""
@@ -118,20 +125,20 @@ def eigensolve(op: DtnOperator, count: int) -> Spectrum:
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise DtnError(f"dense eigensolver failed: {exc}") from exc
     guard = float(w[count]) if n > count else math.inf
-    v = _fix_signs(v[:, :count], np.asarray(fac.boundary_mass_s.sum(axis=0)).ravel())
     return Spectrum(
         p=fac.p,
         eigenvalues=w[:count],
-        vectors=v,
+        vectors=_fix_signs(v[:, :count], fac.boundary_mass_s),
         steklov_nodes=fac.data_nodes.copy(),
         n_nodes=fac.n_nodes,
+        boundary_mass=fac.boundary_mass_s,
         guard=guard,
     )
 
 
 def attach_extensions(spectrum: Spectrum, factor: InteriorFactor) -> Spectrum:
-    spectrum.extensions = solve_dirichlet(factor, spectrum.vectors)
-    return spectrum
+    """A copy of ``spectrum`` with the interior extensions of its vectors."""
+    return replace(spectrum, extensions=solve_dirichlet(factor, spectrum.vectors))
 
 
 def eigenfunction_rmse(spectrum: Spectrum, oracle, boundary_points: np.ndarray) -> np.ndarray:

@@ -90,11 +90,6 @@ class FemMatrices:
     def n_nodes(self) -> int:
         return self.n_interior + self.n_boundary
 
-    def boundary_mass_at(self, nodes: np.ndarray) -> sparse.csr_matrix:
-        """M_b restricted to the boundary nodes ``nodes`` (global indices)."""
-        local = nodes - self.n_interior
-        return self.boundary_mass[local][:, local]
-
 
 # p*M + K restricted to the unknowns is symmetric positive definite (p >= 0,
 # and every unknown connects to a node with Dirichlet data), and the data rows
@@ -267,11 +262,11 @@ class InteriorFactor:
             raise FemError("partition must assign one role per boundary node")
         bidx = ni + np.arange(matrices.n_boundary)
         self.data_nodes = bidx[roles == STEKLOV]
-        self.zero_nodes = bidx[roles == DIRICHLET_ZERO]
         unknown = np.concatenate([np.arange(ni), bidx[roles == NEUMANN_ZERO]])
         self.unknown_nodes = unknown[np.argsort(matrices.elimination_rank[unknown])]
         self.n_nodes = matrices.n_nodes
-        self.boundary_mass_s = matrices.boundary_mass_at(self.data_nodes)
+        local = self.data_nodes - ni
+        self.boundary_mass_s = matrices.boundary_mass[local][:, local]
 
         n_u, n_s = len(self.unknown_nodes), len(self.data_nodes)
         order = np.concatenate([self.unknown_nodes, self.data_nodes])

@@ -2,9 +2,9 @@
 
 Builds a truncated Robin-Laplacian eigenbasis, expands the screened Green's
 function over it, assembles the regularized boundary kernel
-(G_0 - G_q)/q with lumped boundary quadrature weights, and recovers the
-boundary spectrum through eta -> mu inversion. Serves as an independent
-cross-check of the Schur-complement route.
+(G_0 - G_q)/q with lumped boundary quadrature weights w, and recovers the
+boundary spectrum through eta -> mu inversion, orthonormal in diag(w), its
+``boundary_mass``. Serves as an independent cross-check of the Schur route.
 """
 from __future__ import annotations
 
@@ -136,14 +136,15 @@ def dtn_spectrum_via_green(
     mu = np.sqrt(1.0 / eta + q * q / 4.0) - q / 2.0
     order = np.argsort(mu)
     mu, vecs = mu[order], vecs[:, order]
-    # back to nodal values, unit weighted-L2 norm
-    v = _fix_signs(vecs / sw[:, None], w)
+    # back to nodal values, orthonormal in the lumped weights
+    mb = sparse.diags(w)
     return Spectrum(
         p=float(p),
         eigenvalues=mu,
-        vectors=v,
+        vectors=_fix_signs(vecs / sw[:, None], mb),
         steklov_nodes=np.arange(matrices.n_interior, matrices.n_nodes),
         n_nodes=matrices.n_nodes,
+        boundary_mass=mb,
     )
 
 

@@ -521,13 +521,12 @@ def validate_mesh(mesh: Mesh, domain: Domain | None = None) -> MeshReport:
         return MeshReport(v)
 
     angles = mesh.angles_deg()
-    min_angles = angles.min(axis=1)
-    exempt = _corner_exempt_mask(mesh, domain, angles)
-    n_skinny = int(((min_angles < MIN_ANGLE_DEG) & ~exempt).sum())
+    counted = angles.min(axis=1)[~_corner_exempt_mask(mesh, domain, angles)]
+    n_skinny = int((counted < MIN_ANGLE_DEG).sum())
     if n_skinny:
         v.append(
             f"{n_skinny} triangles below the {MIN_ANGLE_DEG} degree quality floor "
-            f"(worst {min_angles.min():.2f})"
+            f"(worst {counted.min():.2f})"
         )
 
     if domain is not None:

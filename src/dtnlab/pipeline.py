@@ -3,17 +3,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .geometry import Domain, DomainSpec, build_domain
+from .geometry import Domain, build_domain
 from .mesh import Mesh, generate_mesh
-from .fem import BoundaryPartition, FemMatrices, assemble, factor_interior
+from .fem import BoundaryPartition, FemMatrices, InteriorFactor, assemble, factor_interior
 from .dtn import DtnOperator, Spectrum, attach_extensions, build_dtn, eigensolve
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolveResult:
-    domain: Domain
     mesh: Mesh
     matrices: FemMatrices
+    factor: InteriorFactor  # the one the solve built, also ``operator.factor``
     operator: DtnOperator
     spectrum: Spectrum
 
@@ -38,7 +38,7 @@ def solve_steklov(
     if matrices is None:
         matrices = assemble(mesh)
     op, spectrum = solve(matrices, p, count, extensions=extensions)
-    return SolveResult(domain, mesh, matrices, op, spectrum)
+    return SolveResult(mesh, matrices, op.factor, op, spectrum)
 
 
 def solve(
@@ -57,6 +57,6 @@ def solve(
     op = build_dtn(factor)
     spectrum = eigensolve(op, count)
     if extensions:
-        attach_extensions(spectrum, factor)
+        spectrum = attach_extensions(spectrum, factor)
     return op, spectrum
 

@@ -200,7 +200,7 @@ def test_criterion_9_square_symmetry(square_mesh_fine):
         res = solve_steklov(domain, 0.015, p, 25, mesh=msh, matrices=mats)
         # coefficients within numerically degenerate multiplets are defined
         # only up to rotation; concentrate each group before classifying
-        ak = analysis.concentrate_degenerate_ak(res.spectrum, mats)[:21]
+        ak = analysis.concentrate_degenerate_ak(res.spectrum)[:21]
         survivors = analysis.symmetry_audit(ak)
         extra = set(survivors) - {0, 5, 15}
         others = np.delete(np.abs(ak), survivors)
@@ -259,7 +259,7 @@ def test_criterion_9_ellipse_symmetry():
     details = []
     for p in (0.1, 1.0, 10.0):
         res = solve_steklov(domain, 0.015, p, 13, mesh=msh, matrices=mats)
-        ak = analysis.concentrate_degenerate_ak(res.spectrum, mats)
+        ak = analysis.concentrate_degenerate_ak(res.spectrum)
         survivors = analysis.symmetry_audit(ak)
         parity = _reflection_parities(res.spectrum, msh.nodes)
         parity_dev = float(np.abs(np.abs(parity) - 1.0).max())
@@ -290,9 +290,9 @@ def test_criterion_9_generic_triangle():
     msh = meshmod.generate_mesh(dom, 0.01)
     mats = fem.assemble(msh)
     res4 = solve_steklov(dom, 0.01, 4.0, 21, mesh=msh, matrices=mats)
-    ak4 = np.abs(analysis.ak_coefficients(res4.spectrum, mats))
+    ak4 = np.abs(analysis.ak_coefficients(res4.spectrum))
     res10 = solve_steklov(dom, 0.01, 10.0, 21, mesh=msh, matrices=mats)
-    ak10 = np.abs(analysis.ak_coefficients(res10.spectrum, mats))
+    ak10 = np.abs(analysis.ak_coefficients(res10.spectrum))
     n_big = int(np.sum(ak4 > 1e-2))
     ok = n_big >= 5 and ak4[1] > ak4[0] and ak10[1] > ak10[0]
     report(
@@ -404,7 +404,7 @@ def test_criterion_12_property_roll_up():
         np.abs(gram - np.eye(r1.spectrum.count)).max() < 1e-8
     )
 
-    ak = analysis.ak_coefficients(r1.spectrum, mats)
+    ak = analysis.ak_coefficients(r1.spectrum)
     checks["sum |A_k|^2 <= 1"] = float(np.sum(ak**2)) <= 1 + 1e-6
 
     again_mesh = meshmod.generate_mesh(domain, 0.05)

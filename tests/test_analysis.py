@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath
@@ -26,27 +27,27 @@ import conftest
 
 
 def test_disk_ak_is_delta(disk_solution, disk_matrices):
-    ak = ak_coefficients(disk_solution.spectrum, disk_matrices)
+    ak = ak_coefficients(disk_solution.spectrum)
     assert abs(ak[0] - 1.0) < 1e-3
     assert np.abs(ak[1:]).max() < 1e-3
 
 
 def test_p0_ak_is_delta(square_domain, square_mesh, square_matrices):
     res = solve_steklov(square_domain, 0.1, 0.0, 8, mesh=square_mesh, matrices=square_matrices)
-    ak = ak_coefficients(res.spectrum, square_matrices)
+    ak = ak_coefficients(res.spectrum)
     assert abs(ak[0] - 1.0) < 1e-3
     assert np.abs(ak[1:]).max() < 1e-3
 
 
 def test_ak_partial_sums_bounded(square_solution, square_matrices):
-    ak = ak_coefficients(square_solution.spectrum, square_matrices)
+    ak = ak_coefficients(square_solution.spectrum)
     sums = np.cumsum(ak**2)
     assert (np.diff(sums) >= 0).all()
     assert sums[-1] <= 1 + 1e-6
 
 
 def test_ak_volume_route_agrees(square_solution, square_matrices):
-    ak_b = ak_coefficients(square_solution.spectrum, square_matrices)
+    ak_b = ak_coefficients(square_solution.spectrum)
     ak_v = ak_via_volume(square_solution.spectrum, square_matrices)
     assert np.abs(ak_b - ak_v).max() < 1e-3
 
@@ -69,10 +70,10 @@ def test_numerical_groups_chain():
     assert groups == [[0], [1, 2, 3], [4], [5, 6]]
 
 
-def test_concentrate_degenerate_ak(disk_solution, disk_matrices):
+def test_concentrate_degenerate_ak(disk_solution):
     # disk pairs are numerically degenerate; concentration keeps sum of squares
-    ak = ak_coefficients(disk_solution.spectrum, disk_matrices)
-    conc = concentrate_degenerate_ak(disk_solution.spectrum, disk_matrices)
+    ak = ak_coefficients(disk_solution.spectrum)
+    conc = concentrate_degenerate_ak(disk_solution.spectrum)
     assert abs(np.sum(conc**2) - np.sum(ak**2)) < 1e-12
     groups = numerical_groups(disk_solution.spectrum.eigenvalues, 1e-3)
     for g in groups:
@@ -133,10 +134,10 @@ def test_bk_group_max_accepts_guarded_group(disk_domain, disk_mesh, disk_matrice
 def test_bk_group_max_needs_guard(disk_domain, disk_mesh, disk_matrices):
     res = solve_steklov(disk_domain, 0.05, 0.0, 3, extensions=True,
                         mesh=disk_mesh, matrices=disk_matrices)
-    res.spectrum.guard = None  # as on spectra that no eigensolve filled in
-    assert not last_group_complete(res.spectrum)
+    spectrum = dataclasses.replace(res.spectrum, guard=None)  # as on spectra no eigensolve filled in
+    assert not last_group_complete(spectrum)
     with pytest.raises(AnalysisError):
-        localization(res.spectrum, 1, disk_mesh, disk_domain)
+        localization(spectrum, 1, disk_mesh, disk_domain)
 
 
 def test_guard_infinite_for_full_window():
@@ -152,13 +153,13 @@ def test_guard_infinite_for_full_window():
 
 def test_concentrate_leaves_truncated_group(disk_domain, disk_mesh, disk_matrices):
     res = solve_steklov(disk_domain, 0.05, 1.0, 3, mesh=disk_mesh, matrices=disk_matrices)
-    ak = ak_coefficients(res.spectrum, disk_matrices)
+    ak = ak_coefficients(res.spectrum)
     # the guard closes the pair (1, 2), so it is concentrated
-    conc = concentrate_degenerate_ak(res.spectrum, disk_matrices)
+    conc = concentrate_degenerate_ak(res.spectrum)
     assert conc[1] == 0.0
     assert abs(conc[2] - math.hypot(ak[1], ak[2])) < 1e-15
-    res.spectrum.guard = None
-    assert np.array_equal(concentrate_degenerate_ak(res.spectrum, disk_matrices), ak)
+    unguarded = dataclasses.replace(res.spectrum, guard=None)
+    assert np.array_equal(concentrate_degenerate_ak(unguarded), ak)
 
 
 def test_bk_boundary_values(disk_domain, disk_mesh, disk_matrices):
@@ -245,8 +246,8 @@ def test_norm_identities_validates_dp(disk_matrices):
         norm_identities(disk_matrices, p=0.005, count=2, dp=0.01)
 
 
-def test_match_branches_identity(disk_solution, disk_matrices):
-    idx = match_branches(disk_solution.spectrum, disk_solution.spectrum, disk_matrices)
+def test_match_branches_identity(disk_solution):
+    idx = match_branches(disk_solution.spectrum, disk_solution.spectrum)
     assert np.array_equal(idx, np.arange(disk_solution.spectrum.count))
 
 
@@ -275,7 +276,7 @@ def test_csv_writers(tmp_path, disk_domain, disk_mesh, disk_matrices):
     significant digits, so every cell reads back exactly."""
     res = solve_steklov(disk_domain, 0.05, 0.0, 4, extensions=True,
                         mesh=disk_mesh, matrices=disk_matrices)
-    ak = ak_coefficients(res.spectrum, disk_matrices)
+    ak = ak_coefficients(res.spectrum)
     path = tmp_path / "ak.csv"
     write_csv(path, ["p", "k", "abs_ak", "tracked"],
               ((0.0, k, abs(a), k == 0) for k, a in enumerate(ak)))

@@ -332,7 +332,7 @@ def test_ak_audits_the_concentrated_coefficients(tmp_path):
 
     domain = geometry.build_domain(geometry.RectangleSpec(2.0, 2.0))
     res = pipeline.solve_steklov(domain, 0.05, 10.0, 21)
-    conc = analysis.concentrate_degenerate_ak(res.spectrum, res.matrices)
+    conc = analysis.concentrate_degenerate_ak(res.spectrum)
     table = np.loadtxt(tmp_path / "ak.csv", delimiter=",", skiprows=1)
     assert np.array_equal(table[:, 2], np.abs(conc))
     assert survivors == np.flatnonzero(table[:, 2] > analysis.CANCEL_TOL).tolist()

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.sparse.linalg import splu
@@ -67,7 +69,8 @@ def test_extensions_match_independent_solve(disk_matrices, rng, p, arcs):
     """A solve with the boundary-last factor gives the harmonic
     extension that an independent LU of A_uu gives, and it solves A u = 0
     on the unknowns."""
-    fac = factor_interior(disk_matrices, p, partition_of(disk_matrices.n_boundary, arcs))
+    partition = partition_of(disk_matrices.n_boundary, arcs)
+    fac = factor_interior(disk_matrices, p, partition)
     a_uu, a_ud, _ = reference_blocks(disk_matrices, fac)
     f = rng.standard_normal((len(fac.data_nodes), 3))
     u = solve_dirichlet(fac, f)
@@ -78,7 +81,9 @@ def test_extensions_match_independent_solve(disk_matrices, rng, p, arcs):
     residual = (A @ u)[fac.unknown_nodes]
     assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(a_ud @ f)
     assert np.array_equal(u[fac.data_nodes], f)
-    assert not u[fac.zero_nodes].any()
+    if partition is not None:
+        zero = np.flatnonzero(partition.roles == fem.DIRICHLET_ZERO) + disk_matrices.n_interior
+        assert not u[zero].any()
 
 
 @pytest.mark.parametrize("p", [0.0, 1.0, 1e3])
@@ -179,6 +184,39 @@ def test_mb_orthonormality(disk_solution, disk_matrices):
     mb = disk_matrices.boundary_mass[local][:, local]
     gram = v.T @ (mb @ v)
     assert np.abs(gram - np.eye(v.shape[1])).max() < 1e-8
+
+
+@pytest.mark.parametrize("arcs", PARTITION_ARCS)
+def test_spectrum_orthonormal_in_its_boundary_mass(disk_matrices, arcs):
+    """A Schur-route spectrum carries its factor's M_b on the data nodes, the
+    same object, and its vectors are orthonormal in it."""
+    op, sp = solve(disk_matrices, 1.0, 8, partition_of(disk_matrices.n_boundary, arcs))
+    assert sp.boundary_mass is op.factor.boundary_mass_s
+    local = sp.steklov_nodes - disk_matrices.n_interior
+    assert (sp.boundary_mass != disk_matrices.boundary_mass[local][:, local]).nnz == 0
+    gram = sp.vectors.T @ (sp.boundary_mass @ sp.vectors)
+    assert np.abs(gram - np.eye(8)).max() < 1e-12
+
+
+def test_attach_extensions_leaves_its_input(disk_matrices):
+    op, sp = solve(disk_matrices, 1.0, 4)
+    extended = attach_extensions(sp, op.factor)
+    assert sp.extensions is None
+    assert extended.vectors is sp.vectors
+    assert np.array_equal(extended.extensions, solve_dirichlet(op.factor, sp.vectors))
+
+
+def test_solve_records_are_frozen(disk_solution):
+    for record in (disk_solution, disk_solution.operator, disk_solution.spectrum):
+        for field in dataclasses.fields(record):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, field.name, None)
+
+
+def test_solve_result_holds_the_factor_it_built(disk_domain, disk_mesh, disk_matrices):
+    res = solve_steklov(disk_domain, 0.05, 1.0, 3, mesh=disk_mesh, matrices=disk_matrices)
+    assert res.factor is res.operator.factor
+    assert res.factor.lu.L.nnz + res.factor.lu.U.nnz > 0
 
 
 def test_eigenpair_residual(disk_solution):
@@ -311,13 +349,8 @@ def test_rmse_of_oracle_against_itself(disk_solution, disk_mesh, disk_matrices):
     oracle = analytic.DiskOracle(1.0, 1.0)
     bpts = disk_mesh.nodes[disk_mesh.boundary_indices]
     traces = oracle.trace_matrix(bpts, 5)
-    sp = disk_solution.spectrum
-    synthetic = type(sp)(
-        p=1.0,
-        eigenvalues=oracle.eigenvalues(5),
-        vectors=traces,
-        steklov_nodes=sp.steklov_nodes,
-        n_nodes=sp.n_nodes,
+    synthetic = dataclasses.replace(
+        disk_solution.spectrum, eigenvalues=oracle.eigenvalues(5), vectors=traces, extensions=None
     )
     rmse = eigenfunction_rmse(synthetic, oracle, bpts)
     assert rmse.max() < 1e-12

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import jnp_zeros
 
 from dtnlab import analytic, greens
+from dtnlab.analysis import ak_coefficients
 from dtnlab.dtn import DtnError
 from dtnlab.greens import (
     GreensError,
@@ -108,6 +110,17 @@ def test_green_route_weighted_normalization(disk_matrices):
     assert np.abs(norms - 1.0).max() < 1e-10
 
 
+def test_green_spectrum_carries_the_lumped_weights(disk_matrices, neumann_basis, robin_basis):
+    """The Green route's vectors are orthonormal in diag(w) of the lumped
+    weights, which the spectrum carries, and its A_k integrate with w."""
+    spec = dtn_spectrum_via_green(disk_matrices, 1.0, 1.0, 40, 4, neumann_basis, robin_basis)
+    w = boundary_weights(disk_matrices)
+    assert np.array_equal(spec.boundary_mass.toarray(), np.diag(w))
+    gram = spec.vectors.T @ (spec.boundary_mass @ spec.vectors)
+    assert np.abs(gram - np.eye(4)).max() < 1e-10
+    assert np.array_equal(ak_coefficients(spec), (w @ spec.vectors) / math.sqrt(w.sum()))
+
+
 def test_insufficient_truncation_raises(disk_matrices):
     with pytest.raises(GreensError):
         dtn_spectrum_via_green(disk_matrices, q=1.0, p=1.0, m=3, count=8)
@@ -151,8 +164,7 @@ def test_extend_via_green_disk_profile(disk_matrices, disk_mesh):
 
 
 def test_extend_via_green_p0_k0_excluded(disk_matrices, neumann_basis):
-    spec = dtn_spectrum_via_green(disk_matrices, 1.0, 1.0, 40, 2, neumann_basis)
-    spec.p = 0.0
+    spec = dataclasses.replace(dtn_spectrum_via_green(disk_matrices, 1.0, 1.0, 40, 2, neumann_basis), p=0.0)
     with pytest.raises(GreensError):
         extend_via_green(neumann_basis, disk_matrices, spec, 0)
 

@@ -214,6 +214,24 @@ def test_validate_reports_skinny_triangle():
     assert any("quality floor" in v for v in report.violations)
 
 
+def test_quality_floor_reports_the_worst_counted_triangle():
+    """A triangle whose worst angle sits at a sharp input corner is exempt
+    from the floor, and it does not set the reported worst angle either."""
+    dom = geometry.build_domain(geometry.TriangleSpec(2.0, math.radians(5.0), math.radians(90.0)))
+    t5, t15 = math.tan(math.radians(5.0)), math.tan(math.radians(15.0))
+    m = Mesh(
+        # a 5-degree triangle at the sharp corner (0, 0), a 15-degree one away from it
+        nodes=np.array([[0.0, 0.0], [1.0, 0.0], [1.0, t5], [2.0, 0.0], [1.5, 0.5 * t15]]),
+        n_interior=0,
+        n_boundary=5,
+        triangles=np.array([[0, 1, 2], [1, 3, 4]]),
+        boundary_edges=np.array([[0, 1], [1, 2], [2, 0], [1, 3], [3, 4], [4, 1]]),
+        h_max=2.0,
+    )
+    floor = [v for v in validate_mesh(m, dom).violations if "quality floor" in v]
+    assert floor == ["1 triangles below the 20.0 degree quality floor (worst 15.00)"]
+
+
 def test_validate_reports_long_edges():
     m = four_triangle_square()
     m.h_max = 0.5  # the square's sides are length 1
