@@ -149,10 +149,7 @@ def cmd_mesh(cfg: argparse.Namespace, rep: Reporter) -> None:
     with rep.time("mesh"):
         msh = meshmod.generate_mesh(domain, cfg.h)
     meshmod.export_mesh(msh, rep.path("mesh.txt"))
-    report = meshmod.validate_mesh(msh, domain)
     rep.domain_metrics(domain, msh)
-    rep.payload["mesh_valid"] = report.ok
-    rep.payload["mesh_violations"] = report.violations
 
 
 def cmd_solve(cfg: argparse.Namespace, rep: Reporter) -> None:
@@ -163,7 +160,7 @@ def cmd_solve(cfg: argparse.Namespace, rep: Reporter) -> None:
     meshmod.export_mesh(msh, rep.path("mesh.txt"))
     if cfg.vectors:
         for k in range(spectrum.count):
-            dtn.write_node_vector(spectrum.extensions[:, k], rep.path(f"eigenvector_{k:03d}.txt"))
+            np.savetxt(rep.path(f"eigenvector_{k:03d}.txt"), spectrum.extensions[:, k], fmt="%.17g")
     rep.payload["eigenvalues"] = spectrum.eigenvalues
     rep.payload["method"] = "fem"
 

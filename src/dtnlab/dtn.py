@@ -199,9 +199,3 @@ def summary_to_json(path, **payload) -> None:
         json.dump(payload, f, indent=2, default=default, sort_keys=True)
         f.write("\n")
 
-
-def write_node_vector(values: np.ndarray, path) -> None:
-    """One value per node line, same node ordering as the mesh file."""
-    with open(path, "w") as f:
-        for v in values:
-            f.write(f"{v:.17g}\n")

@@ -5,6 +5,8 @@ function over it, assembles the regularized boundary kernel
 (G_0 - G_q)/q with lumped boundary quadrature weights w, and recovers the
 boundary spectrum through eta -> mu inversion, orthonormal in diag(w), its
 ``boundary_mass``. Serves as an independent cross-check of the Schur route.
+The caller builds the two Robin bases (q = 0 and q) once and passes them in;
+a basis whose q or truncation does not match raises ``GreensError``.
 """
 from __future__ import annotations
 
@@ -22,24 +24,16 @@ class GreensError(RuntimeError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class RobinEigenbasis:
     q: float
     eigenvalues: np.ndarray   # (m,) ascending
     modes: np.ndarray         # (n_nodes, m), M-orthonormal columns
 
 
-def boundary_mass_embedded(matrices: FemMatrices) -> sparse.csr_matrix:
-    """M_b placed into the full node indexing (zero on interior rows/cols)."""
-    n = matrices.n_nodes
-    mb = matrices.boundary_mass.tocoo()
-    rows = mb.row + matrices.n_interior
-    cols = mb.col + matrices.n_interior
-    return sparse.coo_matrix((mb.data, (rows, cols)), shape=(n, n)).tocsr()
-
-
 def robin_eigenbasis(matrices: FemMatrices, q: float, m: int) -> RobinEigenbasis:
-    """Lowest m eigenpairs of (K + q*B, M) where B is the embedded boundary mass.
+    """Lowest m eigenpairs of (K + q*B, M) where B is the boundary mass M_b
+    placed into the full node indexing (zero on interior rows/cols).
 
     Deterministic: fixed shift-invert target and a fixed start vector. Mode
     signs are left as ARPACK returns them; the Green's function only uses
@@ -50,7 +44,10 @@ def robin_eigenbasis(matrices: FemMatrices, q: float, m: int) -> RobinEigenbasis
     n = matrices.n_nodes
     if not (1 <= m <= n - 2):
         raise GreensError(f"truncation m must be in 1..{n - 2}")
-    A = (matrices.stiffness + q * boundary_mass_embedded(matrices)).tocsc()
+    mb = matrices.boundary_mass.tocoo()
+    rows, cols = mb.row + matrices.n_interior, mb.col + matrices.n_interior
+    B = sparse.coo_matrix((mb.data, (rows, cols)), shape=(n, n)).tocsr()
+    A = (matrices.stiffness + q * B).tocsc()
     M = matrices.mass.tocsc()
     v0 = np.full(n, 1.0 / np.sqrt(n))
     try:
@@ -58,11 +55,7 @@ def robin_eigenbasis(matrices: FemMatrices, q: float, m: int) -> RobinEigenbasis
     except Exception as exc:
         raise GreensError(f"Robin eigensolver failed: {exc}") from exc
     order = np.argsort(w)
-    return RobinEigenbasis(
-        q=float(q),
-        eigenvalues=w[order],
-        modes=u[:, order],
-    )
+    return RobinEigenbasis(q=float(q), eigenvalues=w[order], modes=u[:, order])
 
 
 def green_function(basis: RobinEigenbasis, p: float, idx0, idx1=None) -> np.ndarray:
@@ -84,18 +77,11 @@ def green_function(basis: RobinEigenbasis, p: float, idx0, idx1=None) -> np.ndar
     return g
 
 
-def boundary_weights(matrices: FemMatrices) -> np.ndarray:
-    """Lumped boundary quadrature weights (half-sum of adjacent edge lengths)."""
-    return np.asarray(matrices.boundary_mass.sum(axis=1)).ravel()
-
-
-def _kernel(
-    matrices: FemMatrices, basis0: RobinEigenbasis, basis_q: RobinEigenbasis, p: float, q: float
-) -> np.ndarray:
-    """The regularized kernel (G_0 - G_q)/q between the boundary nodes, G_0 and
-    G_q expanded over ``basis0`` and ``basis_q`` at pressure ``p``."""
-    bidx = np.arange(matrices.n_interior, matrices.n_nodes)
-    return (green_function(basis0, p, bidx) - green_function(basis_q, p, bidx)) / q
+def _check_basis(basis: RobinEigenbasis, name: str, q: float, m: int | None = None) -> None:
+    if basis.q != q:
+        raise GreensError(f"{name} is the q = {basis.q:g} Robin basis, expected q = {q:g}")
+    if m is not None and basis.eigenvalues.size != m:
+        raise GreensError(f"{name} holds {basis.eigenvalues.size} modes, expected m = {m}")
 
 
 def dtn_spectrum_via_green(
@@ -104,24 +90,27 @@ def dtn_spectrum_via_green(
     p: float,
     m: int,
     count: int,
-    basis0: RobinEigenbasis | None = None,
-    basis_q: RobinEigenbasis | None = None,
+    basis0: RobinEigenbasis,
+    basis_q: RobinEigenbasis,
 ) -> Spectrum:
-    """Boundary spectrum from the regularized kernel (G_0 - G_q)/q.
+    """Boundary spectrum from the regularized kernel (G_0 - G_q)/q between the
+    boundary nodes, G_0 and G_q expanded over ``basis0`` (q = 0) and
+    ``basis_q`` at pressure ``p``, each of m modes.
 
-    The kernel matrix is symmetrized with the quadrature weights, so eta and
-    the recovered eigenvectors stay real; mu = sqrt(1/eta + q^2/4) - q/2.
-    ``count`` is bounded by the boundary nodes as in ``dtn.eigensolve``.
+    The kernel matrix is symmetrized with the lumped boundary weights w
+    (``M_b``'s row sums), so eta and the recovered eigenvectors stay real;
+    mu = sqrt(1/eta + q^2/4) - q/2 falls as eta grows, so the largest eta
+    come out in ascending mu. ``count`` is bounded by the boundary nodes as
+    in ``dtn.eigensolve``.
     """
     if q <= 0:
         raise GreensError("kernel regularization needs q > 0")
     _check_count(count, matrices.n_boundary)
-    if basis0 is None:
-        basis0 = robin_eigenbasis(matrices, 0.0, m)
-    if basis_q is None:
-        basis_q = robin_eigenbasis(matrices, q, m)
-    kernel = _kernel(matrices, basis0, basis_q, p, q)
-    w = boundary_weights(matrices)
+    _check_basis(basis0, "basis0", 0.0, m)
+    _check_basis(basis_q, "basis_q", q, m)
+    bidx = np.arange(matrices.n_interior, matrices.n_nodes)
+    kernel = (green_function(basis0, p, bidx) - green_function(basis_q, p, bidx)) / q
+    w = np.asarray(matrices.boundary_mass.sum(axis=1)).ravel()
     sw = np.sqrt(w)
     sym = sw[:, None] * kernel * sw[None, :]
     sym = 0.5 * (sym + sym.T)
@@ -134,15 +123,13 @@ def dtn_spectrum_via_green(
             "requested count; increase the truncation m"
         )
     mu = np.sqrt(1.0 / eta + q * q / 4.0) - q / 2.0
-    order = np.argsort(mu)
-    mu, vecs = mu[order], vecs[:, order]
     # back to nodal values, orthonormal in the lumped weights
     mb = sparse.diags(w)
     return Spectrum(
         p=float(p),
         eigenvalues=mu,
         vectors=_fix_signs(vecs / sw[:, None], mb),
-        steklov_nodes=np.arange(matrices.n_interior, matrices.n_nodes),
+        steklov_nodes=bidx,
         n_nodes=matrices.n_nodes,
         boundary_mass=mb,
     )
@@ -151,12 +138,13 @@ def dtn_spectrum_via_green(
 def extend_via_green(
     basis0: RobinEigenbasis, matrices: FemMatrices, spectrum: Spectrum, k: int
 ) -> np.ndarray:
-    """Interior extension by boundary quadrature against G_0, at the
-    spectrum's p.
+    """Interior extension by boundary quadrature against G_0 (``basis0``, the
+    q = 0 basis), at the spectrum's p.
 
     Not applicable at p = 0 for the constant mode (mu_0 = 0); callers use the
     known constant 1/sqrt(perimeter) there.
     """
+    _check_basis(basis0, "basis0", 0.0)
     p = spectrum.p
     mu = spectrum.eigenvalues[k]
     if p == 0.0 and k == 0:
@@ -164,31 +152,7 @@ def extend_via_green(
             "extension via the Green's function is undefined for p=0, k=0; "
             "the constant mode is known in closed form"
         )
-    w = boundary_weights(matrices)
+    w = np.asarray(matrices.boundary_mass.sum(axis=1)).ravel()
     bidx = np.arange(matrices.n_interior, matrices.n_nodes)
     g0 = green_function(basis0, p, np.arange(matrices.n_nodes), bidx)
     return g0 @ (w * mu * spectrum.vectors[:, k])
-
-
-def kernel_consistency_report(
-    matrices: FemMatrices,
-    basis0: RobinEigenbasis,
-    basis_q: RobinEigenbasis,
-    fem_spectrum: Spectrum,
-) -> dict:
-    """Diagnostic: kernel from two Robin bases vs its reconstruction from the
-    Schur-route spectrum sum_k v_k v_k^T / (mu_k (mu_k + q)), at the
-    spectrum's p and the q of ``basis_q``. Reports the max abs deviation and
-    the truncation tail bound; no hard assertion."""
-    p, q = fem_spectrum.p, basis_q.q
-    kernel = _kernel(matrices, basis0, basis_q, p, q)
-    mus = fem_spectrum.eigenvalues
-    v = fem_spectrum.vectors
-    recon = (v / (mus * (mus + q))) @ v.T
-    tail = fem_spectrum.eigenvalues[-1]
-    return {
-        "max_abs_deviation": float(np.abs(kernel - recon).max()),
-        "kernel_scale": float(np.abs(kernel).max()),
-        "dtn_tail_cut": float(1.0 / (tail * (tail + q))),
-        "robin_tail_cut": float(1.0 / (p + basis0.eigenvalues[-1])),
-    }

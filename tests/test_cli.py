@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import dtnlab
-from dtnlab import analysis, analytic, cli, fem, geometry, pipeline
+from dtnlab import analysis, analytic, cli, fem, geometry, mesh as meshmod, pipeline
 from dtnlab.cli import TOLERANCES, main, parse_domain
 
 
@@ -35,7 +35,9 @@ def test_mesh_command(tmp_path):
     assert rc == 0
     assert (tmp_path / "mesh.txt").exists()
     report = json.loads((tmp_path / "report.json").read_text())
-    assert report["mesh_valid"] is True
+    # generate_mesh validates the mesh; the file holds that mesh
+    written = meshmod.import_mesh(tmp_path / "mesh.txt")
+    assert meshmod.validate_mesh(written, geometry.build_domain(parse_domain("disk:R=1"))).ok
     assert report["n_boundary"] >= 16
     assert report["config"]["command"] == "mesh"
     # the mesh command checks no tolerance, so its report claims none
@@ -53,6 +55,21 @@ def test_solve_command_and_determinism(tmp_path):
     assert b1 == b2
     mu0 = float(b1.decode().splitlines()[1].split(",")[1])
     assert abs(mu0 - 0.4464) < 5e-3
+
+
+def test_solve_vectors_writes_the_extensions(tmp_path):
+    """``solve --vectors`` writes one file per mode, one value per node in
+    the mesh file's order, that reads back as the spectrum's extensions."""
+    rc = run_cli("solve", "--domain", "disk:R=1", "--h", "0.2", "--p", "1",
+                 "--count", "3", "--vectors", "--out", str(tmp_path))
+    assert rc == 0
+    msh = meshmod.generate_mesh(geometry.build_domain(parse_domain("disk:R=1")), 0.2)
+    spec = pipeline.solve(fem.assemble(msh), 1.0, 3, extensions=True)[1]
+    files = sorted(tmp_path.glob("eigenvector_*.txt"))
+    assert [f.name for f in files] == [f"eigenvector_{k:03d}.txt" for k in range(3)]
+    for k, f in enumerate(files):
+        assert len(f.read_text().splitlines()) == msh.n_nodes
+        assert np.array_equal(np.loadtxt(f), spec.extensions[:, k])
 
 
 def test_validate_rect_command(tmp_path):

@@ -12,7 +12,6 @@ from dtnlab.dtn import (
     eigenfunction_rmse,
     eigensolve,
     write_csv,
-    write_node_vector,
 )
 from dtnlab import fem
 from dtnlab.fem import BoundaryPartition, FemError, assemble, factor_interior, solve_dirichlet
@@ -370,10 +369,3 @@ def test_spectrum_serialization(tmp_path, disk_solution):
     lines = csv.read_text().strip().splitlines()
     assert lines[0] == "k,mu"
     assert len(lines) == sp.count + 1
-    vec = tmp_path / "v0.txt"
-    v0 = np.zeros(sp.n_nodes)
-    v0[sp.steklov_nodes] = sp.vectors[:, 0]
-    write_node_vector(v0, vec)
-    vals = np.loadtxt(vec)
-    assert len(vals) == sp.n_nodes
-    assert np.count_nonzero(vals) == len(sp.steklov_nodes)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import sparse
 from scipy.special import jnp_zeros
 
 from dtnlab import analytic, greens
@@ -11,11 +12,10 @@ from dtnlab.analysis import ak_coefficients
 from dtnlab.dtn import DtnError
 from dtnlab.greens import (
     GreensError,
-    boundary_weights,
+    RobinEigenbasis,
     dtn_spectrum_via_green,
     extend_via_green,
     green_function,
-    kernel_consistency_report,
     robin_eigenbasis,
 )
 
@@ -28,6 +28,11 @@ def neumann_basis(disk_matrices):
 @pytest.fixture(scope="module")
 def robin_basis(disk_matrices):
     return robin_eigenbasis(disk_matrices, 1.0, 40)
+
+
+def bases(matrices, m, q=1.0):
+    """The q = 0 and q Robin bases of m modes, as ``dtn_spectrum_via_green`` takes them."""
+    return robin_eigenbasis(matrices, 0.0, m), robin_eigenbasis(matrices, q, m)
 
 
 def test_neumann_constant_mode(disk_matrices, neumann_basis, disk_domain):
@@ -50,9 +55,10 @@ def test_modes_m_orthonormal(disk_matrices, neumann_basis):
 
 
 def test_generalized_residual(disk_matrices, robin_basis):
-    from dtnlab.greens import boundary_mass_embedded
-
-    A = disk_matrices.stiffness + 1.0 * boundary_mass_embedded(disk_matrices)
+    # M_b in the full node indexing: the boundary nodes come last
+    ni = disk_matrices.n_interior
+    B = sparse.block_diag((sparse.csr_matrix((ni, ni)), disk_matrices.boundary_mass))
+    A = disk_matrices.stiffness + 1.0 * B
     norm = np.abs(disk_matrices.stiffness).max()
     for k in (0, 5, 20):
         u = robin_basis.modes[:, k]
@@ -98,14 +104,14 @@ def test_eta_mu_inversion_round_trip(mu, q):
 
 
 def test_green_route_matches_schur_route(disk_matrices, disk_solution):
-    spec = dtn_spectrum_via_green(disk_matrices, q=1.0, p=1.0, m=120, count=7)
+    spec = dtn_spectrum_via_green(disk_matrices, 1.0, 1.0, 120, 7, *bases(disk_matrices, 120))
     fem_mu = disk_solution.spectrum.eigenvalues[:7]
     assert np.abs(spec.eigenvalues - fem_mu).max() < 5e-3
 
 
 def test_green_route_weighted_normalization(disk_matrices):
-    spec = dtn_spectrum_via_green(disk_matrices, q=1.0, p=1.0, m=60, count=4)
-    w = boundary_weights(disk_matrices)
+    spec = dtn_spectrum_via_green(disk_matrices, 1.0, 1.0, 60, 4, *bases(disk_matrices, 60))
+    w = np.asarray(disk_matrices.boundary_mass.sum(axis=1)).ravel()  # lumped: M_b's row sums
     norms = (w[:, None] * spec.vectors**2).sum(axis=0)
     assert np.abs(norms - 1.0).max() < 1e-10
 
@@ -114,7 +120,7 @@ def test_green_spectrum_carries_the_lumped_weights(disk_matrices, neumann_basis,
     """The Green route's vectors are orthonormal in diag(w) of the lumped
     weights, which the spectrum carries, and its A_k integrate with w."""
     spec = dtn_spectrum_via_green(disk_matrices, 1.0, 1.0, 40, 4, neumann_basis, robin_basis)
-    w = boundary_weights(disk_matrices)
+    w = np.asarray(disk_matrices.boundary_mass.sum(axis=1)).ravel()  # lumped: M_b's row sums
     assert np.array_equal(spec.boundary_mass.toarray(), np.diag(w))
     gram = spec.vectors.T @ (spec.boundary_mass @ spec.vectors)
     assert np.abs(gram - np.eye(4)).max() < 1e-10
@@ -123,26 +129,56 @@ def test_green_spectrum_carries_the_lumped_weights(disk_matrices, neumann_basis,
 
 def test_insufficient_truncation_raises(disk_matrices):
     with pytest.raises(GreensError):
-        dtn_spectrum_via_green(disk_matrices, q=1.0, p=1.0, m=3, count=8)
+        dtn_spectrum_via_green(disk_matrices, 1.0, 1.0, 3, 8, *bases(disk_matrices, 3))
 
 
 def test_q_must_be_positive(disk_matrices):
-    with pytest.raises(GreensError):
-        dtn_spectrum_via_green(disk_matrices, q=0.0, p=1.0, m=10, count=2)
+    with pytest.raises(GreensError, match="q > 0"):
+        dtn_spectrum_via_green(disk_matrices, 0.0, 1.0, 10, 2, *bases(disk_matrices, 10))
 
 
 def test_count_bounded_like_the_schur_route(disk_matrices, monkeypatch):
     """A count past the boundary nodes (or below 1) raises the Schur route's
-    DtnError before any basis or kernel is built, instead of returning fewer
-    pairs."""
-    def no_basis(*args, **kwargs):
-        raise AssertionError("built a basis before checking count")
+    DtnError before any kernel is built, instead of returning fewer pairs."""
+    basis0, basis_q = bases(disk_matrices, 10)
 
-    monkeypatch.setattr(greens, "robin_eigenbasis", no_basis)
+    def no_kernel(*args, **kwargs):
+        raise AssertionError("built a kernel before checking count")
+
+    monkeypatch.setattr(greens, "green_function", no_kernel)
     n_b = disk_matrices.n_boundary
     for count in (0, n_b + 1):
         with pytest.raises(DtnError, match=f"count must be in 1..{n_b}"):
-            dtn_spectrum_via_green(disk_matrices, q=1.0, p=1.0, m=10, count=count)
+            dtn_spectrum_via_green(disk_matrices, 1.0, 1.0, 10, count, basis0, basis_q)
+
+
+def test_green_route_builds_no_basis(disk_matrices, neumann_basis, robin_basis, monkeypatch):
+    """The route uses only the two bases it is given, and both are required."""
+    def no_basis(*args, **kwargs):
+        raise AssertionError("built a Robin basis")
+
+    monkeypatch.setattr(greens, "robin_eigenbasis", no_basis)
+    with pytest.raises(TypeError, match="basis0"):
+        dtn_spectrum_via_green(disk_matrices, 1.0, 1.0, 40, 3)
+    spec = dtn_spectrum_via_green(disk_matrices, 1.0, 1.0, 40, 3, neumann_basis, robin_basis)
+    assert spec.count == 3
+
+
+@pytest.mark.parametrize(
+    "q, m, swap, match",
+    [
+        (2.0, 40, False, "basis_q is the q = 1 Robin basis, expected q = 2"),
+        (1.0, 60, False, "basis0 holds 40 modes, expected m = 60"),
+        (1.0, 40, True, "basis0 is the q = 1 Robin basis, expected q = 0"),
+    ],
+    ids=["q", "m", "swapped"],
+)
+def test_mismatched_basis_raises(disk_matrices, neumann_basis, robin_basis, q, m, swap, match):
+    """A basis whose q or truncation is not the route's is a GreensError, not
+    a spectrum with the wrong kernel."""
+    pair = (robin_basis, neumann_basis) if swap else (neumann_basis, robin_basis)
+    with pytest.raises(GreensError, match=match):
+        dtn_spectrum_via_green(disk_matrices, q, 1.0, m, 3, *pair)
 
 
 def test_extend_via_green_disk_profile(disk_matrices, disk_mesh):
@@ -163,17 +199,22 @@ def test_extend_via_green_disk_profile(disk_matrices, disk_mesh):
     assert np.sqrt(np.mean((tr - v) ** 2)) < 2e-2
 
 
-def test_extend_via_green_p0_k0_excluded(disk_matrices, neumann_basis):
-    spec = dataclasses.replace(dtn_spectrum_via_green(disk_matrices, 1.0, 1.0, 40, 2, neumann_basis), p=0.0)
+def test_extend_via_green_p0_k0_excluded(disk_matrices, neumann_basis, robin_basis):
+    spec = dataclasses.replace(
+        dtn_spectrum_via_green(disk_matrices, 1.0, 1.0, 40, 2, neumann_basis, robin_basis), p=0.0
+    )
     with pytest.raises(GreensError):
         extend_via_green(neumann_basis, disk_matrices, spec, 0)
 
 
-def test_kernel_consistency_diagnostic(disk_matrices, disk_solution, neumann_basis, robin_basis):
-    rep = kernel_consistency_report(
-        disk_matrices, neumann_basis, robin_basis, disk_solution.spectrum
-    )
-    assert rep["max_abs_deviation"] < np.inf
-    assert rep["kernel_scale"] > 0
-    # with both truncations the deviation is bounded by the combined tails
-    assert rep["max_abs_deviation"] <= 5 * (rep["dtn_tail_cut"] + rep["robin_tail_cut"])
+
+def test_extend_via_green_needs_the_neumann_basis(disk_matrices, neumann_basis, robin_basis):
+    spec = dtn_spectrum_via_green(disk_matrices, 1.0, 1.0, 40, 2, neumann_basis, robin_basis)
+    with pytest.raises(GreensError, match="expected q = 0"):
+        extend_via_green(robin_basis, disk_matrices, spec, 1)
+
+
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(RobinEigenbasis)])
+def test_robin_basis_is_frozen(robin_basis, field):
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(robin_basis, field, getattr(robin_basis, field))
