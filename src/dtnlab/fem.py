@@ -56,25 +56,30 @@ class BoundaryPartition:
     def from_arcs(cls, n_boundary: int, arcs) -> "BoundaryPartition":
         """``arcs`` is a list of (start, stop, role_name) with stop exclusive,
         wrapping allowed (start > stop wraps past node 0). Needs
-        ``0 <= start < n_boundary`` and ``0 <= stop <= n_boundary``."""
+        ``0 <= start < n_boundary`` and ``0 <= stop <= n_boundary``; an empty
+        arc (start == stop) or one that overlaps an earlier arc is an error."""
         roles = -np.ones(n_boundary, dtype=np.int8)
         for start, stop, name in arcs:
             if name not in _ROLE_NAMES:
                 raise FemError(f"unknown boundary role {name!r}")
             if not (0 <= start < n_boundary and 0 <= stop <= n_boundary):
                 raise FemError(f"arc ({start}, {stop}) outside 0..{n_boundary}")
+            if start == stop:
+                raise FemError(f"arc ({start}, {stop}, {name!r}) is empty")
             idx = (
                 np.arange(start, stop)
                 if start < stop
                 else np.concatenate([np.arange(start, n_boundary), np.arange(0, stop)])
             )
+            if (roles[idx] >= 0).any():
+                raise FemError(f"arc ({start}, {stop}, {name!r}) overlaps an earlier arc")
             roles[idx] = _ROLE_NAMES[name]
         if (roles < 0).any():
             raise FemError("arcs do not cover every boundary node")
         return cls(roles)
 
 
-@dataclass
+@dataclass(frozen=True)
 class FemMatrices:
     stiffness: sparse.csr_matrix      # K, n_nodes x n_nodes
     mass: sparse.csr_matrix           # M, n_nodes x n_nodes

@@ -135,11 +135,10 @@ def dtn_spectrum_via_green(
     )
 
 
-def extend_via_green(
-    basis0: RobinEigenbasis, matrices: FemMatrices, spectrum: Spectrum, k: int
-) -> np.ndarray:
+def extend_via_green(basis0: RobinEigenbasis, spectrum: Spectrum, k: int) -> np.ndarray:
     """Interior extension by boundary quadrature against G_0 (``basis0``, the
-    q = 0 basis), at the spectrum's p.
+    q = 0 basis), at the spectrum's p, over its boundary nodes weighted by
+    the row sums of its ``boundary_mass``.
 
     Not applicable at p = 0 for the constant mode (mu_0 = 0); callers use the
     known constant 1/sqrt(perimeter) there.
@@ -152,7 +151,6 @@ def extend_via_green(
             "extension via the Green's function is undefined for p=0, k=0; "
             "the constant mode is known in closed form"
         )
-    w = np.asarray(matrices.boundary_mass.sum(axis=1)).ravel()
-    bidx = np.arange(matrices.n_interior, matrices.n_nodes)
-    g0 = green_function(basis0, p, np.arange(matrices.n_nodes), bidx)
+    w = np.asarray(spectrum.boundary_mass.sum(axis=1)).ravel()
+    g0 = green_function(basis0, p, np.arange(spectrum.n_nodes), spectrum.steklov_nodes)
     return g0 @ (w * mu * spectrum.vectors[:, k])

@@ -54,10 +54,10 @@ log = logging.getLogger("dtnlab")
 
 
 class MeshError(RuntimeError):
-    """Mesh generation or file-format failure."""
+    """Mesh generation failure."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class Mesh:
     nodes: np.ndarray            # (n_nodes, 2)
     n_interior: int
@@ -473,18 +473,17 @@ class MeshReport:
         return not self.violations
 
 
-def _structure(mesh: Mesh) -> tuple[list[str], np.ndarray | None]:
-    """The violations of the invariants that need no domain and no angle
-    floor: node counts, index range, orientation, edges longer than
-    ``mesh.h_max``, boundary-edge incidence and manifoldness; and the lengths
-    of the unique edges, None when a triangle index is out of range."""
+def validate_mesh(mesh: Mesh, domain: Domain | None = None) -> MeshReport:
+    """Check every mesh invariant; report is empty iff the mesh is valid. A
+    triangle index out of range ends the check. ``domain`` adds the checks of
+    the nodes against the boundary, and exempts sharp corners from the floor."""
     v: list[str] = []
     n = mesh.n_nodes
     if mesh.n_interior + mesh.n_boundary != n:
         v.append("node count mismatch: n_interior + n_boundary != n_nodes")
     if mesh.triangles.min(initial=0) < 0 or mesh.triangles.max(initial=-1) >= n:
         v.append("triangle references a node index out of range")
-        return v, None
+        return MeshReport(v)
 
     areas = mesh.signed_areas()
     n_flipped = int((areas <= 0).sum())
@@ -500,7 +499,10 @@ def _structure(mesh: Mesh) -> tuple[list[str], np.ndarray | None]:
     if n_long:
         v.append(f"{n_long} edges longer than h_max={mesh.h_max} (max {edge_len.max():.6g})")
 
-    b_counts, declared = _edge_incidence(edges, counts, mesh.boundary_edges)
+    be = mesh.boundary_edges
+    if be.size and (be.min() < mesh.n_interior or be.max() >= n):
+        v.append("boundary edge references a non-boundary node")
+    b_counts, declared = _edge_incidence(edges, counts, be)
     bad_b = int((b_counts != 1).sum())
     if bad_b:
         v.append(f"{bad_b} boundary edges not belonging to exactly one triangle")
@@ -511,14 +513,6 @@ def _structure(mesh: Mesh) -> tuple[list[str], np.ndarray | None]:
     stray = int(((counts == 1) & ~declared).sum())
     if stray:
         v.append(f"{stray} single-triangle edges are not declared boundary edges")
-    return v, edge_len
-
-
-def validate_mesh(mesh: Mesh, domain: Domain | None = None) -> MeshReport:
-    """Check every mesh invariant; report is empty iff the mesh is valid."""
-    v, edge_len = _structure(mesh)
-    if edge_len is None:
-        return MeshReport(v)
 
     angles = mesh.angles_deg()
     counted = angles.min(axis=1)[~_corner_exempt_mask(mesh, domain, angles)]
@@ -560,71 +554,3 @@ def export_mesh(mesh: Mesh, path) -> None:
         f.write(f"boundary_edges {len(mesh.boundary_edges)}\n")
         for a, b in mesh.boundary_edges:
             f.write(f"{a} {b}\n")
-
-
-def import_mesh(path) -> Mesh:
-    """Parse the text format. A malformed line or header (a negative count
-    among them), a boundary edge off the boundary nodes, or any violation of
-    ``_structure`` (an index out of range, a flipped triangle, a boundary
-    edge not on exactly one triangle, a non-manifold edge, or a
-    single-triangle edge that is no boundary edge, as around a hole) raises
-    ``MeshError``."""
-    with open(path) as f:
-        lines = [ln.strip() for ln in f if ln.strip()]
-    pos = 0
-
-    def expect_header(tag: str, nfields: int):
-        nonlocal pos
-        if pos >= len(lines):
-            raise MeshError(f"unexpected end of file, expected '{tag}' header")
-        parts = lines[pos].split()
-        if parts[0] != tag or len(parts) != 1 + nfields:
-            raise MeshError(f"malformed '{tag}' header: {lines[pos]!r}")
-        pos += 1
-        try:
-            counts = [int(p) for p in parts[1:]]
-        except ValueError:
-            raise MeshError(f"non-integer count in '{tag}' header") from None
-        if min(counts) < 0:
-            raise MeshError(f"negative count in '{tag}' header")
-        return counts
-
-    def read_block(name: str, count: int, width: int, cast) -> np.ndarray:
-        nonlocal pos
-        if pos + count > len(lines):
-            raise MeshError(f"file truncated in {name} block")
-        try:
-            rows = [[cast(t) for t in lines[pos + i].split()] for i in range(count)]
-        except ValueError:
-            raise MeshError(f"malformed {name} line") from None
-        if any(len(row) != width for row in rows):
-            raise MeshError(f"{name} lines must hold exactly {width} entries")
-        pos += count
-        return np.array(rows, dtype=cast).reshape(count, width)
-
-    ni, ne = expect_header("nodes", 2)
-    if ne < 3:
-        raise MeshError("need n_boundary >= 3")
-    ntot = ni + ne
-    nodes = read_block("node", ntot, 2, float)
-    (nt,) = expect_header("triangles", 1)
-    tris = read_block("triangle", nt, 3, int)
-    (nbe,) = expect_header("boundary_edges", 1)
-    bedges = read_block("boundary edge", nbe, 2, int)
-
-    if bedges.size and (bedges.min() < ni or bedges.max() >= ntot):
-        raise MeshError("boundary edge references a non-boundary node (ordering violation)")
-    mesh = Mesh(
-        nodes=nodes,
-        n_interior=ni,
-        n_boundary=ne,
-        triangles=tris,
-        boundary_edges=bedges,
-        h_max=np.inf,
-    )
-    violations, edge_len = _structure(mesh)
-    if violations:
-        raise MeshError("invalid mesh: " + "; ".join(violations))
-    # the longest edge stands in for the h the mesh was made with
-    mesh.h_max = float(edge_len.max()) if len(edge_len) else np.inf
-    return mesh

@@ -35,9 +35,11 @@ def test_mesh_command(tmp_path):
     assert rc == 0
     assert (tmp_path / "mesh.txt").exists()
     report = json.loads((tmp_path / "report.json").read_text())
-    # generate_mesh validates the mesh; the file holds that mesh
-    written = meshmod.import_mesh(tmp_path / "mesh.txt")
-    assert meshmod.validate_mesh(written, geometry.build_domain(parse_domain("disk:R=1"))).ok
+    # the file holds the mesh generate_mesh built and validated
+    expected = tmp_path / "expected.txt"
+    disk = geometry.build_domain(geometry.DiskSpec(1.0))
+    meshmod.export_mesh(meshmod.generate_mesh(disk, 0.15), expected)
+    assert (tmp_path / "mesh.txt").read_bytes() == expected.read_bytes()
     assert report["n_boundary"] >= 16
     assert report["config"]["command"] == "mesh"
     # the mesh command checks no tolerance, so its report claims none

@@ -311,6 +311,17 @@ def test_partition_rejects_arc_outside_loop(arcs):
         BoundaryPartition.from_arcs(10, arcs)
 
 
+def test_partition_rejects_an_empty_arc():
+    # stop is exclusive, so (3, 3) holds no node, not the whole loop
+    with pytest.raises(FemError, match=r"arc \(3, 3, 'dirichlet_zero'\) is empty"):
+        BoundaryPartition.from_arcs(10, [(0, 10, "steklov"), (3, 3, "dirichlet_zero")])
+
+
+def test_partition_rejects_overlapping_arcs():
+    with pytest.raises(FemError, match=r"arc \(8, 2, 'neumann_zero'\) overlaps"):
+        BoundaryPartition.from_arcs(10, [(0, 9, "steklov"), (8, 2, "neumann_zero")])
+
+
 def test_partition_wrapping_arc():
     part = BoundaryPartition.from_arcs(8, [(6, 2, "dirichlet_zero"), (2, 6, "steklov")])
     assert part.roles.tolist() == [1, 1, 0, 0, 0, 0, 1, 1]

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import sys
@@ -12,6 +13,7 @@ from dtnlab.fem import (
     LEAF_SIZE,
     SPD_LU_OPTIONS,
     FemError,
+    FemMatrices,
     assemble,
     factor_interior,
     solve_dirichlet,
@@ -72,10 +74,16 @@ def test_assemble_is_deterministic(disk_mesh):
 
 def test_assemble_rejects_degenerate_triangle():
     m = four_triangle_square()
-    m.nodes = m.nodes.copy()
-    m.nodes[0] = m.nodes[1]  # collapse the interior node onto a corner
+    nodes = m.nodes.copy()
+    nodes[0] = nodes[1]  # collapse the interior node onto a corner
     with pytest.raises(FemError):
-        assemble(m)
+        assemble(dataclasses.replace(m, nodes=nodes))
+
+
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(FemMatrices)])
+def test_fem_matrices_are_frozen(disk_matrices, field):
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(disk_matrices, field, getattr(disk_matrices, field))
 
 
 # the benchmark's cold-solve catalog meshes and its p-sweep mesh

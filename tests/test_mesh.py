@@ -4,7 +4,7 @@ from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.spatial import Delaunay
 
 from dtnlab import geometry
@@ -15,7 +15,6 @@ from dtnlab.mesh import (
     MeshError,
     export_mesh,
     generate_mesh,
-    import_mesh,
     validate_mesh,
 )
 from dtnlab.pipeline import solve
@@ -91,33 +90,52 @@ def test_sharp_corner_triangle_meshes():
 
 
 def test_export_import_round_trip(tmp_path, disk_mesh):
+    """``mesh.txt`` holds the mesh exactly: 17 significant digits give the
+    nodes back bit for bit."""
     path = tmp_path / "disk.mesh"
     export_mesh(disk_mesh, path)
-    back = import_mesh(path)
-    assert back.n_interior == disk_mesh.n_interior
-    assert back.n_boundary == disk_mesh.n_boundary
-    assert np.array_equal(back.nodes, disk_mesh.nodes)  # bit-exact
-    assert np.array_equal(back.triangles, disk_mesh.triangles)
-    assert np.array_equal(back.boundary_edges, disk_mesh.boundary_edges)
+    lines = path.read_text().splitlines()
+    n_nodes = disk_mesh.n_nodes
+    n_tri = len(disk_mesh.triangles)
+    assert lines[0] == f"nodes {disk_mesh.n_interior} {disk_mesh.n_boundary}"
+    nodes = np.loadtxt(lines[1 : 1 + n_nodes], dtype=float, ndmin=2)
+    assert np.array_equal(nodes, disk_mesh.nodes)  # bit-exact
+    assert lines[1 + n_nodes] == f"triangles {n_tri}"
+    tris = np.loadtxt(lines[2 + n_nodes : 2 + n_nodes + n_tri], dtype=np.int64, ndmin=2)
+    assert np.array_equal(tris, disk_mesh.triangles)
+    assert lines[2 + n_nodes + n_tri] == f"boundary_edges {len(disk_mesh.boundary_edges)}"
+    bedges = np.loadtxt(lines[3 + n_nodes + n_tri :], dtype=np.int64, ndmin=2)
+    assert np.array_equal(bedges, disk_mesh.boundary_edges)
 
 
-def test_import_rejects_out_of_range_index(tmp_path):
+def test_validate_reports_out_of_range_index():
     m = four_triangle_square()
-    path = tmp_path / "bad.mesh"
-    m.triangles = m.triangles.copy()
-    m.triangles[0, 0] = 99
-    export_mesh(m, path)
-    with pytest.raises(MeshError):
-        import_mesh(path)
+    triangles = m.triangles.copy()
+    triangles[0, 0] = 99
+    report = validate_mesh(replace(m, triangles=triangles))
+    # the index check ends the check: no later one reads a node past the end
+    assert report.violations == ["triangle references a node index out of range"]
 
 
-def test_import_rejects_boundary_edge_off_triangle(tmp_path):
-    m = four_triangle_square()
-    path = tmp_path / "bad2.mesh"
-    m.boundary_edges = np.array([[1, 2], [2, 3], [3, 4], [4, 2]])  # (4,2) is a diagonal
-    export_mesh(m, path)
-    with pytest.raises(MeshError):
-        import_mesh(path)
+def test_validate_reports_boundary_edge_off_triangle():
+    # the square's four sides, and its diagonal (1, 3), which is on no triangle
+    bedges = np.array([[1, 2], [2, 3], [3, 4], [4, 1], [1, 3]])
+    report = validate_mesh(replace(four_triangle_square(), boundary_edges=bedges))
+    assert report.violations == ["1 boundary edges not belonging to exactly one triangle"]
+
+
+def test_validate_reports_boundary_edge_on_interior_node():
+    # the square's nodes with the centre last: node 0, a corner, is counted
+    # interior, so the boundary loop is not the last n_boundary nodes
+    m = Mesh(
+        nodes=np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.5, 0.5]]),
+        n_interior=1,
+        n_boundary=4,
+        triangles=np.array([[4, 0, 1], [4, 1, 2], [4, 2, 3], [4, 3, 0]]),
+        boundary_edges=np.array([[0, 1], [1, 2], [2, 3], [3, 0]]),
+        h_max=1.5,
+    )
+    assert validate_mesh(m).violations == ["boundary edge references a non-boundary node"]
 
 
 def _interior_triangle(msh):
@@ -125,79 +143,29 @@ def _interior_triangle(msh):
     return int(np.flatnonzero((msh.triangles < msh.n_interior).all(axis=1))[0])
 
 
-def test_import_rejects_a_hole(tmp_path, disk_domain):
+def test_validate_reports_a_hole(disk_domain):
     """A mesh with one interior triangle removed is the mesh of a domain with
     a hole, whose edges are single-triangle edges but no boundary edges."""
     msh = generate_mesh(disk_domain, 0.2)
     holed = replace(msh, triangles=np.delete(msh.triangles, _interior_triangle(msh), axis=0))
-    assert "3 single-triangle edges are not declared boundary edges" in validate_mesh(holed).violations
-    path = tmp_path / "hole.mesh"
-    export_mesh(holed, path)
-    with pytest.raises(MeshError, match="single-triangle edges"):
-        import_mesh(path)
+    report = validate_mesh(holed, disk_domain)
+    assert report.violations == ["3 single-triangle edges are not declared boundary edges"]
 
 
-def test_import_rejects_a_non_manifold_edge(tmp_path, disk_domain):
+def test_validate_reports_a_non_manifold_edge(disk_domain):
     msh = generate_mesh(disk_domain, 0.2)
     extra = msh.triangles[[_interior_triangle(msh)]]
     doubled = replace(msh, triangles=np.vstack([msh.triangles, extra]))
-    path = tmp_path / "non_manifold.mesh"
-    export_mesh(doubled, path)
-    with pytest.raises(MeshError, match="incidence count other than 1 or 2"):
-        import_mesh(path)
-
-
-def test_import_rejects_malformed_header(tmp_path):
-    path = tmp_path / "garbage.mesh"
-    path.write_text("vertices 3 4\n")
-    with pytest.raises(MeshError):
-        import_mesh(path)
-
-
-@pytest.mark.parametrize(
-    "block, line", [("triangles", "0 3"), ("triangles", "0 3 x"), ("boundary_edges", "4")]
-)
-def test_import_rejects_malformed_index_line(tmp_path, block, line):
-    """A short or non-integer triangle or boundary-edge line is a MeshError."""
-    path = tmp_path / "bad.mesh"
-    export_mesh(four_triangle_square(), path)
-    lines = path.read_text().splitlines()
-    lines[next(i for i, ln in enumerate(lines) if ln.startswith(block)) + 1] = line
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(MeshError):
-        import_mesh(path)
-
-
-@pytest.mark.parametrize(
-    "block, header", [("nodes", "nodes -1 4"), ("triangles", "triangles -1"),
-                      ("boundary_edges", "boundary_edges -2")]
-)
-def test_import_rejects_negative_count(tmp_path, block, header):
-    path = tmp_path / "negative.mesh"
-    export_mesh(four_triangle_square(), path)
-    lines = path.read_text().splitlines()
-    lines[next(i for i, ln in enumerate(lines) if ln.startswith(block))] = header
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(MeshError, match=f"negative count in '{block}' header"):
-        import_mesh(path)
-
-
-def test_import_rejects_flipped_triangle(tmp_path):
-    m = four_triangle_square()
-    m.triangles = m.triangles.copy()
-    m.triangles[0] = m.triangles[0][::-1]
-    path = tmp_path / "flip.mesh"
-    export_mesh(m, path)
-    with pytest.raises(MeshError):
-        import_mesh(path)
+    report = validate_mesh(doubled, disk_domain)
+    assert report.violations == ["3 edges with incidence count other than 1 or 2"]
 
 
 def test_validate_reports_flipped_triangle():
     m = four_triangle_square()
-    m.triangles = m.triangles.copy()
-    m.triangles[0] = m.triangles[0][::-1]
-    report = validate_mesh(m)
-    assert any("non-positive" in v for v in report.violations)
+    triangles = m.triangles.copy()
+    triangles[0] = triangles[0][::-1]
+    report = validate_mesh(replace(m, triangles=triangles))
+    assert "1 triangles with non-positive signed area" in report.violations
 
 
 def test_validate_reports_skinny_triangle():
@@ -233,18 +201,16 @@ def test_quality_floor_reports_the_worst_counted_triangle():
 
 
 def test_validate_reports_long_edges():
-    m = four_triangle_square()
-    m.h_max = 0.5  # the square's sides are length 1
-    report = validate_mesh(m)
+    # the square's sides are length 1
+    report = validate_mesh(replace(four_triangle_square(), h_max=0.5))
     assert any("longer than h_max" in v for v in report.violations)
 
 
 def test_validate_reports_undeclared_and_stray_boundary_edges():
-    m = four_triangle_square()
     # (2, 1) is edge (1, 2) written backwards; (4, 2) is no edge, so the
     # real boundary edge (4, 1) is left undeclared
-    m.boundary_edges = np.array([[2, 1], [2, 3], [3, 4], [4, 2]])
-    report = validate_mesh(m)
+    bedges = np.array([[2, 1], [2, 3], [3, 4], [4, 2]])
+    report = validate_mesh(replace(four_triangle_square(), boundary_edges=bedges))
     assert "1 boundary edges not belonging to exactly one triangle" in report.violations
     assert "1 single-triangle edges are not declared boundary edges" in report.violations
     assert len(report.violations) == 2, report.violations
@@ -267,6 +233,12 @@ def test_validate_reports_nodes_off_and_on_the_boundary(spec, h):
     tol = 1e-9 if dom.is_polygon else 1e-6
     assert f"1 boundary nodes further than {tol:g} from the boundary" in report.violations
     assert "1 interior nodes touching the boundary" in report.violations
+
+
+@pytest.mark.parametrize("field", [f.name for f in fields(Mesh)])
+def test_mesh_is_frozen(disk_mesh, field):
+    with pytest.raises(FrozenInstanceError):
+        setattr(disk_mesh, field, getattr(disk_mesh, field))
 
 
 def test_valid_handmade_mesh_passes():
@@ -459,6 +431,33 @@ def test_star_polygons_obey_the_scaling_law(shape, h, t):
     mu = solve(assemble(msh), t * t, 6)[1].eigenvalues / t
     mu_scaled = solve(assemble(big), 1.0, 6)[1].eigenvalues
     assert np.allclose(mu_scaled, mu, rtol=1e-9, atol=0)
+
+
+SMOOTH_SHAPES = st.one_of(
+    st.builds(geometry.EllipseSpec, st.floats(0.6, 1.2), st.floats(0.4, 1.0)),
+    st.builds(geometry.DeformedDiskSpec, st.floats(-0.1, 0.1), st.integers(2, 6)),
+)
+
+
+@settings(max_examples=15, deadline=None)
+@given(spec=SMOOTH_SHAPES, h=st.sampled_from([0.08, 0.1]), p=st.floats(0.01, 100.0))
+@example(spec=geometry.EllipseSpec(1.0, 0.5), h=0.08, p=1.0)
+@example(spec=geometry.DeformedDiskSpec(0.02, 5), h=0.1, p=30.0)
+def test_smooth_shapes_obey_the_pencil_laws(spec, h, p):
+    """Laws of the discrete pencil S(p) v = mu M_b v that hold up to rounding:
+    dS/dp = E^T M E is positive semidefinite for the discrete harmonic
+    extension E, so no mu_k falls as p doubles; at p = 0 the constants are
+    the kernel of S; and the vectors are orthonormal in the spectrum's
+    ``boundary_mass``."""
+    matrices = assemble(generate_mesh(geometry.build_domain(spec), h))
+    at_p, at_2p, at_0 = (solve(matrices, q, 6)[1] for q in (p, 2 * p, 0.0))
+    assert (at_2p.eigenvalues >= at_p.eigenvalues * (1 - 1e-10)).all()
+    assert abs(at_0.eigenvalues[0]) <= 1e-10
+    v0 = at_0.vectors[:, 0]
+    assert np.ptp(v0) <= 1e-10 * np.abs(v0).max()
+    for spectrum in (at_p, at_2p, at_0):
+        v = spectrum.vectors
+        assert np.abs(v.T @ (spectrum.boundary_mass @ v) - np.eye(6)).max() <= 1e-10
 
 
 @pytest.mark.parametrize("seed", range(30))
