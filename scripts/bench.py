@@ -5,10 +5,14 @@ retries and validation), assemble, factor, Schur, eigh and extensions, timed
 one by one, then the node count, n_b, the stored entries of the factor the
 solve keeps (nnz(L + U)) and the process's peak RSS (``ru_maxrss``).
 ``--quick`` runs the same cases on coarse meshes, in a few seconds.
+``--rounds N`` runs every case N times, a fresh process each, the cases
+interleaved (all cases once, then all again), and reports each stage's
+median and the median peak RSS.
 
-    python scripts/bench.py [--quick] [--out bench.json]
+    python scripts/bench.py [--quick] [--rounds N] [--out bench.json]
 
-``--out`` also writes each case's eigenvalues, so two runs can be compared.
+``--out`` also writes each round's numbers and each case's eigenvalues (of
+the first round), so two runs can be compared.
 """
 import argparse
 import json
@@ -16,6 +20,7 @@ import math
 import os
 import platform
 import resource
+import statistics
 import subprocess
 import sys
 import time
@@ -26,6 +31,8 @@ import scipy
 # name: (acceptance use, h, quick h, p, count)
 CASES = {
     "disk": ("criterion 1", 0.01, 0.1, 1.0, 11),
+    "rectangle": ("criterion 3", 0.01, 0.1, 1.0, 11),
+    "koch": ("criterion 7", 0.01, 0.1, 1e3, 12),
     "square": ("criterion 11", 0.0075, 0.1, 0.0, 17),
     "triangle": ("criterion 5", 0.003, 0.04, 1e3, 9),
     "octagon": ("criterion 5", 0.005, 0.05, 1e3, 18),
@@ -37,6 +44,8 @@ BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 def domain_spec(name: str, geometry):
     return {
         "disk": lambda: geometry.DiskSpec(1.0),
+        "rectangle": lambda: geometry.RectangleSpec(1.0, 2.0),
+        "koch": lambda: geometry.KochSpec(1, 2.0),
         "square": lambda: geometry.RectangleSpec(2.0, 2.0),
         "triangle": lambda: geometry.TriangleSpec(2.0, math.pi / 12, math.pi / 3),
         "octagon": lambda: geometry.PolygonSpec(tuple(map(tuple, geometry.reflex_octagon_vertices()))),
@@ -72,34 +81,59 @@ def run_case(name: str, quick: bool) -> dict:
     }
 
 
+def run_round(name: str, quick: bool, env: dict) -> dict:
+    """One solve of case ``name`` in a fresh process."""
+    cmd = [sys.executable, __file__, "--case", name] + (["--quick"] if quick else [])
+    proc = subprocess.run(cmd, env=env, capture_output=True, text=True)
+    if proc.returncode:
+        sys.stderr.write(proc.stderr)
+        raise SystemExit(f"case {name} failed with exit {proc.returncode}")
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def summary(rounds: list[dict]) -> dict:
+    """A case's rounds as one row: each stage's median and the median peak
+    RSS; sizes and eigenvalues from the first round."""
+    first = rounds[0]
+    return {
+        "h": first["h"], "p": first["p"], "count": first["count"],
+        "seconds": {s: statistics.median(r["seconds"][s] for r in rounds) for s in STAGES},
+        "nodes": first["nodes"], "n_b": first["n_b"], "kept_nnz": first["kept_nnz"],
+        "peak_rss_mb": statistics.median(r["peak_rss_mb"] for r in rounds),
+        "eigenvalues": first["eigenvalues"],
+        "rounds": [{"seconds": r["seconds"], "peak_rss_mb": r["peak_rss_mb"]} for r in rounds],
+    }
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--quick", action="store_true", help="coarse meshes, a few seconds in all")
-    ap.add_argument("--out", help="write the table and the eigenvalues to this JSON file")
+    ap.add_argument("--rounds", type=int, default=1, help="runs of every case, interleaved (default 1)")
+    ap.add_argument("--out", help="write the table, the rounds and the eigenvalues to this JSON file")
     ap.add_argument("--case", choices=list(CASES), help=argparse.SUPPRESS)  # one case, in this process
     args = ap.parse_args()
+    if args.rounds < 1:
+        ap.error("--rounds must be at least 1")
 
     if args.case:
         print(json.dumps(run_case(args.case, args.quick)))
         return
 
     env = dict(os.environ, **{var: "1" for var in BLAS_THREADS})
-    results = {}
-    print(f"{'case':<9}{'nodes':>8}{'n_b':>6}" + "".join(f"{s:>11}" for s in STAGES)
+    runs = {name: [] for name in CASES}
+    for _ in range(args.rounds):
+        for name in CASES:
+            runs[name].append(run_round(name, args.quick, env))
+    results = {name: summary(rounds) for name, rounds in runs.items()}
+    print(f"{'case':<10}{'nodes':>8}{'n_b':>6}" + "".join(f"{s:>11}" for s in STAGES)
           + f"{'kept nnz':>12}{'RSS MB':>8}")
-    for name in CASES:
-        cmd = [sys.executable, __file__, "--case", name] + (["--quick"] if args.quick else [])
-        proc = subprocess.run(cmd, env=env, capture_output=True, text=True)
-        if proc.returncode:
-            sys.stderr.write(proc.stderr)
-            raise SystemExit(f"case {name} failed with exit {proc.returncode}")
-        r = results[name] = json.loads(proc.stdout.splitlines()[-1])
-        print(f"{name:<9}{r['nodes']:>8}{r['n_b']:>6}" + "".join(f"{r['seconds'][s]:>11.3f}" for s in STAGES)
+    for name, r in results.items():
+        print(f"{name:<10}{r['nodes']:>8}{r['n_b']:>6}" + "".join(f"{r['seconds'][s]:>11.3f}" for s in STAGES)
               + f"{r['kept_nnz']:>12}{r['peak_rss_mb']:>8.0f}")
     if args.out:
         with open(args.out, "w") as f:
             json.dump({
-                "quick": args.quick, "blas_threads": 1, "nproc": os.cpu_count(),
+                "quick": args.quick, "rounds": args.rounds, "blas_threads": 1, "nproc": os.cpu_count(),
                 "python": platform.python_version(), "numpy": np.__version__, "scipy": scipy.__version__,
                 "use": {name: use for name, (use, *_) in CASES.items()}, "cases": results,
             }, f, indent=1)

@@ -13,15 +13,21 @@ h and the min-angle floor holds away from sharp input corners.
 Lattice triangles around a lattice point far enough from the boundary are in
 every Delaunay triangulation, so the first triangulation takes those in closed
 form and runs qhull on the band of points near the boundary only
-(``_band_delaunay``). Smoothing moves the interior nodes a little at a time,
-so the triangulation is then kept from one pass to the next and repaired where
-the moved nodes break it: edges that fail the incircle test (an exact form of
-the DistMesh rule, Persson & Strang, SIAM Review 46, 2004) are flipped until
-all pass (Lawson 1977), and qhull runs on all points only when a triangle
-stops being CCW, the hull moves, an edge of a flat simplex fails or the
-flips do not converge. By the Delaunay lemma a triangulation that passes both
-checks is the Delaunay triangulation of the moved nodes, so meshes are the
-ones a fresh qhull triangulation per pass gives, up to the order of the
+(``_band_delaunay``). Such a core point is the mean of its six lattice
+neighbours, so a pass of neighbour averaging first moves it one pass after a
+neighbour has moved: smoothing moves the band of lattice points that are not
+core or within ``N_SMOOTH - 1`` edges of one (``_moving_band``), and keeps the
+deeper core, which would move by rounding only, fixed like the boundary
+samples. Smoothing moves the band a little at a time, so the triangulation of
+the band and the points next to it is then kept from one pass to the next
+and repaired where the moved nodes break it: edges that fail the incircle
+test (an exact form of the DistMesh rule, Persson & Strang, SIAM Review 46,
+2004) are flipped until all pass (Lawson 1977), and qhull runs on all points
+only when a triangle stops being CCW, the rim of the kept triangles moves,
+an edge of a flat simplex fails or the flips do not converge. By the
+Delaunay lemma a triangulation that passes both checks is the Delaunay
+triangulation of the moved nodes, so meshes are the ones a fresh qhull
+triangulation per pass of every lattice point gives, up to the order of the
 triangles, rounding in the smoothing sums, the diagonal of cocircular quads
 and flat simplices: qhull makes those of collinear samples on the hull, and
 they stay out of the mesh.
@@ -47,7 +53,7 @@ MAX_FLIP_ROUNDS = 20
 # a triangle is flat when twice its area is under this times its longest edge
 # squared: qhull's zero-area simplices of collinear samples, to rounding
 FLAT_AREA = 1e-12
-# neighbour-averaging passes of the interior nodes per mesh attempt
+# neighbour-averaging passes of the band nodes (_moving_band) per mesh attempt
 N_SMOOTH = 8
 
 log = logging.getLogger("dtnlab")
@@ -220,7 +226,15 @@ def _band_delaunay(pts: np.ndarray, grid: np.ndarray, shape: tuple[int, int],
 
 @dataclass
 class _KeptDelaunay:
-    """A Delaunay triangulation, kept to be tested against moved points.
+    """The part of a Delaunay triangulation that moving points can change,
+    kept to be tested against moved points.
+
+    The points are ordered moving first (index < n_free), fixed last: the
+    boundary samples, and the core lattice points that smoothing cannot move
+    (``_moving_band``). ``held`` marks the band and every point next to it,
+    and the boundary samples; ``simplices`` are the simplices with a vertex
+    there, so both simplices of a quad with a moving vertex are among them.
+    The others lie among fixed core points and stay as they are.
 
     Every simplex that is not flat is CCW: scipy's 2-D
     ``Delaunay.simplices`` are, so are the lattice triangles
@@ -230,12 +244,14 @@ class _KeptDelaunay:
     is rounding noise; only fixed samples on the hull make them.
 
     ``quads`` holds each interior edge (a, b) with a moving endpoint or
-    opposite vertex (index < n_free) as a row (a, b, c, d): c and d are the
-    vertices opposite the edge, (a, b, c) a rotation of simplex ``quad_tris[:,
-    0]`` and d a vertex of simplex ``quad_tris[:, 1]``. Edges among fixed
-    boundary samples are left out: they never change, and they hold exact
+    opposite vertex as a row (a, b, c, d): c and d are the vertices opposite
+    the edge, (a, b, c) a rotation of simplex ``quad_tris[:, 0]`` and d a
+    vertex of simplex ``quad_tris[:, 1]``. Edges among fixed points are left
+    out: they never change, and among boundary samples they hold exact
     cocircular ties (symmetric graded points around a sharp corner, equally
     spaced points on straight sides) that rounding would flag at random.
+    The edges on the rim of the held simplices, the hull and the side facing
+    the fixed core, join fixed points only.
     """
 
     simplices: np.ndarray
@@ -244,11 +260,14 @@ class _KeptDelaunay:
     flat: np.ndarray
     hull_fixed: bool
     n_free: int
+    held: np.ndarray
 
     @classmethod
-    def from_simplices(cls, pts: np.ndarray, n_free: int, simplices: np.ndarray) -> "_KeptDelaunay":
-        """Neighbours, quads, flat simplices and hull of a triangulation,
-        matched by the integer keys of its edges."""
+    def from_simplices(cls, pts: np.ndarray, n_free: int, simplices: np.ndarray,
+                       held: np.ndarray) -> "_KeptDelaunay":
+        """Neighbours, quads, flat simplices and rim of the simplices with a
+        vertex where ``held`` is True, matched by the integer keys of their
+        edges; ``simplices`` holds no other."""
         # qhull's index type: the mesh keeps its triangles' dtype, and the
         # temporaries below stay half the size
         s = np.asarray(simplices, dtype=np.int32)
@@ -268,17 +287,19 @@ class _KeptDelaunay:
         fixed = np.flatnonzero(s.min(axis=1) >= n_free)
         flat[fixed] = _flat(pts, s[fixed])
         return cls(s, quads[moving], np.stack([i, second // 3], axis=1)[moving], flat,
-                   bool(opp[single].min(initial=n_free) >= n_free), n_free)
+                   bool(opp[single].min(initial=n_free) >= n_free), n_free, held)
 
     @classmethod
-    def build(cls, pts: np.ndarray, n_free: int) -> "_KeptDelaunay":
-        """The qhull triangulation of all of ``pts``."""
-        return cls.from_simplices(pts, n_free, Delaunay(pts).simplices)
+    def build(cls, pts: np.ndarray, n_free: int, held: np.ndarray) -> "_KeptDelaunay":
+        """The simplices with a ``held`` vertex of the qhull triangulation of
+        all of ``pts``."""
+        s = Delaunay(pts).simplices
+        return cls.from_simplices(pts, n_free, s[held[s].any(axis=1)], held)
 
     def failing_edges(self, pts: np.ndarray) -> np.ndarray | None:
         """Mask of the tested edges that fail the incircle test at ``pts``, or
         None when flips cannot repair the kept simplices: a moving point is
-        on the hull, or a simplex that is not flat stopped being CCW."""
+        on the rim, or a simplex that is not flat stopped being CCW."""
         if not self.hull_fixed:
             return None
         if ((_orientation(pts, self.simplices) <= 0) & ~self.flat).any():
@@ -300,12 +321,12 @@ class _KeptDelaunay:
         return incircle > INCIRCLE_MARGIN * la * lb
 
     def refreshed(self, pts: np.ndarray) -> tuple["_KeptDelaunay", bool]:
-        """A Delaunay triangulation of the moved ``pts`` and whether qhull
-        made it. Edges that fail the incircle test are flipped, one per
-        simplex per round, until every edge passes (Lawson 1977); qhull runs
-        on all points after a simplex stops being CCW, a moving hull point,
-        a failing edge of a flat simplex (whose side is rounding noise) or
-        ``MAX_FLIP_ROUNDS`` rounds of flips."""
+        """The held part of a Delaunay triangulation of the moved ``pts`` and
+        whether qhull made it. Edges that fail the incircle test are flipped,
+        one per simplex per round, until every edge passes (Lawson 1977);
+        qhull runs on all points after a simplex stops being CCW, a moving
+        rim point, a failing edge of a flat simplex (whose side is rounding
+        noise) or ``MAX_FLIP_ROUNDS`` rounds of flips."""
         kept = self
         for _ in range(MAX_FLIP_ROUNDS):
             bad = kept.failing_edges(pts)
@@ -326,8 +347,8 @@ class _KeptDelaunay:
                 # through a, b, c. The next round's check catches rounding
                 # that says otherwise
                 s[t1], s[t2] = (a, d, c), (d, b, c)
-            kept = _KeptDelaunay.from_simplices(pts, self.n_free, s)
-        return _KeptDelaunay.build(pts, self.n_free), True
+            kept = _KeptDelaunay.from_simplices(pts, self.n_free, s, self.held)
+        return _KeptDelaunay.build(pts, self.n_free, self.held), True
 
 
 def _neighbor_average(pts: np.ndarray, tris: np.ndarray, n_free: int) -> np.ndarray:
@@ -347,10 +368,11 @@ def _neighbor_average(pts: np.ndarray, tris: np.ndarray, n_free: int) -> np.ndar
     return new
 
 
-def _seed(domain: Domain, hb: float, a: float) -> tuple[np.ndarray, int, _KeptDelaunay, int]:
+def _seed(domain: Domain, hb: float, a: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """The points of one mesh attempt before smoothing (clipped lattice first,
-    boundary samples at spacing ``hb`` last), the number of lattice points,
-    their Delaunay triangulation and the number of qhull calls it took."""
+    boundary samples at spacing ``hb`` last), the mask of the core lattice
+    points (``_band_delaunay``), their Delaunay triangles and the number of
+    qhull calls it took."""
     clip = 0.62 * hb
     # 1 % over the distance that makes a lattice point core (_band_delaunay):
     # smooth-boundary distances are measured to a polyline
@@ -361,58 +383,105 @@ def _seed(domain: Domain, hb: float, a: float) -> tuple[np.ndarray, int, _KeptDe
     dist = domain.distance_to_boundary(lattice[grid], upper=core_dist)
     grid, dist = grid[dist > clip], dist[dist > clip]
     pts = np.vstack([lattice[grid], bpts])
-    simplices = _band_delaunay(pts, grid, shape, dist > core_dist)
+    core = dist > core_dist
+    simplices = _band_delaunay(pts, grid, shape, core)
     if simplices is None:
         log.debug("band triangulation did not fit; qhull on all %d points", len(pts))
-        return pts, len(grid), _KeptDelaunay.build(pts, len(grid)), 2
-    return pts, len(grid), _KeptDelaunay.from_simplices(pts, len(grid), simplices), 1
+        return pts, core, Delaunay(pts).simplices, 2
+    return pts, core, simplices, 1
+
+
+def _moving_band(simplices: np.ndarray, core: np.ndarray) -> np.ndarray:
+    """Mask of the lattice points (the first ``len(core)`` vertices of
+    ``simplices``) that ``N_SMOOTH`` passes of neighbour averaging can move.
+    A core point is the mean of its six lattice neighbours, so it moves one
+    pass after one of them first has: the band is the points that are not
+    core and those within ``N_SMOOTH - 1`` edges of one. The others would
+    move by rounding only."""
+    # the boundary samples are next to points that are not core only
+    band = np.ones(simplices.max() + 1, dtype=bool)
+    band[:len(core)] = ~core
+    for _ in range(N_SMOOTH - 1):
+        # three ors take a third of the time of any(axis=1)
+        m = band[simplices]
+        band[simplices[m[:, 0] | m[:, 1] | m[:, 2]]] = True
+    return band[:len(core)]
 
 
 def _build_once(domain: Domain, h: float, scale: float):
     """One mesh at boundary/lattice spacing ``scale`` times the nominal one,
-    and the number of qhull calls it took."""
+    the number of qhull calls it took and the numbers of lattice points that
+    smoothing moved (the band) and kept fixed (the rest of the core)."""
     hb = 0.66 * h * scale
-    pts, n_free, kept, n_qhull = _seed(domain, hb, 0.70 * h * scale)
-    nb = len(pts) - n_free
+    pts, core, simplices, n_qhull = _seed(domain, hb, 0.70 * h * scale)
+    n_lattice = len(core)
+    nb = len(pts) - n_lattice
+    band = _moving_band(simplices, core)
+    n_band = int(band.sum())
+    # points ordered [band, fixed core, boundary]: point i is point order[i]
+    # of the seed, and the seed's point j is point rank[j]
+    order = np.concatenate([
+        np.flatnonzero(band), np.flatnonzero(~band), np.arange(n_lattice, len(pts)),
+    ]).astype(np.int32)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order), dtype=np.int32)
+    pts, simplices = pts[order], rank[simplices]
+    # the band, the points next to it and the boundary samples: the simplices
+    # with a vertex there are kept and smoothed, the others are lattice
+    # triangles among fixed core points, taken once
+    held = np.zeros(len(pts), dtype=bool)
+    held[:n_band] = held[n_lattice:] = True
+    held[simplices[held[simplices].any(axis=1)]] = True
+    in_held = held[simplices].any(axis=1)
+    kept = _KeptDelaunay.from_simplices(pts, n_band, simplices[in_held], held)
+
+    def inside(s, flat):
+        # a flat simplex on a straight side has its centroid on the boundary
+        return s[~flat & domain.contains((pts[s[:, 0]] + pts[s[:, 1]] + pts[s[:, 2]]) / 3)]
+
+    fixed = simplices[~in_held]
+    fixed = inside(fixed, _flat(pts, fixed))
     for step in range(N_SMOOTH + 1):
         if step:
             kept, qhull = kept.refreshed(pts)
             n_qhull += qhull
-        s = kept.simplices
-        # a flat simplex on a straight side has its centroid on the boundary
-        tris = s[~kept.flat & domain.contains((pts[s[:, 0]] + pts[s[:, 1]] + pts[s[:, 2]]) / 3)]
+        tris = inside(kept.simplices, kept.flat)
         if step == N_SMOOTH:
             break
-        new = _neighbor_average(pts, tris, n_free)
-        moved = new[:n_free]
+        new = _neighbor_average(pts, tris, n_band)
+        moved = new[:n_band]
         bad = domain.distance_to_boundary(moved, upper=0.45 * hb) < 0.45 * hb
         bad |= ~domain.contains(moved)
-        moved[bad] = pts[:n_free][bad]
+        moved[bad] = pts[:n_band][bad]
         pts = new
+    # back to the seed's order: the lattice's order breaks the ties of the
+    # nested dissection (fem)
+    pts, tris = pts[rank], order[np.concatenate([tris, fixed])]
 
     # drop interior points that ended up unused
+    n_interior = n_lattice
     used = np.zeros(len(pts), dtype=bool)
     used[tris.ravel()] = True
-    used[n_free:] = True
+    used[n_lattice:] = True
     if not used.all():
         remap = -np.ones(len(pts), dtype=np.int64)
         remap[used] = np.arange(used.sum())
         pts = pts[used]
         tris = remap[tris]
-        n_free = int(used[:n_free].sum())
+        n_interior = int(used[:n_lattice].sum())
 
     # interior-first / boundary-last-CCW already, and the triangles are CCW
     # like the kept simplices: ``validate_mesh`` reports any that are not
-    bidx = np.arange(n_free, n_free + nb)
+    bidx = np.arange(n_interior, n_interior + nb)
     bedges = np.stack([bidx, np.roll(bidx, -1)], axis=1)
     return Mesh(
         nodes=pts,
-        n_interior=n_free,
+        n_interior=n_interior,
         n_boundary=nb,
         triangles=tris,
         boundary_edges=bedges,
         h_max=h,
-    ), n_qhull
+    ), n_qhull, n_band, n_lattice - n_band
 
 
 def _corner_exempt_mask(
@@ -444,14 +513,15 @@ def generate_mesh(domain: Domain, h: float) -> Mesh:
     scale = 1.0
     last_problems: list[str] = []
     for attempt in range(1, 5):
-        mesh, n_qhull = _build_once(domain, h, scale)
+        mesh, n_qhull, n_band, n_core = _build_once(domain, h, scale)
         report = validate_mesh(mesh, domain)
         if report.ok:
             return mesh
         last_problems = report.violations
         log.debug(
-            "mesh attempt %d at scale %.4g failed after %d qhull calls: %s",
-            attempt, scale, n_qhull, "; ".join(last_problems[:3]),
+            "mesh attempt %d at scale %.4g failed after %d qhull calls, "
+            "%d band and %d fixed core lattice points: %s",
+            attempt, scale, n_qhull, n_band, n_core, "; ".join(last_problems[:3]),
         )
         scale *= 0.88
     raise MeshError(

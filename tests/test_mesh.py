@@ -266,6 +266,11 @@ QUAD = np.array([
 ])
 
 
+def _all_held(pts):
+    """Every point's simplices held: a triangulation with no fixed core."""
+    return np.ones(len(pts), dtype=bool)
+
+
 def _canonical(triangles):
     t = np.sort(triangles, axis=1)
     return t[np.lexsort(t.T[::-1])]
@@ -279,7 +284,7 @@ def _still_delaunay(kept, pts):
 
 
 def test_kept_delaunay_accepts_small_move_rejects_flip_and_inversion():
-    kept = meshmod._KeptDelaunay.build(QUAD, n_free=4)
+    kept = meshmod._KeptDelaunay.build(QUAD, 4, _all_held(QUAD))
     assert kept.hull_fixed
     assert _still_delaunay(kept, QUAD)
     small = QUAD.copy()
@@ -289,7 +294,7 @@ def test_kept_delaunay_accepts_small_move_rejects_flip_and_inversion():
     flip = QUAD.copy()
     flip[3] = [0.2, 0.5]
     assert not _still_delaunay(kept, flip)
-    fresh = meshmod._KeptDelaunay.build(flip, n_free=4).simplices
+    fresh = meshmod._KeptDelaunay.build(flip, 4, _all_held(flip)).simplices
     assert not np.array_equal(_canonical(fresh), _canonical(kept.simplices))
     # point 1 pushed out through the frame edge (5, 6) inverts triangle
     # (6, 1, 5); no incircle test sees a hull edge, the orientation check does
@@ -301,13 +306,13 @@ def test_kept_delaunay_accepts_small_move_rejects_flip_and_inversion():
 def test_kept_delaunay_with_moving_hull_point_is_never_reused():
     # the same quad on its own: moving points on the hull could fold the hull
     # inward without inverting a triangle, so the rule does not apply
-    kept = meshmod._KeptDelaunay.build(QUAD[:4], n_free=4)
+    kept = meshmod._KeptDelaunay.build(QUAD[:4], 4, _all_held(QUAD[:4]))
     assert not kept.hull_fixed
     assert not _still_delaunay(kept, QUAD[:4])
 
 
 def test_flip_repair_matches_fresh_qhull():
-    kept = meshmod._KeptDelaunay.build(QUAD, n_free=4)
+    kept = meshmod._KeptDelaunay.build(QUAD, 4, _all_held(QUAD))
     flip = QUAD.copy()
     flip[3] = [0.2, 0.5]
     repaired, qhull = kept.refreshed(flip)
@@ -329,7 +334,7 @@ def test_flat_simplex_is_marked_and_never_flipped():
     pts = np.array([[1.0, 1.0], [0.0, 0.0], [0.5, 0.0], [1.0, 0.0], [2.0, 0.0],
                     [2.0, 2.0], [0.0, 2.0]])
     simplices = np.array([[1, 3, 0], [1, 2, 3], [3, 4, 0], [4, 5, 0], [5, 6, 0], [6, 1, 0]])
-    kept = meshmod._KeptDelaunay.from_simplices(pts, 1, simplices)
+    kept = meshmod._KeptDelaunay.from_simplices(pts, 1, simplices, _all_held(pts))
     assert kept.hull_fixed
     assert kept.flat.tolist() == [False, True, False, False, False, False]
     # 2 lies inside the circle through 1, 3, 0: the failing edge (1, 3) borders
@@ -373,8 +378,8 @@ def _mesh_checking_ccw(dom, h):
     the mesher keeps on the way: CCW on the simplices that are not flat."""
     real = meshmod._KeptDelaunay.from_simplices.__func__
 
-    def from_simplices(cls, pts, n_free, simplices):
-        kept = real(cls, pts, n_free, simplices)
+    def from_simplices(cls, pts, n_free, simplices, held):
+        kept = real(cls, pts, n_free, simplices, held)
         assert (meshmod._orientation(pts, kept.simplices)[~kept.flat] > 0).all()
         return kept
 
@@ -485,8 +490,8 @@ def _step0(monkeypatch, dom, h, scale):
     monkeypatch.setattr(meshmod, "N_SMOOTH", 0)
     meshmod._build_once(dom, h, scale)
     monkeypatch.undo()
-    pts, _, kept, _ = seeds[0]
-    return pts, kept.simplices, calls
+    pts, _, simplices, _ = seeds[0]
+    return pts, simplices, calls
 
 
 @pytest.mark.parametrize("scale", [1.0, 0.88])
@@ -504,7 +509,7 @@ def test_band_step0_is_the_delaunay_triangulation(monkeypatch, spec, h, scale):
     fresh = Delaunay(pts).simplices
     assert len(simplices) == len(fresh)
     # every interior edge passes the incircle test, fixed-point edges too
-    kept = meshmod._KeptDelaunay.from_simplices(pts, len(pts), simplices)
+    kept = meshmod._KeptDelaunay.from_simplices(pts, len(pts), simplices, _all_held(pts))
     assert _still_delaunay(replace(kept, hull_fixed=True), pts)
 
     def inside(t):
@@ -525,9 +530,9 @@ def test_catalog_meshes_never_run_qhull_on_all_points(monkeypatch):
         calls.append(len(pts))
         return Delaunay(pts)
 
-    def from_simplices(cls, pts, n_free, simplices):
+    def from_simplices(cls, pts, n_free, simplices, held):
         full.append(len(pts))
-        return real(cls, pts, n_free, simplices)
+        return real(cls, pts, n_free, simplices, held)
 
     monkeypatch.setattr(meshmod, "Delaunay", counting_delaunay)
     monkeypatch.setattr(meshmod._KeptDelaunay, "from_simplices", classmethod(from_simplices))
@@ -565,13 +570,52 @@ def test_reused_triangulation_matches_fresh_one_per_pass(monkeypatch, spec, h):
     # fit makes step 0 fall back to it)
     monkeypatch.setattr(meshmod, "_band_delaunay", lambda *args: None)
     monkeypatch.setattr(meshmod._KeptDelaunay, "refreshed",
-                        lambda self, pts: (meshmod._KeptDelaunay.build(pts, self.n_free), True))
+                        lambda self, pts: (meshmod._KeptDelaunay.build(pts, self.n_free, self.held), True))
     fresh = generate_mesh(dom, h)
     assert n_reused < len(calls) - n_reused  # the triangulation was reused
     assert reused.n_interior == fresh.n_interior
     assert reused.n_boundary == fresh.n_boundary
     assert np.array_equal(_canonical(reused.triangles), _canonical(fresh.triangles))
     assert np.abs(reused.nodes - fresh.nodes).max() < 1e-12
+
+
+@pytest.mark.parametrize("spec, h, flip_rounds", [
+    (geometry.DiskSpec(1.0), 0.04, meshmod.MAX_FLIP_ROUNDS),
+    (geometry.DiskSpec(1.0), 0.025, meshmod.MAX_FLIP_ROUNDS),
+    (geometry.RectangleSpec(1.0, 2.0), 0.04, meshmod.MAX_FLIP_ROUNDS),
+    (geometry.TriangleSpec(2.0, np.pi / 12, np.pi / 3), 0.016, meshmod.MAX_FLIP_ROUNDS),
+    (geometry.KochSpec(1, 2.0), 0.04, meshmod.MAX_FLIP_ROUNDS),
+    (geometry.DeformedDiskSpec(0.1, 5), 0.03, meshmod.MAX_FLIP_ROUNDS),
+    # no flip rounds: every refresh is the qhull fallback, which must keep the
+    # held simplices only, or the fixed core's triangles come twice
+    (geometry.DiskSpec(1.0), 0.04, 0),
+])
+def test_fixed_core_gives_the_mesh_of_every_lattice_point_moving(monkeypatch, spec, h, flip_rounds):
+    """The lattice points outside the band would move by rounding only, so
+    keeping them fixed gives the mesh, and the attempts, of smoothing every
+    lattice point."""
+    dom = geometry.build_domain(spec)
+    monkeypatch.setattr(meshmod, "MAX_FLIP_ROUNDS", flip_rounds)
+    counts = []
+    real = meshmod._build_once
+
+    def build_once(*args):
+        out = real(*args)
+        counts.append(out[2:])  # (band, fixed core) lattice points
+        return out
+
+    monkeypatch.setattr(meshmod, "_build_once", build_once)
+    banded = generate_mesh(dom, h)
+    n_attempts = len(counts)
+    assert all(n_core > 0 for _, n_core in counts)
+    monkeypatch.setattr(meshmod, "_moving_band", lambda simplices, core: np.ones(len(core), dtype=bool))
+    every = generate_mesh(dom, h)
+    assert len(counts) == 2 * n_attempts
+    assert all(n_core == 0 for _, n_core in counts[n_attempts:])
+    assert every.n_interior == banded.n_interior
+    assert every.n_boundary == banded.n_boundary
+    assert np.array_equal(_canonical(every.triangles), _canonical(banded.triangles))
+    assert np.abs(every.nodes - banded.nodes).max() <= 1e-14
 
 
 @pytest.mark.parametrize("spec, h", [
@@ -674,4 +718,5 @@ def test_failed_mesh_attempts_are_logged(monkeypatch, caplog):
     assert record.levelno == logging.DEBUG
     msg = record.getMessage()
     assert "attempt 1" in msg and "scale 1" in msg and "qhull" in msg
+    assert "band" in msg and "fixed core" in msg
     assert "fake violation" in msg
