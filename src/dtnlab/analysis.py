@@ -115,7 +115,7 @@ def concentrate_degenerate_ak(spectrum: Spectrum) -> np.ndarray:
 # localization diagnostics
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class Localization:
     k: int
     mu: float

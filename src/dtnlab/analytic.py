@@ -222,26 +222,33 @@ def _imaginary_family(b1: float, b2: float, p: float, al_cap: float, swap: bool)
     def a1_of(al: float) -> float:
         return (b1 / b2) * math.sqrt(al * al + p * b2 * b2)
 
-    def terms(al: float, branch: str) -> tuple[float, float]:
+    def coefficients(al: float, branch: str) -> tuple[float, float]:
+        """(A, B) of the root equation sin(al) A = cos(al) B."""
         a1 = a1_of(al)
         s1, c2, h2 = _scaled_hyperbolics(a1)
         e = math.exp(-a1) if a1 < 700 else 0.0
         amp = math.sqrt(al * al + p * b2 * b2)  # alpha_1 b2 / b1
         if branch == "plus":
-            t1 = math.sin(al) * (al * al * e + p * b2 * b2 * c2)
+            a = al * al * e + p * b2 * b2 * c2
         else:
-            t1 = math.sin(al) * (p * b2 * b2 * h2 - al * al * e)
-        t2 = math.cos(al) * al * amp * s1
-        return t1, t2
+            a = p * b2 * b2 * h2 - al * al * e
+        return a, al * amp * s1
+
+    def gap(al: float, branch: str) -> float:
+        a, b = coefficients(al, branch)
+        return math.sin(al) * a - math.cos(al) * b
 
     out = []
     for branch in ("plus", "minus"):
-        f = lambda al, b=branch: (lambda t: t[0] - t[1])(terms(al, b))
+        f = lambda al, b=branch: gap(al, b)
         for al in _scan_roots(f, 1e-9, al_cap, max(64, int(al_cap / (math.pi / 128)))):
             a1 = a1_of(al)
             mu = _MU[branch](a1, b1)
-            t1, t2 = terms(al, branch)
-            res = abs(t1 - t2) / (abs(t1) + abs(t2) + 1e-300)
+            # relative to the coefficients, not to the two terms: at high
+            # roots sin(al) A and cos(al) B both vanish, and their sum
+            # would turn an ulp in al into a large residual
+            a, b = coefficients(al, branch)
+            res = abs(gap(al, branch)) / (abs(a) + abs(b) + 1e-300)
             real_factor = AxisFactor(a1, False, branch)
             imag_factor = AxisFactor(al, True, None)
             factors = (imag_factor, real_factor) if swap else (real_factor, imag_factor)

@@ -24,7 +24,7 @@ class ConjectureError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class EffectiveAngleTrace:
     sequences: np.ndarray         # (steps, n_slots) effective angles BEFORE step k
     chosen: np.ndarray            # (steps,) slot updated at step k, -1 if none active
@@ -66,7 +66,7 @@ def effective_angle_sequence(angles, steps: int) -> EffectiveAngleTrace:
     return EffectiveAngleTrace(seqs, chosen, coeff)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConjectureRow:
     k: int
     c_conjecture: float
@@ -77,7 +77,7 @@ class ConjectureRow:
         return abs(self.c_conjecture - self.c_numeric)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConjectureReport:
     rows: list[ConjectureRow]
 

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import Delaunay, cKDTree
@@ -119,7 +119,8 @@ def _orientation(pts: np.ndarray, tris: np.ndarray) -> np.ndarray:
 def _flat(pts: np.ndarray, tris: np.ndarray) -> np.ndarray:
     """True for the triangles whose area is rounding noise (``FLAT_AREA``)."""
     p = [pts[tris[:, k]] for k in range(3)]
-    longest = np.max([((p[k] - p[k - 1]) ** 2).sum(axis=1) for k in range(3)], axis=0)
+    sq = [((p[k] - p[k - 1]) ** 2).sum(axis=1) for k in range(3)]
+    longest = np.maximum(np.maximum(sq[0], sq[1]), sq[2])
     return np.abs(_orientation(pts, tris)) <= FLAT_AREA * longest
 
 
@@ -127,7 +128,10 @@ def _edge_keys(pairs: np.ndarray, base: int) -> np.ndarray:
     """One integer per undirected node pair, min * base + max: for indices in
     [0, base) the keys sort like the pairs (min, max) lexicographically."""
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    return pairs.min(axis=1) * base + pairs.max(axis=1)
+    # numpy reduces a 2-column axis many times slower than it takes the
+    # elementwise minimum of the columns
+    a, b = pairs[:, 0], pairs[:, 1]
+    return np.minimum(a, b) * base + np.maximum(a, b)
 
 
 def _edge_incidence(edges: np.ndarray, counts: np.ndarray, pairs: np.ndarray):
@@ -138,12 +142,13 @@ def _edge_incidence(edges: np.ndarray, counts: np.ndarray, pairs: np.ndarray):
     base = int(max(edges.max(initial=-1), pairs.max(initial=-1))) + 1
     keys = _edge_keys(edges, base)
     want = _edge_keys(pairs, base)
+    valid = np.minimum(pairs[:, 0], pairs[:, 1]) >= 0
     found = np.zeros(len(want), dtype=counts.dtype)
     if len(keys):
         pos = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
-        hit = (keys[pos] == want) & (pairs.min(axis=1) >= 0)
+        hit = (keys[pos] == want) & valid
         found[hit] = counts[pos[hit]]
-    return found, np.isin(keys, want[pairs.min(axis=1) >= 0])
+    return found, np.isin(keys, want[valid])
 
 
 # ---------------------------------------------------------------------------
@@ -200,8 +205,8 @@ def _band_delaunay(pts: np.ndarray, grid: np.ndarray, shape: tuple[int, int],
     simplices whose circumcircle strictly contains a core point span the hole
     and are dropped, and the lattice triangles with a core vertex fill it.
     """
-    n_free = len(grid)
-    band = np.concatenate([np.flatnonzero(~core), np.arange(n_free, len(pts))])
+    n_lattice = len(grid)
+    band = np.concatenate([np.flatnonzero(~core), np.arange(n_lattice, len(pts))])
     sub = band[Delaunay(pts[band]).simplices]
     keep = np.ones(len(sub), dtype=bool)
     if core.any():
@@ -209,10 +214,10 @@ def _band_delaunay(pts: np.ndarray, grid: np.ndarray, shape: tuple[int, int],
         # of; they lie on the hull, far from the core, and stay
         solid = np.flatnonzero(~_flat(pts, sub))
         center, radius = _circumcircles(pts, sub[solid])
-        dist, _ = cKDTree(pts[:n_free][core]).query(center)
+        dist, _ = cKDTree(pts[:n_lattice][core]).query(center)
         keep[solid[dist < radius]] = False
     local = np.full(shape[0] * shape[1], -1, dtype=np.int64)
-    local[grid] = np.arange(n_free)
+    local[grid] = np.arange(n_lattice)
     core_grid = np.zeros(len(local), dtype=bool)
     core_grid[grid[core]] = True
     lattice = _lattice_triangles(shape)
@@ -229,12 +234,12 @@ class _KeptDelaunay:
     """The part of a Delaunay triangulation that moving points can change,
     kept to be tested against moved points.
 
-    The points are ordered moving first (index < n_free), fixed last: the
-    boundary samples, and the core lattice points that smoothing cannot move
-    (``_moving_band``). ``held`` marks the band and every point next to it,
-    and the boundary samples; ``simplices`` are the simplices with a vertex
-    there, so both simplices of a quad with a moving vertex are among them.
-    The others lie among fixed core points and stay as they are.
+    ``moving`` marks the band, the lattice points that smoothing moves
+    (``_moving_band``); the boundary samples and the deeper core stay fixed.
+    ``held`` marks the band and every point next to it, and the boundary
+    samples; ``simplices`` are the simplices with a vertex there, so both
+    simplices of a quad with a moving vertex are among them. The others lie
+    among fixed core points and stay as they are.
 
     Every simplex that is not flat is CCW: scipy's 2-D
     ``Delaunay.simplices`` are, so are the lattice triangles
@@ -259,11 +264,11 @@ class _KeptDelaunay:
     quad_tris: np.ndarray
     flat: np.ndarray
     hull_fixed: bool
-    n_free: int
+    moving: np.ndarray
     held: np.ndarray
 
     @classmethod
-    def from_simplices(cls, pts: np.ndarray, n_free: int, simplices: np.ndarray,
+    def from_simplices(cls, pts: np.ndarray, moving: np.ndarray, simplices: np.ndarray,
                        held: np.ndarray) -> "_KeptDelaunay":
         """Neighbours, quads, flat simplices and rim of the simplices with a
         vertex where ``held`` is True, matched by the integer keys of their
@@ -282,19 +287,20 @@ class _KeptDelaunay:
         single[first] = single[second] = False
         i, j = np.divmod(first, 3)
         quads = np.stack([opp[first, 0], opp[first, 1], s[i, j], s.ravel()[second]], axis=1)
-        moving = quads.min(axis=1) < n_free
+        m = moving[quads]
+        tested = m[:, 0] | m[:, 1] | m[:, 2] | m[:, 3]
         flat = np.zeros(len(s), dtype=bool)
-        fixed = np.flatnonzero(s.min(axis=1) >= n_free)
+        fixed = np.flatnonzero(~moving[s].any(axis=1))
         flat[fixed] = _flat(pts, s[fixed])
-        return cls(s, quads[moving], np.stack([i, second // 3], axis=1)[moving], flat,
-                   bool(opp[single].min(initial=n_free) >= n_free), n_free, held)
+        return cls(s, quads[tested], np.stack([i, second // 3], axis=1)[tested], flat,
+                   not moving[opp[single]].any(), moving, held)
 
     @classmethod
-    def build(cls, pts: np.ndarray, n_free: int, held: np.ndarray) -> "_KeptDelaunay":
+    def build(cls, pts: np.ndarray, moving: np.ndarray, held: np.ndarray) -> "_KeptDelaunay":
         """The simplices with a ``held`` vertex of the qhull triangulation of
         all of ``pts``."""
         s = Delaunay(pts).simplices
-        return cls.from_simplices(pts, n_free, s[held[s].any(axis=1)], held)
+        return cls.from_simplices(pts, moving, s[held[s].any(axis=1)], held)
 
     def failing_edges(self, pts: np.ndarray) -> np.ndarray | None:
         """Mask of the tested edges that fail the incircle test at ``pts``, or
@@ -347,11 +353,11 @@ class _KeptDelaunay:
                 # through a, b, c. The next round's check catches rounding
                 # that says otherwise
                 s[t1], s[t2] = (a, d, c), (d, b, c)
-            kept = _KeptDelaunay.from_simplices(pts, self.n_free, s, self.held)
-        return _KeptDelaunay.build(pts, self.n_free, self.held), True
+            kept = _KeptDelaunay.from_simplices(pts, self.moving, s, self.held)
+        return _KeptDelaunay.build(pts, self.moving, self.held), True
 
 
-def _neighbor_average(pts: np.ndarray, tris: np.ndarray, n_free: int) -> np.ndarray:
+def _neighbor_average(pts: np.ndarray, tris: np.ndarray, moving: np.ndarray) -> np.ndarray:
     pairs = [(i, j) for i in range(3) for j in range(3) if i != j]
     dst = np.concatenate([tris[:, i] for i, _ in pairs])
     src = np.concatenate([tris[:, j] for _, j in pairs])
@@ -363,8 +369,8 @@ def _neighbor_average(pts: np.ndarray, tris: np.ndarray, n_free: int) -> np.ndar
     )
     cnt = np.bincount(dst, minlength=len(pts)).astype(float)
     new = pts.copy()
-    mask = cnt[:n_free] > 0
-    new[:n_free][mask] = acc[:n_free][mask] / cnt[:n_free][mask, None]
+    mask = moving & (cnt > 0)
+    new[mask] = acc[mask] / cnt[mask, None]
     return new
 
 
@@ -416,24 +422,17 @@ def _build_once(domain: Domain, h: float, scale: float):
     pts, core, simplices, n_qhull = _seed(domain, hb, 0.70 * h * scale)
     n_lattice = len(core)
     nb = len(pts) - n_lattice
-    band = _moving_band(simplices, core)
-    n_band = int(band.sum())
-    # points ordered [band, fixed core, boundary]: point i is point order[i]
-    # of the seed, and the seed's point j is point rank[j]
-    order = np.concatenate([
-        np.flatnonzero(band), np.flatnonzero(~band), np.arange(n_lattice, len(pts)),
-    ]).astype(np.int32)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order), dtype=np.int32)
-    pts, simplices = pts[order], rank[simplices]
+    moving = np.zeros(len(pts), dtype=bool)
+    moving[:n_lattice] = _moving_band(simplices, core)
+    band = np.flatnonzero(moving)
     # the band, the points next to it and the boundary samples: the simplices
     # with a vertex there are kept and smoothed, the others are lattice
     # triangles among fixed core points, taken once
-    held = np.zeros(len(pts), dtype=bool)
-    held[:n_band] = held[n_lattice:] = True
+    held = moving.copy()
+    held[n_lattice:] = True
     held[simplices[held[simplices].any(axis=1)]] = True
     in_held = held[simplices].any(axis=1)
-    kept = _KeptDelaunay.from_simplices(pts, n_band, simplices[in_held], held)
+    kept = _KeptDelaunay.from_simplices(pts, moving, simplices[in_held], held)
 
     def inside(s, flat):
         # a flat simplex on a straight side has its centroid on the boundary
@@ -448,15 +447,15 @@ def _build_once(domain: Domain, h: float, scale: float):
         tris = inside(kept.simplices, kept.flat)
         if step == N_SMOOTH:
             break
-        new = _neighbor_average(pts, tris, n_band)
-        moved = new[:n_band]
+        new = _neighbor_average(pts, tris, moving)
+        moved = new[band]
         bad = domain.distance_to_boundary(moved, upper=0.45 * hb) < 0.45 * hb
         bad |= ~domain.contains(moved)
-        moved[bad] = pts[:n_band][bad]
+        new[band[bad]] = pts[band[bad]]
         pts = new
-    # back to the seed's order: the lattice's order breaks the ties of the
-    # nested dissection (fem)
-    pts, tris = pts[rank], order[np.concatenate([tris, fixed])]
+    # the kept simplices have qhull's index type, the seed's lattice
+    # triangles numpy's default
+    tris = np.concatenate([tris, fixed], dtype=np.int32)
 
     # drop interior points that ended up unused
     n_interior = n_lattice
@@ -481,7 +480,7 @@ def _build_once(domain: Domain, h: float, scale: float):
         triangles=tris,
         boundary_edges=bedges,
         h_max=h,
-    ), n_qhull, n_band, n_lattice - n_band
+    ), n_qhull, len(band), n_lattice - len(band)
 
 
 def _corner_exempt_mask(
@@ -511,22 +510,20 @@ def generate_mesh(domain: Domain, h: float) -> Mesh:
         raise MeshError(f"h={h} too large to resolve the domain")
 
     scale = 1.0
-    last_problems: list[str] = []
     for attempt in range(1, 5):
         mesh, n_qhull, n_band, n_core = _build_once(domain, h, scale)
-        report = validate_mesh(mesh, domain)
-        if report.ok:
+        problems = validate_mesh(mesh, domain)
+        if not problems:
             return mesh
-        last_problems = report.violations
         log.debug(
             "mesh attempt %d at scale %.4g failed after %d qhull calls, "
             "%d band and %d fixed core lattice points: %s",
-            attempt, scale, n_qhull, n_band, n_core, "; ".join(last_problems[:3]),
+            attempt, scale, n_qhull, n_band, n_core, "; ".join(problems[:3]),
         )
         scale *= 0.88
     raise MeshError(
         "mesh refinement did not converge; remaining violations: "
-        + "; ".join(last_problems[:8])
+        + "; ".join(problems[:8])
     )
 
 
@@ -534,26 +531,18 @@ def generate_mesh(domain: Domain, h: float) -> Mesh:
 # validation
 # ---------------------------------------------------------------------------
 
-@dataclass
-class MeshReport:
-    violations: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def validate_mesh(mesh: Mesh, domain: Domain | None = None) -> MeshReport:
-    """Check every mesh invariant; report is empty iff the mesh is valid. A
-    triangle index out of range ends the check. ``domain`` adds the checks of
-    the nodes against the boundary, and exempts sharp corners from the floor."""
+def validate_mesh(mesh: Mesh, domain: Domain | None = None) -> list[str]:
+    """Check every mesh invariant and return the violations, an empty list
+    iff the mesh is valid. A triangle index out of range ends the check.
+    ``domain`` adds the checks of the nodes against the boundary, and exempts
+    sharp corners from the floor."""
     v: list[str] = []
     n = mesh.n_nodes
     if mesh.n_interior + mesh.n_boundary != n:
         v.append("node count mismatch: n_interior + n_boundary != n_nodes")
     if mesh.triangles.min(initial=0) < 0 or mesh.triangles.max(initial=-1) >= n:
         v.append("triangle references a node index out of range")
-        return MeshReport(v)
+        return v
 
     areas = mesh.signed_areas()
     n_flipped = int((areas <= 0).sum())
@@ -605,7 +594,7 @@ def validate_mesh(mesh: Mesh, domain: Domain | None = None) -> MeshReport:
             n_touch = int((din <= 0).sum())
             if n_touch:
                 v.append(f"{n_touch} interior nodes touching the boundary")
-    return MeshReport(v)
+    return v
 
 
 # ---------------------------------------------------------------------------

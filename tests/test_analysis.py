@@ -8,6 +8,7 @@ import pytest
 from dtnlab import geometry
 from dtnlab.analysis import (
     AnalysisError,
+    Localization,
     ak_coefficients,
     ak_via_volume,
     concentrate_degenerate_ak,
@@ -20,6 +21,7 @@ from dtnlab.analysis import (
     symmetry_audit,
 )
 from dtnlab import dtn, fem
+from dtnlab.conjecture import ConjectureReport, ConjectureRow, EffectiveAngleTrace
 from dtnlab.dtn import summary_to_json, write_csv
 from dtnlab.pipeline import solve, solve_steklov
 
@@ -297,3 +299,14 @@ def test_requires_extensions(disk_domain, disk_mesh, disk_matrices):
         localization(res.spectrum, 0, disk_mesh, disk_domain)
     with pytest.raises(AnalysisError):
         ak_via_volume(res.spectrum, disk_matrices)
+
+
+@pytest.mark.parametrize("record, name", [
+    (record, f.name)
+    for record in (Localization, EffectiveAngleTrace, ConjectureRow, ConjectureReport)
+    for f in dataclasses.fields(record)
+])
+def test_analysis_records_are_frozen(record, name):
+    value = record(**{f.name: None for f in dataclasses.fields(record)})
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(value, name, None)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dtnlab import geometry
+from dtnlab import analytic, geometry
 from dtnlab.analytic import (
     AnalyticError,
     AxisFactor,
@@ -132,6 +132,28 @@ def test_rectangle_reference_eigenvalues():
 def test_rectangle_residuals_small():
     for e in rectangle_spectrum(1.0, 2.0, 1.0, 11):
         assert e.residual <= 1e-10
+
+
+@pytest.mark.parametrize("b1, b2", [(1.0, 2.0), (2.0, 2.0), (1.0, 1.0), (1.0, 3.0), (2.0, 1.0)])
+def test_rectangle_residuals_small_at_high_roots(b1, b2):
+    """Near the high roots both terms sin(al) A and cos(al) B of the root
+    equation vanish (at p = 0 a plus and a minus root near 7 pi / 2 sit 1e-8
+    apart), so the residual is taken relative to the coefficients A and B:
+    correct roots read at rounding level."""
+    for p in (0.0, 1e-3, 0.1, 1.0, 10.0, 100.0, 1e3):
+        worst = max(e.residual for e in rectangle_spectrum(b1, b2, p, 25))
+        assert worst <= 1e-10, (p, worst)
+
+
+def test_rectangle_residual_sees_a_moved_root(monkeypatch):
+    """A root of the imaginary family moved by 1e-9 relative reads above the
+    1e-10 tolerance: the normalization does not hide a wrong root."""
+    real = analytic._scan_roots
+    monkeypatch.setattr(analytic, "_scan_roots", lambda *args: [r * (1 + 1e-9) for r in real(*args)])
+    for b1, b2, p in ((1.0, 2.0, 1.0), (2.0, 2.0, 0.0), (1.0, 3.0, 1e3)):
+        moved = [e for e in rectangle_spectrum(b1, b2, p, 25)
+                 if e.factors and any(f.imaginary for f in e.factors)]
+        assert moved and all(e.residual > 1e-10 for e in moved), (b1, b2, p)
 
 
 def test_square_corner_modes_at_large_p():

@@ -23,8 +23,7 @@ from conftest import four_triangle_square
 
 
 def test_disk_mesh_invariants(disk_domain, disk_mesh):
-    report = validate_mesh(disk_mesh, disk_domain)
-    assert report.ok, report.violations
+    assert validate_mesh(disk_mesh, disk_domain) == []
 
 
 def test_disk_mesh_euler_relation(disk_mesh):
@@ -76,15 +75,13 @@ def test_nonconvex_domains_mesh_cleanly():
     for spec in (geometry.KochSpec(1, 2.0), geometry.DeformedDiskSpec(0.02, 5)):
         dom = geometry.build_domain(spec)
         msh = generate_mesh(dom, 0.1)
-        report = validate_mesh(msh, dom)
-        assert report.ok, (spec, report.violations)
+        assert validate_mesh(msh, dom) == [], spec
 
 
 def test_sharp_corner_triangle_meshes():
     dom = geometry.build_domain(geometry.TriangleSpec(2.0, np.pi / 12, np.pi / 3))
     msh = generate_mesh(dom, 0.05)
-    report = validate_mesh(msh, dom)
-    assert report.ok, report.violations
+    assert validate_mesh(msh, dom) == []
     # the pi/12 corner hosts triangles below the generic floor, by necessity
     assert msh.min_angles_deg().min() < 20.0
 
@@ -112,16 +109,16 @@ def test_validate_reports_out_of_range_index():
     m = four_triangle_square()
     triangles = m.triangles.copy()
     triangles[0, 0] = 99
-    report = validate_mesh(replace(m, triangles=triangles))
+    violations = validate_mesh(replace(m, triangles=triangles))
     # the index check ends the check: no later one reads a node past the end
-    assert report.violations == ["triangle references a node index out of range"]
+    assert violations == ["triangle references a node index out of range"]
 
 
 def test_validate_reports_boundary_edge_off_triangle():
     # the square's four sides, and its diagonal (1, 3), which is on no triangle
     bedges = np.array([[1, 2], [2, 3], [3, 4], [4, 1], [1, 3]])
-    report = validate_mesh(replace(four_triangle_square(), boundary_edges=bedges))
-    assert report.violations == ["1 boundary edges not belonging to exactly one triangle"]
+    violations = validate_mesh(replace(four_triangle_square(), boundary_edges=bedges))
+    assert violations == ["1 boundary edges not belonging to exactly one triangle"]
 
 
 def test_validate_reports_boundary_edge_on_interior_node():
@@ -135,7 +132,7 @@ def test_validate_reports_boundary_edge_on_interior_node():
         boundary_edges=np.array([[0, 1], [1, 2], [2, 3], [3, 0]]),
         h_max=1.5,
     )
-    assert validate_mesh(m).violations == ["boundary edge references a non-boundary node"]
+    assert validate_mesh(m) == ["boundary edge references a non-boundary node"]
 
 
 def _interior_triangle(msh):
@@ -148,24 +145,24 @@ def test_validate_reports_a_hole(disk_domain):
     a hole, whose edges are single-triangle edges but no boundary edges."""
     msh = generate_mesh(disk_domain, 0.2)
     holed = replace(msh, triangles=np.delete(msh.triangles, _interior_triangle(msh), axis=0))
-    report = validate_mesh(holed, disk_domain)
-    assert report.violations == ["3 single-triangle edges are not declared boundary edges"]
+    violations = validate_mesh(holed, disk_domain)
+    assert violations == ["3 single-triangle edges are not declared boundary edges"]
 
 
 def test_validate_reports_a_non_manifold_edge(disk_domain):
     msh = generate_mesh(disk_domain, 0.2)
     extra = msh.triangles[[_interior_triangle(msh)]]
     doubled = replace(msh, triangles=np.vstack([msh.triangles, extra]))
-    report = validate_mesh(doubled, disk_domain)
-    assert report.violations == ["3 edges with incidence count other than 1 or 2"]
+    violations = validate_mesh(doubled, disk_domain)
+    assert violations == ["3 edges with incidence count other than 1 or 2"]
 
 
 def test_validate_reports_flipped_triangle():
     m = four_triangle_square()
     triangles = m.triangles.copy()
     triangles[0] = triangles[0][::-1]
-    report = validate_mesh(replace(m, triangles=triangles))
-    assert "1 triangles with non-positive signed area" in report.violations
+    violations = validate_mesh(replace(m, triangles=triangles))
+    assert "1 triangles with non-positive signed area" in violations
 
 
 def test_validate_reports_skinny_triangle():
@@ -178,8 +175,7 @@ def test_validate_reports_skinny_triangle():
         boundary_edges=np.array([[0, 1], [1, 2], [2, 0]]),
         h_max=2.0,
     )
-    report = validate_mesh(m)
-    assert any("quality floor" in v for v in report.violations)
+    assert any("quality floor" in v for v in validate_mesh(m))
 
 
 def test_quality_floor_reports_the_worst_counted_triangle():
@@ -196,24 +192,24 @@ def test_quality_floor_reports_the_worst_counted_triangle():
         boundary_edges=np.array([[0, 1], [1, 2], [2, 0], [1, 3], [3, 4], [4, 1]]),
         h_max=2.0,
     )
-    floor = [v for v in validate_mesh(m, dom).violations if "quality floor" in v]
+    floor = [v for v in validate_mesh(m, dom) if "quality floor" in v]
     assert floor == ["1 triangles below the 20.0 degree quality floor (worst 15.00)"]
 
 
 def test_validate_reports_long_edges():
     # the square's sides are length 1
-    report = validate_mesh(replace(four_triangle_square(), h_max=0.5))
-    assert any("longer than h_max" in v for v in report.violations)
+    violations = validate_mesh(replace(four_triangle_square(), h_max=0.5))
+    assert any("longer than h_max" in v for v in violations)
 
 
 def test_validate_reports_undeclared_and_stray_boundary_edges():
     # (2, 1) is edge (1, 2) written backwards; (4, 2) is no edge, so the
     # real boundary edge (4, 1) is left undeclared
     bedges = np.array([[2, 1], [2, 3], [3, 4], [4, 2]])
-    report = validate_mesh(replace(four_triangle_square(), boundary_edges=bedges))
-    assert "1 boundary edges not belonging to exactly one triangle" in report.violations
-    assert "1 single-triangle edges are not declared boundary edges" in report.violations
-    assert len(report.violations) == 2, report.violations
+    violations = validate_mesh(replace(four_triangle_square(), boundary_edges=bedges))
+    assert "1 boundary edges not belonging to exactly one triangle" in violations
+    assert "1 single-triangle edges are not declared boundary edges" in violations
+    assert len(violations) == 2, violations
 
 
 @pytest.mark.parametrize(
@@ -229,10 +225,10 @@ def test_validate_reports_nodes_off_and_on_the_boundary(spec, h):
     centre = nodes.mean(axis=0)
     nodes[b] = centre + 1.01 * (nodes[b] - centre)
     nodes[0] = dom.vertices[0] if dom.is_polygon else dom.parametrization(np.array([0.0]))[0]
-    report = validate_mesh(replace(msh, nodes=nodes), dom)
+    violations = validate_mesh(replace(msh, nodes=nodes), dom)
     tol = 1e-9 if dom.is_polygon else 1e-6
-    assert f"1 boundary nodes further than {tol:g} from the boundary" in report.violations
-    assert "1 interior nodes touching the boundary" in report.violations
+    assert f"1 boundary nodes further than {tol:g} from the boundary" in violations
+    assert "1 interior nodes touching the boundary" in violations
 
 
 @pytest.mark.parametrize("field", [f.name for f in fields(Mesh)])
@@ -242,8 +238,7 @@ def test_mesh_is_frozen(disk_mesh, field):
 
 
 def test_valid_handmade_mesh_passes():
-    report = validate_mesh(four_triangle_square())
-    assert report.ok, report.violations
+    assert validate_mesh(four_triangle_square()) == []
 
 
 def test_generation_is_deterministic(disk_domain, tmp_path, disk_mesh):
@@ -264,6 +259,7 @@ QUAD = np.array([
     [0.5, 0.0], [1.0, 0.5], [0.5, 1.0], [0.0, 0.6],
     [-2.0, -2.0], [3.0, -2.0], [3.0, 3.0], [-2.0, 3.0],
 ])
+QUAD_MOVING = np.arange(len(QUAD)) < 4
 
 
 def _all_held(pts):
@@ -284,7 +280,7 @@ def _still_delaunay(kept, pts):
 
 
 def test_kept_delaunay_accepts_small_move_rejects_flip_and_inversion():
-    kept = meshmod._KeptDelaunay.build(QUAD, 4, _all_held(QUAD))
+    kept = meshmod._KeptDelaunay.build(QUAD, QUAD_MOVING, _all_held(QUAD))
     assert kept.hull_fixed
     assert _still_delaunay(kept, QUAD)
     small = QUAD.copy()
@@ -294,7 +290,7 @@ def test_kept_delaunay_accepts_small_move_rejects_flip_and_inversion():
     flip = QUAD.copy()
     flip[3] = [0.2, 0.5]
     assert not _still_delaunay(kept, flip)
-    fresh = meshmod._KeptDelaunay.build(flip, 4, _all_held(flip)).simplices
+    fresh = meshmod._KeptDelaunay.build(flip, QUAD_MOVING, _all_held(flip)).simplices
     assert not np.array_equal(_canonical(fresh), _canonical(kept.simplices))
     # point 1 pushed out through the frame edge (5, 6) inverts triangle
     # (6, 1, 5); no incircle test sees a hull edge, the orientation check does
@@ -306,13 +302,13 @@ def test_kept_delaunay_accepts_small_move_rejects_flip_and_inversion():
 def test_kept_delaunay_with_moving_hull_point_is_never_reused():
     # the same quad on its own: moving points on the hull could fold the hull
     # inward without inverting a triangle, so the rule does not apply
-    kept = meshmod._KeptDelaunay.build(QUAD[:4], 4, _all_held(QUAD[:4]))
+    kept = meshmod._KeptDelaunay.build(QUAD[:4], QUAD_MOVING[:4], _all_held(QUAD[:4]))
     assert not kept.hull_fixed
     assert not _still_delaunay(kept, QUAD[:4])
 
 
 def test_flip_repair_matches_fresh_qhull():
-    kept = meshmod._KeptDelaunay.build(QUAD, 4, _all_held(QUAD))
+    kept = meshmod._KeptDelaunay.build(QUAD, QUAD_MOVING, _all_held(QUAD))
     flip = QUAD.copy()
     flip[3] = [0.2, 0.5]
     repaired, qhull = kept.refreshed(flip)
@@ -334,7 +330,8 @@ def test_flat_simplex_is_marked_and_never_flipped():
     pts = np.array([[1.0, 1.0], [0.0, 0.0], [0.5, 0.0], [1.0, 0.0], [2.0, 0.0],
                     [2.0, 2.0], [0.0, 2.0]])
     simplices = np.array([[1, 3, 0], [1, 2, 3], [3, 4, 0], [4, 5, 0], [5, 6, 0], [6, 1, 0]])
-    kept = meshmod._KeptDelaunay.from_simplices(pts, 1, simplices, _all_held(pts))
+    kept = meshmod._KeptDelaunay.from_simplices(pts, np.arange(len(pts)) < 1, simplices,
+                                                _all_held(pts))
     assert kept.hull_fixed
     assert kept.flat.tolist() == [False, True, False, False, False, False]
     # 2 lies inside the circle through 1, 3, 0: the failing edge (1, 3) borders
@@ -357,7 +354,7 @@ def test_flat_hull_simplices_stay_out_of_the_mesh(caplog):
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="dtnlab"):
             msh = generate_mesh(dom, h)
-        assert validate_mesh(msh, dom).ok
+        assert validate_mesh(msh, dom) == []
         for record in caplog.records:
             # attempts fail only on long edges, never on a broken boundary
             assert "boundary edges" not in record.getMessage(), record.getMessage()
@@ -378,15 +375,15 @@ def _mesh_checking_ccw(dom, h):
     the mesher keeps on the way: CCW on the simplices that are not flat."""
     real = meshmod._KeptDelaunay.from_simplices.__func__
 
-    def from_simplices(cls, pts, n_free, simplices, held):
-        kept = real(cls, pts, n_free, simplices, held)
+    def from_simplices(cls, pts, moving, simplices, held):
+        kept = real(cls, pts, moving, simplices, held)
         assert (meshmod._orientation(pts, kept.simplices)[~kept.flat] > 0).all()
         return kept
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(meshmod._KeptDelaunay, "from_simplices", classmethod(from_simplices))
         msh = generate_mesh(dom, h)
-    assert validate_mesh(msh, dom).ok
+    assert validate_mesh(msh, dom) == []
     assert (msh.signed_areas() > 0).all()
 
 
@@ -509,7 +506,7 @@ def test_band_step0_is_the_delaunay_triangulation(monkeypatch, spec, h, scale):
     fresh = Delaunay(pts).simplices
     assert len(simplices) == len(fresh)
     # every interior edge passes the incircle test, fixed-point edges too
-    kept = meshmod._KeptDelaunay.from_simplices(pts, len(pts), simplices, _all_held(pts))
+    kept = meshmod._KeptDelaunay.from_simplices(pts, _all_held(pts), simplices, _all_held(pts))
     assert _still_delaunay(replace(kept, hull_fixed=True), pts)
 
     def inside(t):
@@ -530,9 +527,9 @@ def test_catalog_meshes_never_run_qhull_on_all_points(monkeypatch):
         calls.append(len(pts))
         return Delaunay(pts)
 
-    def from_simplices(cls, pts, n_free, simplices, held):
+    def from_simplices(cls, pts, moving, simplices, held):
         full.append(len(pts))
-        return real(cls, pts, n_free, simplices, held)
+        return real(cls, pts, moving, simplices, held)
 
     monkeypatch.setattr(meshmod, "Delaunay", counting_delaunay)
     monkeypatch.setattr(meshmod._KeptDelaunay, "from_simplices", classmethod(from_simplices))
@@ -570,7 +567,7 @@ def test_reused_triangulation_matches_fresh_one_per_pass(monkeypatch, spec, h):
     # fit makes step 0 fall back to it)
     monkeypatch.setattr(meshmod, "_band_delaunay", lambda *args: None)
     monkeypatch.setattr(meshmod._KeptDelaunay, "refreshed",
-                        lambda self, pts: (meshmod._KeptDelaunay.build(pts, self.n_free, self.held), True))
+                        lambda self, pts: (meshmod._KeptDelaunay.build(pts, self.moving, self.held), True))
     fresh = generate_mesh(dom, h)
     assert n_reused < len(calls) - n_reused  # the triangulation was reused
     assert reused.n_interior == fresh.n_interior
@@ -616,6 +613,39 @@ def test_fixed_core_gives_the_mesh_of_every_lattice_point_moving(monkeypatch, sp
     assert every.n_boundary == banded.n_boundary
     assert np.array_equal(_canonical(every.triangles), _canonical(banded.triangles))
     assert np.abs(every.nodes - banded.nodes).max() <= 1e-14
+
+
+def test_neighbor_average_moves_exactly_the_masked_points():
+    # a mask that is no prefix: two quad points and one frame corner move
+    tris = Delaunay(QUAD).simplices
+    moving = np.zeros(len(QUAD), dtype=bool)
+    moving[[1, 3, 6]] = True
+    new = meshmod._neighbor_average(QUAD, tris, moving)
+    assert np.array_equal(new[~moving], QUAD[~moving])
+    for i in np.flatnonzero(moving):
+        # the mean over the point's triangles of their other two vertices
+        around = tris[(tris == i).any(axis=1)]
+        assert np.allclose(new[i], QUAD[around[around != i]].mean(axis=0), rtol=0, atol=1e-15)
+        assert not np.array_equal(new[i], QUAD[i])
+
+
+def test_fixed_core_keeps_its_seed_coordinates(monkeypatch):
+    """Smoothing writes only the band: every core lattice point outside it
+    ends in the mesh at its seed coordinate, bit for bit."""
+    seeds, bands = [], []
+    real_seed, real_band = meshmod._seed, meshmod._moving_band
+    monkeypatch.setattr(meshmod, "_seed", lambda *args: seeds.append(real_seed(*args)) or seeds[-1])
+    monkeypatch.setattr(meshmod, "_moving_band",
+                        lambda *args: bands.append(real_band(*args)) or bands[-1])
+    msh = generate_mesh(geometry.build_domain(geometry.DiskSpec(1.0)), 0.04)
+    pts, core, _, _ = seeds[-1]
+    fixed = pts[:len(core)][core & ~bands[-1]]
+    assert len(fixed) > 0 and bands[-1].any()
+    interior = set(map(tuple, msh.nodes[:msh.n_interior].tolist()))
+    assert all(p in interior for p in map(tuple, fixed.tolist()))
+    # the band did move: smoothing is not a no-op on the points it may move
+    band = pts[:len(core)][bands[-1]]
+    assert sum(p not in interior for p in map(tuple, band.tolist())) > len(band) // 2
 
 
 @pytest.mark.parametrize("spec, h", [
@@ -698,7 +728,7 @@ def test_corner_floor_rejects_spikes_before_meshing():
         geometry.build_domain(_spike(0.1))
     dom = geometry.build_domain(_spike(1.0))
     assert np.degrees(dom.angles.min()) < 1.0  # the floor's margin admits it
-    assert validate_mesh(generate_mesh(dom, 0.05), dom).ok
+    assert validate_mesh(generate_mesh(dom, 0.05), dom) == []
 
 
 def test_failed_mesh_attempts_are_logged(monkeypatch, caplog):
@@ -707,9 +737,7 @@ def test_failed_mesh_attempts_are_logged(monkeypatch, caplog):
     real_validate = meshmod.validate_mesh
 
     def flaky_validate(mesh, domain=None):
-        report = real_validate(mesh, domain)
-        report.violations.extend(next(calls))
-        return report
+        return real_validate(mesh, domain) + next(calls)
 
     monkeypatch.setattr(meshmod, "validate_mesh", flaky_validate)
     with caplog.at_level(logging.DEBUG, logger="dtnlab"):
