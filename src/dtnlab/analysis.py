@@ -66,27 +66,16 @@ def symmetry_audit(ak: np.ndarray) -> list[int]:
     return np.flatnonzero(np.abs(np.asarray(ak)) > CANCEL_TOL).tolist()
 
 
-def last_group_complete(spectrum: Spectrum) -> bool:
-    """Whether the window's last numerical group is known to be complete.
-
-    It is when the spectrum's guard (the first eigenvalue past the window)
-    does not chain onto that group under the ``numerical_groups`` rule, or is
-    +inf (the window holds the whole discrete spectrum). A spectrum without a
-    guard cannot tell, so its last group counts as possibly truncated."""
-    guard = spectrum.guard
-    if guard is None:
-        return False
-    if math.isinf(guard):
-        return True
-    groups = numerical_groups(np.append(spectrum.eigenvalues, guard), GROUP_TOL)
-    return groups[-1] == [spectrum.count]
-
-
 def complete_groups(spectrum: Spectrum) -> list[list[int]]:
-    """``numerical_groups`` of the window, less a last group that
-    ``last_group_complete`` cannot vouch for."""
+    """``numerical_groups`` of the window, less its last group when the
+    spectrum's guard (the first eigenvalue past the window) chains onto it
+    under the same rule, so that the window may have cut it. A guard of
+    +inf (the window holds the whole discrete spectrum) cuts nothing."""
     groups = numerical_groups(spectrum.eigenvalues, GROUP_TOL)
-    return groups if last_group_complete(spectrum) else groups[:-1]
+    # numerical_groups chains an infinite guard too: inf - x <= tol * inf
+    guarded = numerical_groups(np.append(spectrum.eigenvalues, spectrum.guard), GROUP_TOL)
+    cut = math.isfinite(spectrum.guard) and len(guarded) == len(groups)
+    return groups[:-1] if cut else groups
 
 
 def concentrate_degenerate_ak(spectrum: Spectrum) -> np.ndarray:
@@ -98,7 +87,7 @@ def concentrate_degenerate_ak(spectrum: Spectrum) -> np.ndarray:
     squares, which is placed on the group's last (highest) index, the
     convention that matches how symmetric benchmark domains order the
     boundary-coupled member. A group at the end of the window is rotated only
-    when the spectrum's guard shows it is complete (``last_group_complete``);
+    when the spectrum's guard shows it is complete (``complete_groups``);
     otherwise its last computed member need not be the group's last, and its
     coefficients are returned unrotated."""
     ak = ak_coefficients(spectrum)
@@ -141,8 +130,7 @@ def localization(
     numerically degenerate group of k, the pointwise root sum of squares, so it
     does not depend on the eigenbasis; for a well-separated eigenvalue it is
     the peak of B_k. The group must be one ``complete_groups`` vouches for: a
-    group the window may have cut, or any group that ends the window of a
-    spectrum without a guard, raises ``AnalysisError``."""
+    group the window may have cut raises ``AnalysisError``."""
     ext = _extensions(spectrum)
     group = next((g for g in complete_groups(spectrum) if k in g), None)
     if group is None:

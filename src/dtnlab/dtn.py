@@ -57,10 +57,10 @@ class Spectrum:
     steklov_nodes: np.ndarray      # global node indices
     n_nodes: int
     boundary_mass: sparse.spmatrix  # (n_s, n_s) Gram matrix of the vectors
-    extensions: np.ndarray | None = None  # (n_nodes, count)
     # first eigenvalue past the window (no vector kept): +inf when the window
-    # holds the whole discrete spectrum, None when nothing computed it
-    guard: float | None = None
+    # holds the whole discrete spectrum
+    guard: float
+    extensions: np.ndarray | None = None  # (n_nodes, count)
 
     @property
     def count(self) -> int:
@@ -107,6 +107,23 @@ def _check_count(count: int, n_s: int) -> None:
         raise DtnError(f"count must be in 1..{n_s}")
 
 
+def _window(w: np.ndarray, v: np.ndarray, count: int, p: float, steklov_nodes: np.ndarray,
+            n_nodes: int, boundary_mass: sparse.spmatrix) -> Spectrum:
+    """The spectrum of the lowest ``count`` of the ascending eigenpairs (w, v),
+    the vectors sign-fixed in their Gram matrix ``boundary_mass``. Both routes
+    build their spectrum here. The guard is ``w[count]``, or +inf when the
+    pairs given are all the discrete spectrum has."""
+    return Spectrum(
+        p=p,
+        eigenvalues=w[:count],
+        vectors=_fix_signs(v[:, :count], boundary_mass),
+        steklov_nodes=steklov_nodes,
+        n_nodes=n_nodes,
+        boundary_mass=boundary_mass,
+        guard=float(w[count]) if len(w) > count else math.inf,
+    )
+
+
 def eigensolve(op: DtnOperator, count: int) -> Spectrum:
     """Lowest ``count`` eigenpairs of S v = mu M_b v, orthonormal in the
     factor's M_b, which the spectrum carries as its ``boundary_mass``.
@@ -116,24 +133,15 @@ def eigensolve(op: DtnOperator, count: int) -> Spectrum:
     fac = op.factor
     n_s = len(fac.data_nodes)
     _check_count(count, n_s)
-    n = min(count + 1, n_s)
     try:
         # the dense M_b is made for this call alone, in Fortran order, so
         # LAPACK works in it instead of in a copy (n_s^2 doubles less at peak)
         w, v = eigh(op.schur, fac.boundary_mass_s.toarray(order="F"), overwrite_b=True,
-                    subset_by_index=[0, n - 1])
+                    subset_by_index=[0, min(count, n_s - 1)])
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise DtnError(f"dense eigensolver failed: {exc}") from exc
-    guard = float(w[count]) if n > count else math.inf
-    return Spectrum(
-        p=fac.p,
-        eigenvalues=w[:count],
-        vectors=_fix_signs(v[:, :count], fac.boundary_mass_s),
-        steklov_nodes=fac.data_nodes.copy(),
-        n_nodes=fac.n_nodes,
-        boundary_mass=fac.boundary_mass_s,
-        guard=guard,
-    )
+    return _window(w, v, count, fac.p, fac.data_nodes.copy(), fac.n_nodes,
+                   fac.boundary_mass_s)
 
 
 def attach_extensions(spectrum: Spectrum, factor: InteriorFactor) -> Spectrum:

@@ -14,10 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg import eigh
 from scipy.sparse.linalg import eigsh
 
 from .fem import FemMatrices
-from .dtn import Spectrum, _check_count, _fix_signs
+from .dtn import Spectrum, _check_count, _window
 
 
 class GreensError(RuntimeError):
@@ -101,11 +102,14 @@ def dtn_spectrum_via_green(
     (``M_b``'s row sums), so eta and the recovered eigenvectors stay real;
     mu = sqrt(1/eta + q^2/4) - q/2 falls as eta grows, so the largest eta
     come out in ascending mu. ``count`` is bounded by the boundary nodes as
-    in ``dtn.eigensolve``.
+    in ``dtn.eigensolve``, and as there one more pair gives the spectrum's
+    ``guard``: +inf when its eta is at or below the rank threshold, since
+    mu grows without bound as eta falls to 0.
     """
     if q <= 0:
         raise GreensError("kernel regularization needs q > 0")
-    _check_count(count, matrices.n_boundary)
+    n_b = matrices.n_boundary
+    _check_count(count, n_b)
     _check_basis(basis0, "basis0", 0.0, m)
     _check_basis(basis_q, "basis_q", q, m)
     bidx = np.arange(matrices.n_interior, matrices.n_nodes)
@@ -113,26 +117,21 @@ def dtn_spectrum_via_green(
     w = np.asarray(matrices.boundary_mass.sum(axis=1)).ravel()
     sw = np.sqrt(w)
     sym = sw[:, None] * kernel * sw[None, :]
-    sym = 0.5 * (sym + sym.T)
-    eta, vecs = np.linalg.eigh(sym)
-    eta = eta[::-1][:count]          # largest eta = smallest mu
-    vecs = vecs[:, ::-1][:, :count]
-    if np.any(eta <= 1e-12 * eta.max(initial=0.0)):
+    # eigh reads one triangle of sym, so it needs no symmetrizing
+    eta, vecs = eigh(sym, subset_by_index=[max(n_b - count - 1, 0), n_b - 1])
+    eta, vecs = eta[::-1], vecs[:, ::-1]  # largest eta = smallest mu
+    floor = 1e-12 * max(eta[0], 0.0)
+    if np.any(eta[:count] <= floor):
         raise GreensError(
             "kernel produced non-positive or rank-deficient eta within the "
             "requested count; increase the truncation m"
         )
-    mu = np.sqrt(1.0 / eta + q * q / 4.0) - q / 2.0
+    mu = np.full(len(eta), np.inf)
+    live = eta > floor
+    mu[live] = np.sqrt(1.0 / eta[live] + q * q / 4.0) - q / 2.0
     # back to nodal values, orthonormal in the lumped weights
-    mb = sparse.diags(w)
-    return Spectrum(
-        p=float(p),
-        eigenvalues=mu,
-        vectors=_fix_signs(vecs / sw[:, None], mb),
-        steklov_nodes=bidx,
-        n_nodes=matrices.n_nodes,
-        boundary_mass=mb,
-    )
+    return _window(mu, vecs / sw[:, None], count, float(p), bidx, matrices.n_nodes,
+                   sparse.diags(w))
 
 
 def extend_via_green(basis0: RobinEigenbasis, spectrum: Spectrum, k: int) -> np.ndarray:

@@ -30,8 +30,11 @@ def solve_steklov(
     """Full pipeline for one (domain, h, p) combination, every boundary node
     spectral; a mixed partition goes to :func:`solve`.
 
-    ``mesh``/``matrices`` can be passed in to reuse across several p values.
+    ``mesh``/``matrices`` can be passed in to reuse across several p values;
+    ``matrices`` only with the ``mesh`` they were assembled on.
     """
+    if matrices is not None and mesh is None:
+        raise ValueError("matrices need the mesh they were assembled on")
     domain = domain_or_spec if isinstance(domain_or_spec, Domain) else build_domain(domain_or_spec)
     if mesh is None:
         mesh = generate_mesh(domain, h)

@@ -6,13 +6,15 @@ import numpy as np
 import pytest
 
 from dtnlab import geometry
+from dtnlab import mesh as meshmod
 from dtnlab.analysis import (
+    GROUP_TOL,
     AnalysisError,
     Localization,
     ak_coefficients,
     ak_via_volume,
+    complete_groups,
     concentrate_degenerate_ak,
-    last_group_complete,
     localization,
     match_branches,
     norm_identities,
@@ -128,18 +130,20 @@ def test_bk_group_max_accepts_guarded_group(disk_domain, disk_mesh, disk_matrice
                         mesh=disk_mesh, matrices=disk_matrices)
     wide = solve_steklov(disk_domain, 0.05, 0.0, 5, extensions=True,
                          mesh=disk_mesh, matrices=disk_matrices)
-    assert last_group_complete(res.spectrum)
+    assert complete_groups(res.spectrum) == [[0], [1, 2]]
     got = localization(res.spectrum, 1, disk_mesh, disk_domain).group_max
     assert abs(got - localization(wide.spectrum, 1, disk_mesh, disk_domain).group_max) < 1e-12
 
 
-def test_bk_group_max_needs_guard(disk_domain, disk_mesh, disk_matrices):
-    res = solve_steklov(disk_domain, 0.05, 0.0, 3, extensions=True,
-                        mesh=disk_mesh, matrices=disk_matrices)
-    spectrum = dataclasses.replace(res.spectrum, guard=None)  # as on spectra no eigensolve filled in
-    assert not last_group_complete(spectrum)
+def test_bk_group_max_needs_guard(square_domain):
+    """On the coarse 2x2 square at p = 0, modes 1 and 2 are one multiplet, so
+    the 2-mode window cuts it; its guard mu_2 chains onto mu_1."""
+    msh = meshmod.generate_mesh(square_domain, 0.2)
+    cut = solve(fem.assemble(msh), 0.0, 2, extensions=True)[1]
+    assert numerical_groups(np.append(cut.eigenvalues, cut.guard), GROUP_TOL)[-1] == [1, 2]
+    assert complete_groups(cut) == [[0]]
     with pytest.raises(AnalysisError):
-        localization(spectrum, 1, disk_mesh, disk_domain)
+        localization(cut, 1, msh, square_domain)
 
 
 def test_guard_infinite_for_full_window():
@@ -149,19 +153,28 @@ def test_guard_infinite_for_full_window():
     op = dtn.build_dtn(fac)
     sp = dtn.eigensolve(op, len(fac.data_nodes))
     assert sp.guard == math.inf
-    assert last_group_complete(sp)
+    # numerical_groups alone chains an infinite guard (inf - x <= tol * inf)
+    assert numerical_groups(np.append(sp.eigenvalues, sp.guard), GROUP_TOL)[-1][-1] == sp.count
+    assert complete_groups(sp) == numerical_groups(sp.eigenvalues, GROUP_TOL)
     assert abs(dtn.eigensolve(op, len(fac.data_nodes) - 1).guard - sp.eigenvalues[-1]) < 1e-12
 
 
-def test_concentrate_leaves_truncated_group(disk_domain, disk_mesh, disk_matrices):
+def test_concentrate_leaves_truncated_group(disk_domain, disk_mesh, disk_matrices,
+                                           square_matrices):
     res = solve_steklov(disk_domain, 0.05, 1.0, 3, mesh=disk_mesh, matrices=disk_matrices)
     ak = ak_coefficients(res.spectrum)
     # the guard closes the pair (1, 2), so it is concentrated
     conc = concentrate_degenerate_ak(res.spectrum)
     assert conc[1] == 0.0
     assert abs(conc[2] - math.hypot(ak[1], ak[2])) < 1e-15
-    unguarded = dataclasses.replace(res.spectrum, guard=None)
-    assert np.array_equal(concentrate_degenerate_ak(unguarded), ak)
+    # on the square at p = 10, mu_5..mu_7 are one multiplet: the 7-mode window
+    # holds two of its members and its guard mu_7 chains onto them
+    cut = solve(square_matrices, 10.0, 7)[1]
+    assert complete_groups(cut)[-1] == [4]
+    assert np.array_equal(concentrate_degenerate_ak(cut)[5:], ak_coefficients(cut)[5:])
+    full = solve(square_matrices, 10.0, 8)[1]
+    assert complete_groups(full)[-1] == [5, 6, 7]
+    assert concentrate_degenerate_ak(full)[5] == 0.0
 
 
 def test_bk_boundary_values(disk_domain, disk_mesh, disk_matrices):

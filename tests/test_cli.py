@@ -152,7 +152,7 @@ def test_localize_max_b_spans_a_cut_multiplet(tmp_path):
 
     domain = geometry.build_domain(geometry.RectangleSpec(2.0, 2.0))
     cut = pipeline.solve_steklov(domain, 0.2, 0.0, 2, extensions=True)
-    assert not analysis.last_group_complete(cut.spectrum)
+    assert analysis.complete_groups(cut.spectrum) == [[0]]
     wide = pipeline.solve(cut.matrices, 0.0, 6, extensions=True)[1]
     group_max = analysis.localization(wide, 1, cut.mesh, domain).group_max
     assert max_b == pytest.approx(group_max, rel=1e-9)
@@ -497,6 +497,22 @@ def test_too_sharp_polygon_exits_2(tmp_path, capsys):
     record = json.loads(capsys.readouterr().err.strip())
     assert record["exit_code"] == 2 and "1-degree floor" in record["error"]
     assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("h, code", [(0.1, 3), (0.05, 0)])
+def test_one_degree_corner_meshes_only_at_fine_h(tmp_path, capsys, h, code):
+    """A known limit of the mesher: a triangle with a 1-degree corner keeps a
+    triangle below the quality floor through every retry at h = 0.1 (exit 3
+    with the MeshError record), and meshes at h = 0.05. A grading fix that
+    meshes the coarse case updates this test."""
+    domain = f"triangle:a1={math.radians(1)!r},a2={math.pi / 2!r}"
+    assert run_cli("mesh", "--domain", domain, "--h", str(h), "--out", str(tmp_path)) == code
+    if code:
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["command"] == "mesh" and "quality floor" in record["error"]
+        assert not (tmp_path / "report.json").exists()
+    else:
+        assert (tmp_path / "mesh.txt").exists()
 
 
 def test_emit_plots_carries_the_report_forward(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import splu
 
-from dtnlab import analytic, dtn, geometry
+from dtnlab import analytic, dtn, geometry, pipeline
 from dtnlab.dtn import (
     DtnError,
     attach_extensions,
@@ -216,6 +216,17 @@ def test_solve_result_holds_the_factor_it_built(disk_domain, disk_mesh, disk_mat
     res = solve_steklov(disk_domain, 0.05, 1.0, 3, mesh=disk_mesh, matrices=disk_matrices)
     assert res.factor is res.operator.factor
     assert res.factor.lu.L.nnz + res.factor.lu.U.nnz > 0
+
+
+def test_solve_steklov_needs_the_mesh_of_its_matrices(disk_domain, disk_matrices, monkeypatch):
+    """Matrices without their mesh would be paired with a mesh built again,
+    so the call raises before meshing."""
+    def no_mesh(*args, **kwargs):
+        raise AssertionError("meshed the domain")
+
+    monkeypatch.setattr(pipeline, "generate_mesh", no_mesh)
+    with pytest.raises(ValueError, match="mesh they were assembled on"):
+        solve_steklov(disk_domain, 0.05, 1.0, 3, matrices=disk_matrices)
 
 
 def test_eigenpair_residual(disk_solution):

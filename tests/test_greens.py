@@ -8,7 +8,7 @@ from scipy import sparse
 from scipy.special import jnp_zeros
 
 from dtnlab import analytic, greens
-from dtnlab.analysis import ak_coefficients
+from dtnlab.analysis import ak_coefficients, complete_groups
 from dtnlab.dtn import DtnError
 from dtnlab.greens import (
     GreensError,
@@ -125,6 +125,26 @@ def test_green_spectrum_carries_the_lumped_weights(disk_matrices, neumann_basis,
     gram = spec.vectors.T @ (spec.boundary_mass @ spec.vectors)
     assert np.abs(gram - np.eye(4)).max() < 1e-10
     assert np.array_equal(ak_coefficients(spec), (w @ spec.vectors) / math.sqrt(w.sum()))
+
+
+def test_green_guard_is_the_next_eigenvalue(disk_matrices, neumann_basis, robin_basis):
+    """The guard is eigenvalue ``count`` of a count + 1 solve. On the disk at
+    p = 1 it closes the pair (1, 2), so ``complete_groups`` keeps the
+    window's last pair, and a 2-mode window, whose guard chains, cuts it."""
+    spec, more = (dtn_spectrum_via_green(disk_matrices, 1.0, 1.0, 40, count,
+                                         neumann_basis, robin_basis) for count in (3, 4))
+    assert abs(spec.guard - more.eigenvalues[3]) <= 1e-12 * more.eigenvalues[3]
+    assert complete_groups(spec) == [[0], [1, 2]]
+    cut = dtn_spectrum_via_green(disk_matrices, 1.0, 1.0, 40, 2, neumann_basis, robin_basis)
+    assert complete_groups(cut) == [[0]]
+
+
+def test_green_guard_past_the_kernel_rank_is_infinite(disk_matrices):
+    """With m = 3 the kernel has rank 3: the 3-mode window's guard eta is at
+    rounding level, where mu is +inf, so the last pair counts as complete."""
+    spec = dtn_spectrum_via_green(disk_matrices, 1.0, 1.0, 3, 3, *bases(disk_matrices, 3))
+    assert spec.guard == math.inf
+    assert complete_groups(spec) == [[0], [1, 2]]
 
 
 def test_insufficient_truncation_raises(disk_matrices):

@@ -462,6 +462,21 @@ def test_smooth_shapes_obey_the_pencil_laws(spec, h, p):
         assert np.abs(v.T @ (spectrum.boundary_mass @ v) - np.eye(6)).max() <= 1e-10
 
 
+@settings(max_examples=15, deadline=None)
+@given(spec=SMOOTH_SHAPES, h=st.sampled_from([0.08, 0.1]))
+@example(spec=geometry.KochSpec(1), h=0.1)
+@example(spec=geometry.TriangleSpec(), h=0.05)
+def test_small_p_slope_is_the_volume_over_perimeter_ratio(spec, h):
+    """mu_0(p) = p (1^T M 1)/(1^T M_b 1) + O(p^2): the constants span the
+    kernel of S(0), and dS/dp = E^T M E with E 1 = 1, so the first-order
+    slope is the discrete |Omega|/|dOmega|."""
+    matrices = assemble(generate_mesh(geometry.build_domain(spec), h))
+    p = 1e-4
+    slope = matrices.mass.sum() / matrices.boundary_mass.sum()
+    mu0 = solve(matrices, p, 1)[1].eigenvalues[0]
+    assert abs(mu0 / p - slope) <= 1e-3 * slope
+
+
 @pytest.mark.parametrize("seed", range(30))
 def test_seeded_star_polygons_mesh_ccw(seed):
     # a third of these put straight sides on the hull, where qhull returns
