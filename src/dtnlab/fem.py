@@ -81,11 +81,9 @@ class BoundaryPartition:
 
 @dataclass(frozen=True)
 class FemMatrices:
-    stiffness: sparse.csr_matrix      # K, n_nodes x n_nodes
+    stiffness: sparse.csr_matrix      # K, n_nodes x n_nodes, in the mesh's node order
     mass: sparse.csr_matrix           # M, n_nodes x n_nodes
-    boundary_mass: sparse.csr_matrix  # M_b, n_boundary x n_boundary
-    n_interior: int
-    n_boundary: int
+    boundary_mass: sparse.csr_matrix  # M_b over the boundary loop, the last n_boundary nodes
     # each node's rank in the elimination order: the interior nodes in
     # nested-dissection order (``_nested_dissection``), then the boundary
     # nodes in their own order
@@ -93,7 +91,15 @@ class FemMatrices:
 
     @property
     def n_nodes(self) -> int:
-        return self.n_interior + self.n_boundary
+        return self.stiffness.shape[0]
+
+    @property
+    def n_boundary(self) -> int:
+        return self.boundary_mass.shape[0]
+
+    @property
+    def n_interior(self) -> int:
+        return self.n_nodes - self.n_boundary
 
 
 # p*M + K restricted to the unknowns is symmetric positive definite (p >= 0,
@@ -130,9 +136,9 @@ def assemble(mesh: Mesh) -> FemMatrices:
     me = area[:, None, None] * me_pattern[None, :, :]
     M = sparse.coo_matrix((me.ravel(), (rows, cols)), shape=(n, n)).tocsr()
 
-    be = mesh.boundary_edges - mesh.n_interior  # boundary-local indices
-    pa = pts[mesh.boundary_edges[:, 0]]
-    pb = pts[mesh.boundary_edges[:, 1]]
+    edges = mesh.boundary_edges
+    be = edges - mesh.n_interior  # boundary-local indices
+    pa, pb = pts[edges[:, 0]], pts[edges[:, 1]]
     lengths = np.hypot(*(pb - pa).T)
     pat = np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0
     mbe = lengths[:, None, None] * pat[None, :, :]
@@ -146,8 +152,6 @@ def assemble(mesh: Mesh) -> FemMatrices:
         stiffness=K,
         mass=M,
         boundary_mass=Mb,
-        n_interior=mesh.n_interior,
-        n_boundary=mesh.n_boundary,
         elimination_rank=_nested_dissection(pts, tri, mesh.n_interior),
     )
 

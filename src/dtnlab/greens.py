@@ -103,8 +103,9 @@ def dtn_spectrum_via_green(
     mu = sqrt(1/eta + q^2/4) - q/2 falls as eta grows, so the largest eta
     come out in ascending mu. ``count`` is bounded by the boundary nodes as
     in ``dtn.eigensolve``, and as there one more pair gives the spectrum's
-    ``guard``: +inf when its eta is at or below the rank threshold, since
-    mu grows without bound as eta falls to 0.
+    ``guard``: +inf when its eta is at or below the truncation floor, the
+    magnitude of the kernel's most negative eigenvalue, since mu grows
+    without bound as eta falls to 0.
     """
     if q <= 0:
         raise GreensError("kernel regularization needs q > 0")
@@ -120,11 +121,14 @@ def dtn_spectrum_via_green(
     # eigh reads one triangle of sym, so it needs no symmetrizing
     eta, vecs = eigh(sym, subset_by_index=[max(n_b - count - 1, 0), n_b - 1])
     eta, vecs = eta[::-1], vecs[:, ::-1]  # largest eta = smallest mu
-    floor = 1e-12 * max(eta[0], 0.0)
+    # the kernel is indefinite only through its truncation error: an eta no
+    # larger than the most negative one is that error, not a mode
+    lowest = eigh(sym, eigvals_only=True, subset_by_index=[0, 0])[0]
+    floor = max(-lowest, 1e-12 * eta[0], 0.0)
     if np.any(eta[:count] <= floor):
         raise GreensError(
-            "kernel produced non-positive or rank-deficient eta within the "
-            "requested count; increase the truncation m"
+            "kernel eta at or below its truncation floor within the requested "
+            "count; increase the truncation m"
         )
     mu = np.full(len(eta), np.inf)
     live = eta > floor

@@ -1,8 +1,12 @@
 """Conforming triangular meshes with interior-first node ordering.
 
-Node layout contract: indices 0..n_interior-1 are strictly inside the domain,
-indices n_interior..n_interior+n_boundary-1 lie on the boundary in CCW order.
-That ordering is what the boundary Schur complement slices against.
+Node layout contract: a domain is simply connected, so its mesh has one
+boundary loop. Indices 0..n_interior-1 are strictly inside the domain, and
+the rest are that loop in CCW order, the last node joined to the first. The
+node split is the mesh's one statement of its boundary: ``n_boundary`` and
+``boundary_edges`` follow from it, and ``validate_mesh`` checks that the
+loop's edges are exactly the single-triangle edges. That ordering is what
+the boundary Schur complement slices against.
 
 The generator samples the boundary, fills the interior with a hexagonal
 lattice, takes the Delaunay triangulation of the union, keeps triangles whose
@@ -65,11 +69,9 @@ class MeshError(RuntimeError):
 
 @dataclass(frozen=True)
 class Mesh:
-    nodes: np.ndarray            # (n_nodes, 2)
+    nodes: np.ndarray            # (n_nodes, 2): interior first, then the CCW boundary loop
     n_interior: int
-    n_boundary: int
     triangles: np.ndarray        # (n_tri, 3) CCW
-    boundary_edges: np.ndarray   # (n_boundary, 2) consecutive CCW pairs
     h_max: float
 
     @property
@@ -77,8 +79,19 @@ class Mesh:
         return len(self.nodes)
 
     @property
+    def n_boundary(self) -> int:
+        return len(self.nodes) - self.n_interior
+
+    @property
     def boundary_indices(self) -> np.ndarray:
-        return np.arange(self.n_interior, self.n_interior + self.n_boundary)
+        return np.arange(self.n_interior, len(self.nodes))
+
+    @property
+    def boundary_edges(self) -> np.ndarray:
+        """(n_boundary, 2) consecutive CCW pairs of the boundary loop, the
+        last node joined to the first."""
+        b = self.boundary_indices
+        return np.stack([b, np.roll(b, -1)], axis=1)
 
     def signed_areas(self) -> np.ndarray:
         return 0.5 * _orientation(self.nodes, self.triangles)
@@ -132,23 +145,6 @@ def _edge_keys(pairs: np.ndarray, base: int) -> np.ndarray:
     # elementwise minimum of the columns
     a, b = pairs[:, 0], pairs[:, 1]
     return np.minimum(a, b) * base + np.maximum(a, b)
-
-
-def _edge_incidence(edges: np.ndarray, counts: np.ndarray, pairs: np.ndarray):
-    """Triangle-incidence count of each node pair in ``pairs`` (0 for a pair
-    that is no mesh edge), looked up in the output of ``Mesh.edges``, and the
-    mask of those edges that are one of ``pairs``."""
-    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    base = int(max(edges.max(initial=-1), pairs.max(initial=-1))) + 1
-    keys = _edge_keys(edges, base)
-    want = _edge_keys(pairs, base)
-    valid = np.minimum(pairs[:, 0], pairs[:, 1]) >= 0
-    found = np.zeros(len(want), dtype=counts.dtype)
-    if len(keys):
-        pos = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
-        hit = (keys[pos] == want) & valid
-        found[hit] = counts[pos[hit]]
-    return found, np.isin(keys, want[valid])
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +417,6 @@ def _build_once(domain: Domain, h: float, scale: float):
     hb = 0.66 * h * scale
     pts, core, simplices, n_qhull = _seed(domain, hb, 0.70 * h * scale)
     n_lattice = len(core)
-    nb = len(pts) - n_lattice
     moving = np.zeros(len(pts), dtype=bool)
     moving[:n_lattice] = _moving_band(simplices, core)
     band = np.flatnonzero(moving)
@@ -469,18 +464,11 @@ def _build_once(domain: Domain, h: float, scale: float):
         tris = remap[tris]
         n_interior = int(used[:n_lattice].sum())
 
-    # interior-first / boundary-last-CCW already, and the triangles are CCW
-    # like the kept simplices: ``validate_mesh`` reports any that are not
-    bidx = np.arange(n_interior, n_interior + nb)
-    bedges = np.stack([bidx, np.roll(bidx, -1)], axis=1)
-    return Mesh(
-        nodes=pts,
-        n_interior=n_interior,
-        n_boundary=nb,
-        triangles=tris,
-        boundary_edges=bedges,
-        h_max=h,
-    ), n_qhull, len(band), n_lattice - len(band)
+    # interior first, then the boundary samples in their CCW loop order, and
+    # the triangles are CCW like the kept simplices: ``validate_mesh``
+    # reports any that are not
+    mesh = Mesh(nodes=pts, n_interior=n_interior, triangles=tris, h_max=h)
+    return mesh, n_qhull, len(band), n_lattice - len(band)
 
 
 def _corner_exempt_mask(
@@ -533,13 +521,15 @@ def generate_mesh(domain: Domain, h: float) -> Mesh:
 
 def validate_mesh(mesh: Mesh, domain: Domain | None = None) -> list[str]:
     """Check every mesh invariant and return the violations, an empty list
-    iff the mesh is valid. A triangle index out of range ends the check.
-    ``domain`` adds the checks of the nodes against the boundary, and exempts
-    sharp corners from the floor."""
+    iff the mesh is valid. An ``n_interior`` that leaves no boundary loop, or
+    a triangle index out of range, ends the check. ``domain`` adds the checks
+    of the nodes against the boundary, and exempts sharp corners from the
+    floor."""
     v: list[str] = []
     n = mesh.n_nodes
-    if mesh.n_interior + mesh.n_boundary != n:
-        v.append("node count mismatch: n_interior + n_boundary != n_nodes")
+    if not 0 <= mesh.n_interior <= n - 3:
+        v.append(f"n_interior={mesh.n_interior} leaves fewer than 3 of {n} nodes for the boundary loop")
+        return v
     if mesh.triangles.min(initial=0) < 0 or mesh.triangles.max(initial=-1) >= n:
         v.append("triangle references a node index out of range")
         return v
@@ -558,18 +548,17 @@ def validate_mesh(mesh: Mesh, domain: Domain | None = None) -> list[str]:
     if n_long:
         v.append(f"{n_long} edges longer than h_max={mesh.h_max} (max {edge_len.max():.6g})")
 
-    be = mesh.boundary_edges
-    if be.size and (be.min() < mesh.n_interior or be.max() >= n):
-        v.append("boundary edge references a non-boundary node")
-    b_counts, declared = _edge_incidence(edges, counts, be)
-    bad_b = int((b_counts != 1).sum())
+    # the declared boundary edges, those of the loop, and the single-incidence
+    # edges must be one set
+    declared = _edge_keys(mesh.boundary_edges, n)
+    single = _edge_keys(edges[counts == 1], n)
+    bad_b = len(np.setdiff1d(declared, single))
     if bad_b:
         v.append(f"{bad_b} boundary edges not belonging to exactly one triangle")
     n_nonmanifold = int(((counts != 1) & (counts != 2)).sum())
     if n_nonmanifold:
         v.append(f"{n_nonmanifold} edges with incidence count other than 1 or 2")
-    # every single-incidence edge must be a declared boundary edge
-    stray = int(((counts == 1) & ~declared).sum())
+    stray = len(np.setdiff1d(single, declared))
     if stray:
         v.append(f"{stray} single-triangle edges are not declared boundary edges")
 
@@ -610,6 +599,6 @@ def export_mesh(mesh: Mesh, path) -> None:
         f.write(f"triangles {len(mesh.triangles)}\n")
         for a, b, c in mesh.triangles:
             f.write(f"{a} {b} {c}\n")
-        f.write(f"boundary_edges {len(mesh.boundary_edges)}\n")
+        f.write(f"boundary_edges {mesh.n_boundary}\n")
         for a, b in mesh.boundary_edges:
             f.write(f"{a} {b}\n")

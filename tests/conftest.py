@@ -94,12 +94,4 @@ def four_triangle_square():
         [[0.5, 0.5], [0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
     )
     triangles = np.array([[0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 4, 1]])
-    boundary_edges = np.array([[1, 2], [2, 3], [3, 4], [4, 1]])
-    return meshmod.Mesh(
-        nodes=nodes,
-        n_interior=1,
-        n_boundary=4,
-        triangles=triangles,
-        boundary_edges=boundary_edges,
-        h_max=1.5,
-    )
+    return meshmod.Mesh(nodes=nodes, n_interior=1, triangles=triangles, h_max=1.5)

@@ -515,6 +515,30 @@ def test_one_degree_corner_meshes_only_at_fine_h(tmp_path, capsys, h, code):
         assert (tmp_path / "mesh.txt").exists()
 
 
+@pytest.mark.parametrize("vertex, h, code", [
+    ((1.0, 1e-12), 0.1, 3), ((1.0, 1e-12), 0.05, 3),
+    ((0.5, 1e-13), 0.1, 0), ((0.5, 1e-13), 0.05, 0),
+    ((0.5, -1e-13), 0.1, 0), ((0.5, -1e-13), 0.05, 0),
+])
+def test_short_edge_and_near_collinear_vertex(tmp_path, capsys, vertex, h, code):
+    """The unit square with one more vertex. On its right side at (1, 1e-12)
+    it leaves an edge no mesh attempt resolves: ``solve`` exits 3 with the
+    MeshError record. Just off its bottom side at (0.5, +-1e-13) it is a
+    corner of about 180 degrees, and the square meshes and solves."""
+    corners = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
+    corners.insert(2 if vertex[0] == 1.0 else 1, vertex)
+    shape = tmp_path / "square.json"
+    shape.write_text(geometry.spec_to_json(geometry.PolygonSpec(tuple(corners))))
+    out = tmp_path / "out"
+    args = ("solve", "--domain", f"poly:file={shape}", "--h", str(h), "--count", "3", "--out", str(out))
+    assert run_cli(*args) == code
+    if code:
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["exit_code"] == 3 and "did not converge" in record["error"]
+    else:
+        assert (out / "eigenvalues.csv").exists()
+
+
 def test_emit_plots_carries_the_report_forward(tmp_path):
     assert run_cli("sweep", "--domain", "disk:R=1", "--h", "0.3", "--count", "2",
                    "--p-min", "0.1", "--p-max", "10", "--n-p", "2", "--out", str(tmp_path)) == 0

@@ -126,7 +126,9 @@ def test_schur_dense_and_sparse_rows_match_interior_solves(disk_matrices, monkey
 
 def test_schur_on_disconnected_mesh():
     """Two separate squares: the Schur complement onto both boundaries is
-    exact, with no coupling between them."""
+    exact, with no coupling between them. Their boundary nodes are one tail
+    of the node list, so the mesh's boundary loop (and M_b) joins the two
+    squares; S does not read M_b."""
     one = four_triangle_square()
     two = four_triangle_square()
     nodes = np.vstack([one.nodes[:1], two.nodes[:1] + [2.0, 0.0],
@@ -134,9 +136,7 @@ def test_schur_on_disconnected_mesh():
     # interior nodes 0, 1; boundary nodes 2-5 (first square), 6-9 (second)
     local = np.array([0, 2, 3, 4, 5])
     tris = np.vstack([local[one.triangles], (local + np.array([1, 4, 4, 4, 4]))[two.triangles]])
-    bedges = np.array([[2, 3], [3, 4], [4, 5], [5, 2], [6, 7], [7, 8], [8, 9], [9, 6]])
-    mesh = Mesh(nodes=nodes, n_interior=2, n_boundary=8, triangles=tris,
-                boundary_edges=bedges, h_max=1.5)
+    mesh = Mesh(nodes=nodes, n_interior=2, triangles=tris, h_max=1.5)
     mats = assemble(mesh)
     p = 0.7
     op = build_dtn(factor_interior(mats, p))

@@ -25,14 +25,7 @@ from conftest import PARTITION_ARCS, four_triangle_square, partition_of
 
 def reference_triangle_mesh():
     nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    return Mesh(
-        nodes=nodes,
-        n_interior=0,
-        n_boundary=3,
-        triangles=np.array([[0, 1, 2]]),
-        boundary_edges=np.array([[0, 1], [1, 2], [2, 0]]),
-        h_max=2.0,
-    )
+    return Mesh(nodes=nodes, n_interior=0, triangles=np.array([[0, 1, 2]]), h_max=2.0)
 
 
 def test_reference_triangle_element_matrices():
@@ -80,10 +73,20 @@ def test_assemble_rejects_degenerate_triangle():
         assemble(dataclasses.replace(m, nodes=nodes))
 
 
-@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(FemMatrices)])
+# the counts, read off the matrices' shapes, are read-only too
+@pytest.mark.parametrize(
+    "field", [f.name for f in dataclasses.fields(FemMatrices)] + ["n_interior", "n_boundary"]
+)
 def test_fem_matrices_are_frozen(disk_matrices, field):
     with pytest.raises(dataclasses.FrozenInstanceError):
         setattr(disk_matrices, field, getattr(disk_matrices, field))
+
+
+def test_matrix_counts_follow_the_mesh(disk_mesh, disk_matrices):
+    fields = [f.name for f in dataclasses.fields(FemMatrices)]
+    assert fields == ["stiffness", "mass", "boundary_mass", "elimination_rank"]
+    counts = (disk_matrices.n_interior, disk_matrices.n_boundary, disk_matrices.n_nodes)
+    assert counts == (disk_mesh.n_interior, disk_mesh.n_boundary, disk_mesh.n_nodes)
 
 
 # the benchmark's cold-solve catalog meshes and its p-sweep mesh

@@ -147,6 +147,20 @@ def test_green_guard_past_the_kernel_rank_is_infinite(disk_matrices):
     assert complete_groups(spec) == [[0], [1, 2]]
 
 
+def test_green_window_ends_at_the_truncation_floor(disk_matrices):
+    """The truncated kernel is indefinite through its truncation error only.
+    At m = 10 its 10th eta, 4.3e-10 of the largest, is below the magnitude
+    of its most negative eigenvalue (8.6e-8 of the largest): the 10-mode
+    window raises instead of returning mu_9 = 3.9e4 (the disk's is about
+    4.1), and the 9-mode window's guard is +inf."""
+    basis0, basis_q = bases(disk_matrices, 10)
+    with pytest.raises(GreensError, match="truncation floor"):
+        dtn_spectrum_via_green(disk_matrices, 1.0, 1.0, 10, 10, basis0, basis_q)
+    spec = dtn_spectrum_via_green(disk_matrices, 1.0, 1.0, 10, 9, basis0, basis_q)
+    assert spec.guard == math.inf
+    assert spec.eigenvalues[-1] < 5.0
+
+
 def test_insufficient_truncation_raises(disk_matrices):
     with pytest.raises(GreensError):
         dtn_spectrum_via_green(disk_matrices, 1.0, 1.0, 3, 8, *bases(disk_matrices, 3))

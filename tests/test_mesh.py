@@ -1,3 +1,4 @@
+import functools
 import logging
 import math
 from dataclasses import FrozenInstanceError, fields, replace
@@ -115,24 +116,38 @@ def test_validate_reports_out_of_range_index():
 
 
 def test_validate_reports_boundary_edge_off_triangle():
-    # the square's four sides, and its diagonal (1, 3), which is on no triangle
-    bedges = np.array([[1, 2], [2, 3], [3, 4], [4, 1], [1, 3]])
-    violations = validate_mesh(replace(four_triangle_square(), boundary_edges=bedges))
-    assert violations == ["1 boundary edges not belonging to exactly one triangle"]
+    # without triangle (0, 1, 2) the side (1, 2) of the loop is on no
+    # triangle, and the centre's edges (0, 1) and (0, 2) are on one each
+    m = four_triangle_square()
+    violations = validate_mesh(replace(m, triangles=m.triangles[1:]))
+    assert violations == [
+        "1 boundary edges not belonging to exactly one triangle",
+        "2 single-triangle edges are not declared boundary edges",
+    ]
 
 
-def test_validate_reports_boundary_edge_on_interior_node():
+def test_validate_reports_boundary_loop_not_at_the_tail():
     # the square's nodes with the centre last: node 0, a corner, is counted
-    # interior, so the boundary loop is not the last n_boundary nodes
+    # interior, so the loop of the last nodes runs through the centre. Its
+    # edges (3, 4) and (4, 1) are on two triangles each, and the sides
+    # (0, 1) and (3, 0) on one each are left out of it
     m = Mesh(
         nodes=np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.5, 0.5]]),
         n_interior=1,
-        n_boundary=4,
         triangles=np.array([[4, 0, 1], [4, 1, 2], [4, 2, 3], [4, 3, 0]]),
-        boundary_edges=np.array([[0, 1], [1, 2], [2, 3], [3, 0]]),
         h_max=1.5,
     )
-    assert validate_mesh(m) == ["boundary edge references a non-boundary node"]
+    assert validate_mesh(m) == [
+        "2 boundary edges not belonging to exactly one triangle",
+        "2 single-triangle edges are not declared boundary edges",
+    ]
+
+
+@pytest.mark.parametrize("n_interior", [-1, 3, 5])
+def test_validate_reports_no_boundary_loop(n_interior):
+    """A node split that leaves fewer than 3 boundary nodes ends the check."""
+    m = replace(four_triangle_square(), n_interior=n_interior)
+    assert validate_mesh(m) == [f"n_interior={n_interior} leaves fewer than 3 of 5 nodes for the boundary loop"]
 
 
 def _interior_triangle(msh):
@@ -167,14 +182,7 @@ def test_validate_reports_flipped_triangle():
 
 def test_validate_reports_skinny_triangle():
     nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 0.02]])
-    m = Mesh(
-        nodes=nodes,
-        n_interior=0,
-        n_boundary=3,
-        triangles=np.array([[0, 1, 2]]),
-        boundary_edges=np.array([[0, 1], [1, 2], [2, 0]]),
-        h_max=2.0,
-    )
+    m = Mesh(nodes=nodes, n_interior=0, triangles=np.array([[0, 1, 2]]), h_max=2.0)
     assert any("quality floor" in v for v in validate_mesh(m))
 
 
@@ -187,9 +195,7 @@ def test_quality_floor_reports_the_worst_counted_triangle():
         # a 5-degree triangle at the sharp corner (0, 0), a 15-degree one away from it
         nodes=np.array([[0.0, 0.0], [1.0, 0.0], [1.0, t5], [2.0, 0.0], [1.5, 0.5 * t15]]),
         n_interior=0,
-        n_boundary=5,
         triangles=np.array([[0, 1, 2], [1, 3, 4]]),
-        boundary_edges=np.array([[0, 1], [1, 2], [2, 0], [1, 3], [3, 4], [4, 1]]),
         h_max=2.0,
     )
     floor = [v for v in validate_mesh(m, dom) if "quality floor" in v]
@@ -203,13 +209,17 @@ def test_validate_reports_long_edges():
 
 
 def test_validate_reports_undeclared_and_stray_boundary_edges():
-    # (2, 1) is edge (1, 2) written backwards; (4, 2) is no edge, so the
-    # real boundary edge (4, 1) is left undeclared
-    bedges = np.array([[2, 1], [2, 3], [3, 4], [4, 2]])
-    violations = validate_mesh(replace(four_triangle_square(), boundary_edges=bedges))
-    assert "1 boundary edges not belonging to exactly one triangle" in violations
-    assert "1 single-triangle edges are not declared boundary edges" in violations
-    assert len(violations) == 2, violations
+    # corners 2 and 3 swapped in the node list: the loop 1, 3, 2, 4 declares
+    # the diagonals (1, 3) and (2, 4), which are no edges, and leaves the
+    # sides (1, 2) and (3, 4) undeclared. The direction of an edge does not
+    # matter: the loop's (3, 2) is the side (2, 3)
+    m = four_triangle_square()
+    swap = np.array([0, 1, 3, 2, 4])
+    violations = validate_mesh(replace(m, nodes=m.nodes[swap], triangles=swap[m.triangles]))
+    assert violations == [
+        "2 boundary edges not belonging to exactly one triangle",
+        "2 single-triangle edges are not declared boundary edges",
+    ]
 
 
 @pytest.mark.parametrize(
@@ -231,7 +241,18 @@ def test_validate_reports_nodes_off_and_on_the_boundary(spec, h):
     assert "1 interior nodes touching the boundary" in violations
 
 
-@pytest.mark.parametrize("field", [f.name for f in fields(Mesh)])
+def test_boundary_loop_is_the_tail_of_the_nodes(disk_mesh):
+    """The node split is the mesh's one statement of its boundary: the
+    record stores no boundary of its own, and the loop closes on itself."""
+    assert [f.name for f in fields(Mesh)] == ["nodes", "n_interior", "triangles", "h_max"]
+    b = np.arange(disk_mesh.n_interior, disk_mesh.n_nodes)
+    assert disk_mesh.n_boundary == len(b)
+    assert np.array_equal(disk_mesh.boundary_edges[:, 0], b)
+    assert np.array_equal(disk_mesh.boundary_edges[:, 1], np.roll(b, -1))
+
+
+# the derived counts and edges are read-only too
+@pytest.mark.parametrize("field", [f.name for f in fields(Mesh)] + ["n_boundary", "boundary_edges"])
 def test_mesh_is_frozen(disk_mesh, field):
     with pytest.raises(FrozenInstanceError):
         setattr(disk_mesh, field, getattr(disk_mesh, field))
@@ -475,6 +496,67 @@ def test_small_p_slope_is_the_volume_over_perimeter_ratio(spec, h):
     slope = matrices.mass.sum() / matrices.boundary_mass.sum()
     mu0 = solve(matrices, p, 1)[1].eigenvalues[0]
     assert abs(mu0 / p - slope) <= 1e-3 * slope
+
+
+# the catalog polygons, each with the h and p of its solve
+RIGID_CASES = {
+    "rectangle": (geometry.RectangleSpec(1.0, 2.0), 0.05, 3.0),
+    "koch": (geometry.KochSpec(1, 2.0), 0.05, 30.0),
+    "triangle": (geometry.TriangleSpec(2.0, math.pi / 12, math.pi / 3), 0.03, 30.0),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _polygon_mu(vertices, h, p):
+    """The lowest 8 eigenvalues of the polygon of ``vertices`` (a tuple of
+    pairs) at mesh size h and pressure p."""
+    dom = geometry.build_domain(geometry.PolygonSpec(vertices))
+    return solve(assemble(generate_mesh(dom, h)), p, 8)[1].eigenvalues
+
+
+def _turn(angle):
+    c, s = math.cos(angle), math.sin(angle)
+    return lambda v: v @ np.array([[c, s], [-s, c]])
+
+
+# each motion of the vertices, and the relative change of mu it may make
+RIGID_MOTIONS = {
+    "shift_near": (lambda v: v + [0.3, -1.7], 1e-5),
+    "shift_far": (lambda v: v + [12.5, 7.25], 1e-5),
+    "turn_90deg": (_turn(math.pi / 2), 5e-3),
+    "turn_0.3rad": (_turn(0.3), 5e-3),
+}
+
+
+@pytest.mark.parametrize("shape", list(RIGID_CASES))
+@pytest.mark.parametrize("motion", list(RIGID_MOTIONS))
+def test_spectrum_is_invariant_under_rigid_motions(shape, motion):
+    """The Steklov spectrum does not change when the domain is translated or
+    rotated. The mesher lays its lattice from the boundary's bounding box, so
+    a translation moves the mesh with the domain: mu moved by at most
+    1.4e-14 relative on the rectangle and Koch, and by 1.2e-6 to 3.4e-6 on
+    the sharp triangle. A rotation meshes the domain anew, and mu moved by
+    6.4e-5 to 1.5e-3, the discretization error at these h."""
+    spec, h, p = RIGID_CASES[shape]
+    move, tol = RIGID_MOTIONS[motion]
+    vertices = geometry.build_domain(spec).vertices
+    moved = move(vertices)
+    mu = _polygon_mu(tuple(map(tuple, vertices)), h, p)
+    mu_moved = _polygon_mu(tuple(map(tuple, moved)), h, p)
+    assert np.abs(mu_moved / mu - 1).max() <= tol
+
+
+@pytest.mark.parametrize("h", [0.1, 0.02])
+@pytest.mark.parametrize("eps", [1e-3, 1e-6, 1e-7, 1e-9, 1e-12])
+def test_short_edge_fails_every_attempt(h, eps):
+    """A known limit of the mesher: a vertex (1, eps) on the unit square's
+    right side leaves an edge of length eps, which no attempt meshes. From
+    eps = 1e-3 to 1e-6 triangles at it stay below the quality floor, from
+    1e-7 on the edge is on no triangle; each attempt fails. A mesher that
+    meshes it updates this test."""
+    dom = geometry.build_domain(geometry.PolygonSpec(((0, 0), (1, 0), (1, eps), (1, 1), (0, 1))))
+    with pytest.raises(MeshError, match="did not converge"):
+        generate_mesh(dom, h)
 
 
 @pytest.mark.parametrize("seed", range(30))
