@@ -159,10 +159,15 @@ def cmd_solve(cfg: argparse.Namespace, rep: Reporter) -> None:
     dtn.write_csv(rep.path("eigenvalues.csv"), ["k", "mu"], enumerate(spectrum.eigenvalues))
     meshmod.export_mesh(msh, rep.path("mesh.txt"))
     if cfg.vectors:
-        for k in range(spectrum.count):
-            np.savetxt(rep.path(f"eigenvector_{k:03d}.txt"), spectrum.extensions[:, k], fmt="%.17g")
+        _write_vectors(rep, spectrum.extensions.T)
     rep.payload["eigenvalues"] = spectrum.eigenvalues
     rep.payload["method"] = "fem"
+
+
+def _write_vectors(rep: Reporter, extensions) -> None:
+    """One ``eigenvector_XXX.txt`` per mode, a value per node in mesh order."""
+    for k, values in enumerate(extensions):
+        np.savetxt(rep.path(f"eigenvector_{k:03d}.txt"), values, fmt="%.17g")
 
 
 def cmd_green_solve(cfg: argparse.Namespace, rep: Reporter) -> None:
@@ -177,6 +182,10 @@ def cmd_green_solve(cfg: argparse.Namespace, rep: Reporter) -> None:
             matrices, cfg.q, cfg.p, cfg.m, cfg.count, basis0, basis_q
         )
     dtn.write_csv(rep.path("eigenvalues.csv"), ["k", "mu"], enumerate(spec.eigenvalues))
+    if cfg.vectors:
+        with rep.time("extensions"):
+            _write_vectors(rep, (greens.extend_via_green(basis0, spec, k)
+                                 for k in range(spec.count)))
     rep.payload["eigenvalues"] = spec.eigenvalues
     rep.payload["method"] = "green"
     rep.payload["green_q"] = cfg.q
@@ -430,7 +439,7 @@ def cmd_emit_plots(cfg: argparse.Namespace, rep: Reporter) -> None:
 _COMMANDS = {
     "mesh": (cmd_mesh, ("domain", "h")),
     "solve": (cmd_solve, ("domain", "h", "p", "count", "vectors")),
-    "green-solve": (cmd_green_solve, ("domain", "h", "p", "count", "q", "m")),
+    "green-solve": (cmd_green_solve, ("domain", "h", "p", "count", "q", "m", "vectors")),
     "validate-disk": (cmd_validate_disk, ("radius", "h", "p", "count")),
     "validate-rect": (cmd_validate_rect, ("b1", "b2", "h", "p", "count")),
     "sweep": (cmd_sweep, ("domain", "h", "count", "p_min", "p_max", "n_p")),

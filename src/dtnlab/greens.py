@@ -1,12 +1,13 @@
 """Spectral Green's-function route to the same boundary operator.
 
-Builds a truncated Robin-Laplacian eigenbasis, expands the screened Green's
-function over it, assembles the regularized boundary kernel
-(G_0 - G_q)/q with lumped boundary quadrature weights w, and recovers the
-boundary spectrum through eta -> mu inversion, orthonormal in diag(w), its
-``boundary_mass``. Serves as an independent cross-check of the Schur route.
-The caller builds the two Robin bases (q = 0 and q) once and passes them in;
-a basis whose q or truncation does not match raises ``GreensError``.
+Builds a truncated Robin-Laplacian eigenbasis from one shift-invert Lanczos
+run, expands the screened Green's function over it, assembles the
+regularized boundary kernel (G_0 - G_q)/q with lumped boundary quadrature
+weights w, and recovers the boundary spectrum through eta -> mu inversion,
+orthonormal in diag(w), its ``boundary_mass``. Serves as an independent
+cross-check of the Schur route. The caller builds the two Robin bases
+(q = 0 and q) once and passes them in; a basis whose q or truncation does
+not match raises ``GreensError``, and so does p = 0, where G_0 is singular.
 """
 from __future__ import annotations
 
@@ -14,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import eigh
-from scipy.sparse.linalg import eigsh
+from scipy.linalg import eigh, eigh_tridiagonal
+from scipy.sparse.linalg import splu
 
-from .fem import FemMatrices
+from .fem import SPD_LU_OPTIONS, FemMatrices
 from .dtn import Spectrum, _check_count, _window
 
 
@@ -32,13 +33,36 @@ class RobinEigenbasis:
     modes: np.ndarray         # (n_nodes, m), M-orthonormal columns
 
 
+# the spectral shift: A - _SHIFT*M is SPD for every q >= 0, so its LU needs no
+# pivoting, and the low end of the spectrum maps to the operator's largest values
+_SHIFT = -0.5
+# Lanczos steps at most (and at most the node count). The disk at h = 0.04
+# with m = 131 meets the tolerance after 309-312 steps, at either q
+MAX_LANCZOS_STEPS = 5000
+# the first convergence check comes after 2m + _CHECK_FROM steps, and the
+# next ones every _CHECK_EVERY steps
+_CHECK_FROM, _CHECK_EVERY = 20, 16
+
+
 def robin_eigenbasis(matrices: FemMatrices, q: float, m: int) -> RobinEigenbasis:
     """Lowest m eigenpairs of (K + q*B, M) where B is the boundary mass M_b
     placed into the full node indexing (zero on interior rows/cols).
 
-    Deterministic: fixed shift-invert target and a fixed start vector. Mode
-    signs are left as ARPACK returns them; the Green's function only uses
-    products u_k(x0) u_k(x1).
+    Shift-invert Lanczos (Ericsson & Ruhe, Math. Comp. 35, 1980): one run on
+    ``(A - _SHIFT*M)^-1 M``, A = K + q*B, in the M inner product, never
+    restarted. Each step follows the three-term recurrence with one
+    classical Gram-Schmidt pass against every stored Lanczos vector (Parlett,
+    The Symmetric Eigenvalue Problem, 1980). The run stops when every wanted
+    Ritz pair meets ARPACK's own tolerance, ``|beta_d s_{d,i}| <=
+    eps*|theta_i|``, or when the Krylov space is the whole space; a run that
+    reaches ``MAX_LANCZOS_STEPS`` first raises ``GreensError``.
+
+    Deterministic: the start vector is drawn from a fixed seed (a constant
+    is an exact eigenvector at q = 0 and would end the run at its first
+    step). A one-vector Krylov space holds one direction of an exactly
+    degenerate eigenspace. Mode signs, and the rotation of a pair's vectors,
+    are left as they fall out; the Green's function only uses the sums of
+    products u_k(x0) u_k(x1), which do not depend on them.
     """
     if q < 0:
         raise GreensError("Robin parameter q must be >= 0")
@@ -47,16 +71,50 @@ def robin_eigenbasis(matrices: FemMatrices, q: float, m: int) -> RobinEigenbasis
         raise GreensError(f"truncation m must be in 1..{n - 2}")
     mb = matrices.boundary_mass.tocoo()
     rows, cols = mb.row + matrices.n_interior, mb.col + matrices.n_interior
-    B = sparse.coo_matrix((mb.data, (rows, cols)), shape=(n, n)).tocsr()
-    A = (matrices.stiffness + q * B).tocsc()
-    M = matrices.mass.tocsc()
-    v0 = np.full(n, 1.0 / np.sqrt(n))
+    B = sparse.coo_matrix((mb.data, (rows, cols)), shape=(n, n))
+    M = matrices.mass.tocsr()
     try:
-        w, u = eigsh(A, k=m, M=M, sigma=-0.5, which="LM", v0=v0, maxiter=5000)
-    except Exception as exc:
+        lu = splu((matrices.stiffness + q * B - _SHIFT * M).tocsc(),
+                  permc_spec="MMD_AT_PLUS_A", **SPD_LU_OPTIONS)
+    except RuntimeError as exc:
         raise GreensError(f"Robin eigensolver failed: {exc}") from exc
-    order = np.argsort(w)
-    return RobinEigenbasis(q=float(q), eigenvalues=w[order], modes=u[:, order])
+    theta, vecs = _lanczos(lu.solve, M, m, min(n, MAX_LANCZOS_STEPS))
+    # theta = 1/(lambda - _SHIFT) ascending: the lowest lambda come last
+    return RobinEigenbasis(q=float(q), eigenvalues=_SHIFT + 1.0 / theta[::-1],
+                           modes=vecs[:, ::-1])
+
+
+def _lanczos(solve, M, m: int, cap: int):
+    """The m largest eigenpairs (theta ascending, M-orthonormal vectors) of
+    the M-symmetric operator ``x -> solve(M x)``, in at most ``cap`` steps."""
+    n = M.shape[0]
+    first = 2 * m + _CHECK_FROM
+    Q = np.empty((min(cap, 3 * m + 32), n))  # the Lanczos vectors, one per row
+    alpha, beta = np.empty(cap), np.empty(cap)
+    w = np.random.default_rng(0).standard_normal(n)
+    mw = M @ w
+    norm = np.sqrt(w @ mw)
+    for d in range(1, cap + 1):
+        j = d - 1
+        if j == len(Q):
+            Q = np.concatenate((Q, np.empty((min(j, cap - j), n))))
+        Q[j], mq = w / norm, mw / norm
+        w = solve(mq)
+        alpha[j] = w @ mq
+        w -= alpha[j] * Q[j]
+        if j:
+            w -= beta[j - 1] * Q[j - 1]
+        w -= Q[:d].T @ (Q[:d] @ (M @ w))
+        mw = M @ w
+        norm = beta[j] = np.sqrt(w @ mw)
+        due = d == cap or (d >= first and (d - first) % _CHECK_EVERY == 0)
+        if due and d >= m:
+            theta, s = eigh_tridiagonal(alpha[:d], beta[:j])
+            theta, s = theta[-m:], s[:, -m:]
+            if d == n or np.all(norm * np.abs(s[-1]) <= np.finfo(float).eps * theta):
+                return theta, Q[:d].T @ s
+    raise GreensError(f"Robin eigensolver: the lowest {m} pairs did not converge "
+                      f"in {cap} Lanczos steps")
 
 
 def green_function(basis: RobinEigenbasis, p: float, idx0, idx1=None) -> np.ndarray:
@@ -76,6 +134,14 @@ def green_function(basis: RobinEigenbasis, p: float, idx0, idx1=None) -> np.ndar
     if same:
         g = 0.5 * (g + g.T)  # enforce the symmetry the expansion has exactly
     return g
+
+
+def _check_pressure(p: float) -> None:
+    if p <= 0:
+        raise GreensError(
+            "the Green route needs p > 0: at p = 0, G_0 is the Neumann Green's "
+            "function, singular on the constants"
+        )
 
 
 def _check_basis(basis: RobinEigenbasis, name: str, q: float, m: int | None = None) -> None:
@@ -109,6 +175,7 @@ def dtn_spectrum_via_green(
     """
     if q <= 0:
         raise GreensError("kernel regularization needs q > 0")
+    _check_pressure(p)
     n_b = matrices.n_boundary
     _check_count(count, n_b)
     _check_basis(basis0, "basis0", 0.0, m)
@@ -143,17 +210,11 @@ def extend_via_green(basis0: RobinEigenbasis, spectrum: Spectrum, k: int) -> np.
     q = 0 basis), at the spectrum's p, over its boundary nodes weighted by
     the row sums of its ``boundary_mass``.
 
-    Not applicable at p = 0 for the constant mode (mu_0 = 0); callers use the
-    known constant 1/sqrt(perimeter) there.
+    A spectrum at p = 0 raises ``GreensError``, as ``dtn_spectrum_via_green``
+    does: G_0 is singular there.
     """
     _check_basis(basis0, "basis0", 0.0)
-    p = spectrum.p
-    mu = spectrum.eigenvalues[k]
-    if p == 0.0 and k == 0:
-        raise GreensError(
-            "extension via the Green's function is undefined for p=0, k=0; "
-            "the constant mode is known in closed form"
-        )
+    _check_pressure(spectrum.p)
     w = np.asarray(spectrum.boundary_mass.sum(axis=1)).ravel()
-    g0 = green_function(basis0, p, np.arange(spectrum.n_nodes), spectrum.steklov_nodes)
-    return g0 @ (w * mu * spectrum.vectors[:, k])
+    g0 = green_function(basis0, spectrum.p, np.arange(spectrum.n_nodes), spectrum.steklov_nodes)
+    return g0 @ (w * spectrum.eigenvalues[k] * spectrum.vectors[:, k])

@@ -242,6 +242,39 @@ def test_green_solve_command(tmp_path):
     assert abs(report["eigenvalues"][0] - 0.4464) < 1e-2
 
 
+def test_green_solve_vectors_writes_the_green_extensions(tmp_path):
+    """``green-solve --vectors`` writes the Green route's extensions,
+    ``extend_via_green`` of each mode, in the files of ``solve --vectors``."""
+    from dtnlab import greens
+
+    rc = run_cli("green-solve", "--domain", "disk:R=1", "--h", "0.2", "--p", "1",
+                 "--m", "40", "--count", "3", "--vectors", "--out", str(tmp_path))
+    assert rc == 0
+    msh = meshmod.generate_mesh(geometry.build_domain(geometry.DiskSpec(1.0)), 0.2)
+    matrices = fem.assemble(msh)
+    basis0 = greens.robin_eigenbasis(matrices, 0.0, 40)
+    spec = greens.dtn_spectrum_via_green(matrices, 1.0, 1.0, 40, 3, basis0,
+                                         greens.robin_eigenbasis(matrices, 1.0, 40))
+    files = sorted(tmp_path.glob("eigenvector_*.txt"))
+    assert [f.name for f in files] == [f"eigenvector_{k:03d}.txt" for k in range(3)]
+    for k, f in enumerate(files):
+        assert len(f.read_text().splitlines()) == msh.n_nodes
+        assert np.array_equal(np.loadtxt(f), greens.extend_via_green(basis0, spec, k))
+
+
+def test_green_solve_at_p0_exits_3(tmp_path, capsys):
+    """At p = 0 the Green route's G_0 is singular: a solver failure (exit
+    3) that names the cause, not advice to raise the truncation m."""
+    rc = run_cli("green-solve", "--domain", "disk:R=1", "--h", "0.3", "--p", "0",
+                 "--m", "20", "--count", "2", "--out", str(tmp_path))
+    assert rc == 3
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == (
+        "the Green route needs p > 0: at p = 0, G_0 is the Neumann Green's "
+        "function, singular on the constants"
+    )
+
+
 # every command that takes --count, with a domain and the boundary nodes of its
 # mesh at h = 0.3 (32 on the unit disk, 36 on the 1 x 2 rectangle)
 COUNT_COMMANDS = [

@@ -5,9 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import sparse
+from scipy.linalg import eigh
+from scipy.sparse.linalg import eigsh
 from scipy.special import jnp_zeros
 
-from dtnlab import analytic, greens
+from conftest import four_triangle_square
+from dtnlab import analytic, fem, geometry, greens, mesh as meshmod
 from dtnlab.analysis import ak_coefficients, complete_groups
 from dtnlab.dtn import DtnError
 from dtnlab.greens import (
@@ -35,6 +38,78 @@ def bases(matrices, m, q=1.0):
     return robin_eigenbasis(matrices, 0.0, m), robin_eigenbasis(matrices, q, m)
 
 
+def pencil(matrices, q):
+    """K + q*B and M, with B the boundary mass M_b in the full node indexing
+    (the boundary nodes come last)."""
+    ni = matrices.n_interior
+    B = sparse.block_diag((sparse.csr_matrix((ni, ni)), matrices.boundary_mass))
+    return (matrices.stiffness + q * B).tocsc(), matrices.mass.tocsc()
+
+
+def assert_same_basis(matrices, basis, w, u, tol=1e-12):
+    """``basis`` holds the eigenvalues w, relative to the largest, and the
+    boundary kernel of the modes u, which does not depend on how a pair's
+    vectors are rotated or signed; its modes are M-orthonormal."""
+    assert np.abs(basis.eigenvalues - w).max() <= tol * np.abs(w).max()
+    bidx = np.arange(matrices.n_interior, matrices.n_nodes)
+    ref = (u[bidx] / (1.0 + w)) @ u[bidx].T
+    assert np.abs(green_function(basis, 1.0, bidx) - ref).max() <= tol * np.abs(ref).max()
+    gram = basis.modes.T @ (matrices.mass @ basis.modes)
+    assert np.abs(gram - np.eye(len(w))).max() <= tol
+
+
+COARSE_SHAPES = {
+    "disk": geometry.DiskSpec(1.0),
+    "square": geometry.RectangleSpec(2.0, 2.0),
+    "hexagon": geometry.RegularPolygonSpec(6, 1.0),
+}
+
+
+@pytest.fixture(scope="module", params=list(COARSE_SHAPES))
+def coarse_matrices(request):
+    domain = geometry.build_domain(COARSE_SHAPES[request.param])
+    return fem.assemble(meshmod.generate_mesh(domain, 0.1))
+
+
+@pytest.mark.parametrize("m", [10, 40])
+@pytest.mark.parametrize("q", [0.0, 1.0])
+def test_lanczos_basis_matches_arpack(coarse_matrices, q, m):
+    """The Lanczos basis against ARPACK's shift-invert run at the same shift.
+    The square and the hexagon have eigenvalue pairs split by rounding and
+    mesh asymmetry only, where the pair's vectors differ but the kernel not."""
+    A, M = pencil(coarse_matrices, q)
+    v0 = np.full(A.shape[0], 1.0 / np.sqrt(A.shape[0]))
+    w, u = eigsh(A, k=m, M=M, sigma=-0.5, which="LM", v0=v0)
+    order = np.argsort(w)
+    assert_same_basis(coarse_matrices, robin_eigenbasis(coarse_matrices, q, m),
+                      w[order], u[:, order])
+
+
+@pytest.mark.parametrize("q", [0.0, 1.0])
+@pytest.mark.parametrize("case", ["four-triangle square", "disk h=0.3"])
+def test_lanczos_basis_on_tiny_meshes(q, case):
+    """With m = n - 2 the run reaches the whole space; the five-node
+    square's pair (12, 12 at q = 0) is exactly degenerate, so its Krylov
+    space breaks down early and goes on from rounding."""
+    if case == "disk h=0.3":
+        msh = meshmod.generate_mesh(geometry.build_domain(geometry.DiskSpec(1.0)), 0.3)
+    else:
+        msh = four_triangle_square()
+    matrices = fem.assemble(msh)
+    m = matrices.n_nodes - 2
+    A, M = pencil(matrices, q)
+    w, u = eigh(A.toarray(), M.toarray(), subset_by_index=[0, m - 1])
+    assert_same_basis(matrices, robin_eigenbasis(matrices, q, m), w, u)
+
+
+def test_lanczos_step_cap_raises(disk_matrices, monkeypatch):
+    """A run that reaches the step cap before the wanted pairs converge is a
+    GreensError (exit 3), not a basis of unconverged pairs."""
+    monkeypatch.setattr(greens, "MAX_LANCZOS_STEPS", 30)
+    with pytest.raises(GreensError, match="did not converge in 30 Lanczos steps"):
+        robin_eigenbasis(disk_matrices, 1.0, 20)
+
+
 def test_neumann_constant_mode(disk_matrices, neumann_basis, disk_domain):
     assert abs(neumann_basis.eigenvalues[0]) < 1e-6
     u0 = neumann_basis.modes[:, 0]
@@ -55,10 +130,7 @@ def test_modes_m_orthonormal(disk_matrices, neumann_basis):
 
 
 def test_generalized_residual(disk_matrices, robin_basis):
-    # M_b in the full node indexing: the boundary nodes come last
-    ni = disk_matrices.n_interior
-    B = sparse.block_diag((sparse.csr_matrix((ni, ni)), disk_matrices.boundary_mass))
-    A = disk_matrices.stiffness + 1.0 * B
+    A = pencil(disk_matrices, 1.0)[0]
     norm = np.abs(disk_matrices.stiffness).max()
     for k in (0, 5, 20):
         u = robin_basis.modes[:, k]
@@ -233,12 +305,42 @@ def test_extend_via_green_disk_profile(disk_matrices, disk_mesh):
     assert np.sqrt(np.mean((tr - v) ** 2)) < 2e-2
 
 
+P0_MESSAGE = "the Green route needs p > 0: at p = 0, G_0 is the Neumann Green's function"
+
+
 def test_extend_via_green_p0_k0_excluded(disk_matrices, neumann_basis, robin_basis):
+    """At p = 0 no mode extends, the constant one (k = 0) or any other."""
     spec = dataclasses.replace(
         dtn_spectrum_via_green(disk_matrices, 1.0, 1.0, 40, 2, neumann_basis, robin_basis), p=0.0
     )
-    with pytest.raises(GreensError):
-        extend_via_green(neumann_basis, spec, 0)
+    for k in (0, 1):
+        with pytest.raises(GreensError, match=P0_MESSAGE):
+            extend_via_green(neumann_basis, spec, k)
+
+
+@pytest.mark.parametrize("lambda0", [3.6e-15, -3.2e-15])
+def test_green_route_rejects_p0_whatever_the_sign_of_lambda0(
+    disk_matrices, neumann_basis, robin_basis, monkeypatch, lambda0
+):
+    """G_0 at p = 0 is the singular Neumann kernel. Both Green functions say
+    so before any kernel is formed, whether lambda_0 rounds to a small
+    positive or a small negative number."""
+    basis0 = dataclasses.replace(
+        neumann_basis, eigenvalues=np.r_[lambda0, neumann_basis.eigenvalues[1:]]
+    )
+    spec = dataclasses.replace(
+        dtn_spectrum_via_green(disk_matrices, 1.0, 1.0, 40, 2, basis0, robin_basis), p=0.0
+    )
+
+    def no_kernel(*args, **kwargs):
+        raise AssertionError("formed a kernel at p = 0")
+
+    monkeypatch.setattr(greens, "green_function", no_kernel)
+    for p in (0.0, -1.0):
+        with pytest.raises(GreensError, match=P0_MESSAGE):
+            dtn_spectrum_via_green(disk_matrices, 1.0, p, 40, 2, basis0, robin_basis)
+    with pytest.raises(GreensError, match=P0_MESSAGE):
+        extend_via_green(basis0, spec, 1)
 
 
 
