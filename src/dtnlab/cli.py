@@ -174,6 +174,8 @@ def cmd_green_solve(cfg: argparse.Namespace, rep: Reporter) -> None:
     from . import greens
 
     _, _, matrices = _mesh(cfg, rep)
+    # the p > 0 rule needs no basis: fail (exit 3) before building them
+    greens._check_pressure(cfg.p)
     with rep.time("robin_bases"):
         basis0 = greens.robin_eigenbasis(matrices, 0.0, cfg.m)
         basis_q = greens.robin_eigenbasis(matrices, cfg.q, cfg.m)

@@ -1,7 +1,8 @@
 """Spectral Green's-function route to the same boundary operator.
 
 Builds a truncated Robin-Laplacian eigenbasis from one shift-invert Lanczos
-run, expands the screened Green's function over it, assembles the
+run, whose Gram-Schmidt pass runs in cache-sized blocks of the stored
+vectors, expands the screened Green's function over it, assembles the
 regularized boundary kernel (G_0 - G_q)/q with lumped boundary quadrature
 weights w, and recovers the boundary spectrum through eta -> mu inversion,
 orthonormal in diag(w), its ``boundary_mass``. Serves as an independent
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 from scipy.linalg import eigh, eigh_tridiagonal
+from scipy.linalg.blas import dgemv
 from scipy.sparse.linalg import splu
 
 from .fem import SPD_LU_OPTIONS, FemMatrices
@@ -42,6 +44,10 @@ MAX_LANCZOS_STEPS = 5000
 # the first convergence check comes after 2m + _CHECK_FROM steps, and the
 # next ones every _CHECK_EVERY steps
 _CHECK_FROM, _CHECK_EVERY = 20, 16
+# bytes of stored Lanczos vectors per block of the Gram-Schmidt pass: a block
+# this size stays in cache between its two products, so each stored vector is
+# read from memory once per step, not twice
+_GS_BLOCK_BYTES = 1 << 20
 
 
 def robin_eigenbasis(matrices: FemMatrices, q: float, m: int) -> RobinEigenbasis:
@@ -52,10 +58,14 @@ def robin_eigenbasis(matrices: FemMatrices, q: float, m: int) -> RobinEigenbasis
     ``(A - _SHIFT*M)^-1 M``, A = K + q*B, in the M inner product, never
     restarted. Each step follows the three-term recurrence with one
     classical Gram-Schmidt pass against every stored Lanczos vector (Parlett,
-    The Symmetric Eigenvalue Problem, 1980). The run stops when every wanted
-    Ritz pair meets ARPACK's own tolerance, ``|beta_d s_{d,i}| <=
-    eps*|theta_i|``, or when the Krylov space is the whole space; a run that
-    reaches ``MAX_LANCZOS_STEPS`` first raises ``GreensError``.
+    The Symmetric Eigenvalue Problem, 1980). The pass runs over blocks of
+    about 1 MiB of stored vectors: all its coefficients come from the vector
+    before the pass (Daniel, Gragg, Kaufman & Stewart, Math. Comp. 30, 1976),
+    so each block's two products share one read of it from memory. The run
+    stops when every wanted Ritz pair meets ARPACK's own tolerance,
+    ``|beta_d s_{d,i}| <= eps*|theta_i|``, or when the Krylov space is the
+    whole space; a run that reaches ``MAX_LANCZOS_STEPS`` first raises
+    ``GreensError``.
 
     Deterministic: the start vector is drawn from a fixed seed (a constant
     is an exact eigenvector at q = 0 and would end the run at its first
@@ -89,6 +99,7 @@ def _lanczos(solve, M, m: int, cap: int):
     the M-symmetric operator ``x -> solve(M x)``, in at most ``cap`` steps."""
     n = M.shape[0]
     first = 2 * m + _CHECK_FROM
+    rows = max(1, _GS_BLOCK_BYTES // (8 * n))
     Q = np.empty((min(cap, 3 * m + 32), n))  # the Lanczos vectors, one per row
     alpha, beta = np.empty(cap), np.empty(cap)
     w = np.random.default_rng(0).standard_normal(n)
@@ -104,7 +115,11 @@ def _lanczos(solve, M, m: int, cap: int):
         w -= alpha[j] * Q[j]
         if j:
             w -= beta[j - 1] * Q[j - 1]
-        w -= Q[:d].T @ (Q[:d] @ (M @ w))
+        # one classical Gram-Schmidt pass, block by block, w updated in place
+        mw = M @ w
+        for k0 in range(0, d, rows):
+            Qk = Q[k0:min(k0 + rows, d)].T  # Fortran-ordered: dgemv makes no copy
+            w = dgemv(-1.0, Qk, dgemv(1.0, Qk, mw, trans=1), beta=1.0, y=w, overwrite_y=1)
         mw = M @ w
         norm = beta[j] = np.sqrt(w @ mw)
         due = d == cap or (d >= first and (d - first) % _CHECK_EVERY == 0)

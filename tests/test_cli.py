@@ -275,6 +275,21 @@ def test_green_solve_at_p0_exits_3(tmp_path, capsys):
     )
 
 
+def test_green_solve_at_p0_exits_3_before_the_bases(tmp_path, capsys, monkeypatch):
+    """The p > 0 rule fails the run before either Robin basis is built."""
+    from dtnlab import greens
+
+    def called(*args, **kwargs):
+        raise AssertionError("a Robin basis was built at p = 0")
+
+    monkeypatch.setattr(greens, "robin_eigenbasis", called)
+    rc = run_cli("green-solve", "--domain", "disk:R=1", "--h", "0.3", "--p", "0",
+                 "--m", "20", "--count", "2", "--out", str(tmp_path))
+    assert rc == 3
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"].startswith("the Green route needs p > 0")
+
+
 # every command that takes --count, with a domain and the boundary nodes of its
 # mesh at h = 0.3 (32 on the unit disk, 36 on the 1 x 2 rectangle)
 COUNT_COMMANDS = [
