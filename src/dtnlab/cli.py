@@ -192,6 +192,10 @@ def cmd_green_solve(cfg: argparse.Namespace, rep: Reporter) -> None:
     rep.payload["method"] = "green"
     rep.payload["green_q"] = cfg.q
     rep.payload["green_m"] = cfg.m
+    rep.payload["robin_bases"] = {
+        name: {"q": b.q, "shift": b.shift, "below": b.below, "steps": b.steps}
+        for name, b in (("basis0", basis0), ("basis_q", basis_q))
+    }
 
 
 def cmd_validate_disk(cfg: argparse.Namespace, rep: Reporter) -> None:

@@ -1,8 +1,9 @@
 """Spectral Green's-function route to the same boundary operator.
 
 Builds a truncated Robin-Laplacian eigenbasis from one shift-invert Lanczos
-run, whose Gram-Schmidt pass runs in cache-sized blocks of the stored
-vectors, expands the screened Green's function over it, assembles the
+run, its shift inside the wanted window with an inertia count of the
+eigenvalues below it, and its Gram-Schmidt pass in cache-sized blocks of the
+stored vectors, expands the screened Green's function over it, assembles the
 regularized boundary kernel (G_0 - G_q)/q with lumped boundary quadrature
 weights w, and recovers the boundary spectrum through eta -> mu inversion,
 orthonormal in diag(w), its ``boundary_mass``. Serves as an independent
@@ -33,15 +34,20 @@ class RobinEigenbasis:
     q: float
     eigenvalues: np.ndarray   # (m,) ascending
     modes: np.ndarray         # (n_nodes, m), M-orthonormal columns
+    shift: float              # the Lanczos run's spectral shift sigma
+    below: int                # eigenvalues below the shift, by inertia count
+    steps: int                # Lanczos steps the run took
 
 
-# the spectral shift: A - _SHIFT*M is SPD for every q >= 0, so its LU needs no
-# pivoting, and the low end of the spectrum maps to the operator's largest values
+# the fallback shift: A - _SHIFT*M is SPD for every q >= 0, so no eigenvalue
+# lies below it and the low end of the spectrum maps to the operator's largest
+# values
 _SHIFT = -0.5
 # Lanczos steps at most (and at most the node count). The disk at h = 0.04
-# with m = 131 meets the tolerance after 309-312 steps, at either q
+# with m = 131 meets the tolerance after 232 steps from its window shift, at
+# either q, and after 312 from _SHIFT
 MAX_LANCZOS_STEPS = 5000
-# the first convergence check comes after 2m + _CHECK_FROM steps, and the
+# the first convergence check comes after 1.5m + _CHECK_FROM steps, and the
 # next ones every _CHECK_EVERY steps
 _CHECK_FROM, _CHECK_EVERY = 20, 16
 # bytes of stored Lanczos vectors per block of the Gram-Schmidt pass: a block
@@ -54,15 +60,29 @@ def robin_eigenbasis(matrices: FemMatrices, q: float, m: int) -> RobinEigenbasis
     """Lowest m eigenpairs of (K + q*B, M) where B is the boundary mass M_b
     placed into the full node indexing (zero on interior rows/cols).
 
-    Shift-invert Lanczos (Ericsson & Ruhe, Math. Comp. 35, 1980): one run on
-    ``(A - _SHIFT*M)^-1 M``, A = K + q*B, in the M inner product, never
-    restarted. Each step follows the three-term recurrence with one
-    classical Gram-Schmidt pass against every stored Lanczos vector (Parlett,
-    The Symmetric Eigenvalue Problem, 1980). The pass runs over blocks of
-    about 1 MiB of stored vectors: all its coefficients come from the vector
+    Shift-invert Lanczos (Ericsson & Ruhe, Math. Comp. 35, 1980) with the
+    shift inside the wanted window (Grimes, Lewis & Simon, SIAM J. Matrix
+    Anal. Appl. 15, 1994): one run on ``(A - sigma*M)^-1 M``, A = K + q*B, in
+    the M inner product, never restarted. sigma is half the two-term Weyl
+    estimate of lambda_m, ``m = |Omega| lam/(4 pi) + |dOmega| sqrt(lam)/(4 pi)``
+    with ``|Omega| = 1'M1`` and ``|dOmega| = 1'M_b1``, so the wanted
+    eigenvalues map to both ends of the operator's spectrum, and the
+    unwanted ones crowd at 0 between them. An unpivoted LU factor of the
+    symmetric ``A - sigma*M`` is its LDL' factor, U's diagonal D: by
+    Sylvester's law of inertia, its negative pivots count ``below``, the
+    eigenvalues under sigma. When that count is m or more (small m), or
+    SuperLU pivoted, so that the count is not an inertia, the run falls back
+    to ``_SHIFT``, below the whole spectrum, with ``below = 0``. The run
+    solves with a second, pivoted factor of the same matrix.
+
+    Each step follows the three-term recurrence with one classical
+    Gram-Schmidt pass against every stored Lanczos vector (Parlett, The
+    Symmetric Eigenvalue Problem, 1980). The pass runs over blocks of about
+    1 MiB of stored vectors: all its coefficients come from the vector
     before the pass (Daniel, Gragg, Kaufman & Stewart, Math. Comp. 30, 1976),
     so each block's two products share one read of it from memory. The run
-    stops when every wanted Ritz pair meets ARPACK's own tolerance,
+    stops when exactly ``below`` Ritz values are negative and each wanted
+    one (those, and the ``m - below`` largest) meets ARPACK's own tolerance,
     ``|beta_d s_{d,i}| <= eps*|theta_i|``, or when the Krylov space is the
     whole space; a run that reaches ``MAX_LANCZOS_STEPS`` first raises
     ``GreensError``.
@@ -83,28 +103,40 @@ def robin_eigenbasis(matrices: FemMatrices, q: float, m: int) -> RobinEigenbasis
     rows, cols = mb.row + matrices.n_interior, mb.col + matrices.n_interior
     B = sparse.coo_matrix((mb.data, (rows, cols)), shape=(n, n))
     M = matrices.mass.tocsr()
+    A = matrices.stiffness + q * B
+    # sqrt(lambda_m) from Weyl's law: area*s^2 + perimeter*s - 4 pi m = 0
+    area, perimeter = M.sum(), matrices.boundary_mass.sum()
+    root = (np.sqrt(perimeter**2 + 16 * np.pi * area * m) - perimeter) / (2 * area)
+    shift = root**2 / 2
     try:
-        lu = splu((matrices.stiffness + q * B - _SHIFT * M).tocsc(),
-                  permc_spec="MMD_AT_PLUS_A", **SPD_LU_OPTIONS)
+        lu = splu((A - shift * M).tocsc(), permc_spec="MMD_AT_PLUS_A", **SPD_LU_OPTIONS)
+        below = int(np.count_nonzero(lu.U.diagonal() < 0))
+        if below >= m or not np.array_equal(lu.perm_r, lu.perm_c):
+            shift, below = _SHIFT, 0
+        lu = splu((A - shift * M).tocsc(), permc_spec="MMD_AT_PLUS_A",
+                  diag_pivot_thresh=1.0, options=dict(SymmetricMode=True))
     except RuntimeError as exc:
         raise GreensError(f"Robin eigensolver failed: {exc}") from exc
-    theta, vecs = _lanczos(lu.solve, M, m, min(n, MAX_LANCZOS_STEPS))
-    # theta = 1/(lambda - _SHIFT) ascending: the lowest lambda come last
-    return RobinEigenbasis(q=float(q), eigenvalues=_SHIFT + 1.0 / theta[::-1],
-                           modes=vecs[:, ::-1])
+    theta, vecs, steps = _lanczos(lu.solve, M, m, min(n, MAX_LANCZOS_STEPS), below)
+    lam = shift + 1.0 / theta
+    order = np.argsort(lam)
+    return RobinEigenbasis(q=float(q), eigenvalues=lam[order], modes=vecs[:, order],
+                           shift=float(shift), below=below, steps=steps)
 
 
-def _lanczos(solve, M, m: int, cap: int):
-    """The m largest eigenpairs (theta ascending, M-orthonormal vectors) of
-    the M-symmetric operator ``x -> solve(M x)``, in at most ``cap`` steps."""
+def _lanczos(solve, M, m: int, cap: int, below: int):
+    """The m wanted eigenpairs of the M-symmetric operator ``x -> solve(M x)``,
+    its ``below`` negative ones and its ``m - below`` largest, in at most
+    ``cap`` steps: (theta ascending, M-orthonormal vectors, steps taken)."""
     n = M.shape[0]
-    first = 2 * m + _CHECK_FROM
+    first = 3 * m // 2 + _CHECK_FROM
     rows = max(1, _GS_BLOCK_BYTES // (8 * n))
     Q = np.empty((min(cap, 3 * m + 32), n))  # the Lanczos vectors, one per row
     alpha, beta = np.empty(cap), np.empty(cap)
     w = np.random.default_rng(0).standard_normal(n)
     mw = M @ w
     norm = np.sqrt(w @ mw)
+    found = below
     for d in range(1, cap + 1):
         j = d - 1
         if j == len(Q):
@@ -125,11 +157,18 @@ def _lanczos(solve, M, m: int, cap: int):
         due = d == cap or (d >= first and (d - first) % _CHECK_EVERY == 0)
         if due and d >= m:
             theta, s = eigh_tridiagonal(alpha[:d], beta[:j])
-            theta, s = theta[-m:], s[:, -m:]
-            if d == n or np.all(norm * np.abs(s[-1]) <= np.finfo(float).eps * theta):
-                return theta, Q[:d].T @ s
+            # fewer negative Ritz values than the inertia count is a wanted
+            # pair not yet found, more is one not yet converged
+            found = np.count_nonzero(theta < 0)
+            if found != below:
+                continue
+            wanted = np.r_[:below, d - m + below:d]
+            theta, s = theta[wanted], s[:, wanted]
+            if d == n or np.all(norm * np.abs(s[-1]) <= np.finfo(float).eps * np.abs(theta)):
+                return theta, Q[:d].T @ s, d
+    count = "" if found == below else f" ({found} Ritz values below the shift, {below} by inertia)"
     raise GreensError(f"Robin eigensolver: the lowest {m} pairs did not converge "
-                      f"in {cap} Lanczos steps")
+                      f"in {cap} Lanczos steps{count}")
 
 
 def green_function(basis: RobinEigenbasis, p: float, idx0, idx1=None) -> np.ndarray:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -17,6 +19,23 @@ PARTITION_ARCS = [
     [(0, 0.25, "neumann_zero"), (0.25, 0.6, "steklov"), (0.6, 0.8, "dirichlet_zero"),
      (0.8, 1.0, "steklov")],
 ]
+
+
+def star_polygon(angles, radii):
+    """The polygon with vertices at ``radii`` along the sorted ``angles``,
+    star-shaped about the origin, coordinates rounded to 4 decimals."""
+    return geometry.PolygonSpec(tuple(
+        (round(r * math.cos(t), 4), round(r * math.sin(t), 4))
+        for t, r in zip(sorted(angles), radii)
+    ))
+
+
+def seeded_star_polygon(seed):
+    """Pinned star polygon ``seed`` (of 30): 5 to 12 vertices at radii in
+    [0.5, 1]."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(5, 13))
+    return star_polygon(rng.uniform(0, 2 * np.pi, n), rng.uniform(0.5, 1.0, n))
 
 
 def partition_of(n, arcs):

@@ -242,6 +242,24 @@ def test_green_solve_command(tmp_path):
     assert abs(report["eigenvalues"][0] - 0.4464) < 1e-2
 
 
+def test_green_solve_reports_both_lanczos_runs(tmp_path):
+    """``report.json`` gives each Robin basis's shift, its inertia count of
+    the eigenvalues below the shift and its Lanczos steps. On the disk at
+    h = 0.2 with m = 40 both runs shift inside the wanted window."""
+    from dtnlab import greens
+
+    rc = run_cli("green-solve", "--domain", "disk:R=1", "--h", "0.2", "--p", "1",
+                 "--m", "40", "--count", "5", "--out", str(tmp_path))
+    assert rc == 0
+    runs = json.loads((tmp_path / "report.json").read_text())["robin_bases"]
+    matrices = fem.assemble(meshmod.generate_mesh(geometry.build_domain(geometry.DiskSpec(1.0)), 0.2))
+    for name, q in (("basis0", 0.0), ("basis_q", 1.0)):
+        basis = greens.robin_eigenbasis(matrices, q, 40)
+        assert runs[name] == {"q": q, "shift": basis.shift, "below": basis.below,
+                              "steps": basis.steps}
+        assert basis.below > 0
+
+
 def test_green_solve_vectors_writes_the_green_extensions(tmp_path):
     """``green-solve --vectors`` writes the Green route's extensions,
     ``extend_via_green`` of each mode, in the files of ``solve --vectors``."""

@@ -9,7 +9,7 @@ from scipy.linalg import eigh
 from scipy.sparse.linalg import eigsh
 from scipy.special import jnp_zeros
 
-from conftest import four_triangle_square
+from conftest import four_triangle_square, seeded_star_polygon
 from dtnlab import analytic, fem, geometry, greens, mesh as meshmod
 from dtnlab.analysis import ak_coefficients, complete_groups
 from dtnlab.dtn import DtnError
@@ -21,6 +21,7 @@ from dtnlab.greens import (
     green_function,
     robin_eigenbasis,
 )
+from dtnlab.pipeline import solve
 
 
 @pytest.fixture(scope="module")
@@ -46,16 +47,19 @@ def pencil(matrices, q):
     return (matrices.stiffness + q * B).tocsc(), matrices.mass.tocsc()
 
 
-def assert_same_basis(matrices, basis, w, u, tol=1e-12):
-    """``basis`` holds the eigenvalues w, relative to the largest, and the
-    boundary kernel of the modes u, which does not depend on how a pair's
-    vectors are rotated or signed; its modes are M-orthonormal."""
-    assert np.abs(basis.eigenvalues - w).max() <= tol * np.abs(w).max()
+def assert_same_basis(matrices, basis, w, u, tol=1e-12, scale=None):
+    """``basis`` holds the eigenvalues w, relative to the largest (or to
+    ``scale``), and the boundary kernel of the modes u, which does not depend
+    on how a pair's vectors are rotated or signed; its modes are
+    M-orthonormal, and ``below`` of its eigenvalues lie under its shift."""
+    scale = np.abs(w).max() if scale is None else scale
+    assert np.abs(basis.eigenvalues - w).max() <= tol * scale
     bidx = np.arange(matrices.n_interior, matrices.n_nodes)
     ref = (u[bidx] / (1.0 + w)) @ u[bidx].T
     assert np.abs(green_function(basis, 1.0, bidx) - ref).max() <= tol * np.abs(ref).max()
     gram = basis.modes.T @ (matrices.mass @ basis.modes)
     assert np.abs(gram - np.eye(len(w))).max() <= tol
+    assert np.count_nonzero(basis.eigenvalues < basis.shift) == basis.below
 
 
 COARSE_SHAPES = {
@@ -118,6 +122,68 @@ def test_lanczos_step_cap_raises(disk_matrices, monkeypatch):
     monkeypatch.setattr(greens, "MAX_LANCZOS_STEPS", 30)
     with pytest.raises(GreensError, match="did not converge in 30 Lanczos steps"):
         robin_eigenbasis(disk_matrices, 1.0, 20)
+
+
+@pytest.fixture(scope="module")
+def coarse_disk():
+    return fem.assemble(meshmod.generate_mesh(geometry.build_domain(geometry.DiskSpec(1.0)), 0.1))
+
+
+def dense_pairs(matrices, q, m):
+    """The lowest m eigenpairs of (K + q*B, M) from a dense ``eigh``."""
+    A, M = pencil(matrices, q)
+    return eigh(A.toarray(), M.toarray(), subset_by_index=[0, m - 1])
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_small_m_falls_back_below_the_spectrum(coarse_disk, m):
+    """At q = 0 the Weyl shift for m = 1 (0.76) lies above lambda_0 = 0, and
+    the one for m = 3 (3.3974) above the mesh's pair 3.3949, 3.3950: no
+    wanted pair is left above it, so the run takes the shift -0.5 with none
+    below, and matches a dense ``eigh``, relative to lambda_2 (lambda_0 is
+    rounding)."""
+    basis = robin_eigenbasis(coarse_disk, 0.0, m)
+    assert (basis.shift, basis.below) == (greens._SHIFT, 0)
+    w, u = dense_pairs(coarse_disk, 0.0, 3)
+    assert_same_basis(coarse_disk, basis, w[:m], u[:, :m], scale=w[2])
+
+
+def test_pivoted_count_falls_back_below_the_spectrum(coarse_disk, monkeypatch):
+    """A count factor in which SuperLU pivoted is no inertia count: the run
+    falls back to the shift -0.5 with none below. It matches a dense ``eigh``
+    as the window run does, in 128 steps against the window run's 96."""
+    window = robin_eigenbasis(coarse_disk, 1.0, 40)
+    splu = greens.splu
+
+    class Pivoted:
+        def __init__(self, lu):
+            self.U, self.perm_c, self.perm_r = lu.U, lu.perm_c, np.roll(lu.perm_r, 1)
+
+    def pivoting_count(a, **options):
+        lu = splu(a, **options)
+        return Pivoted(lu) if options["diag_pivot_thresh"] == 0.0 else lu
+
+    monkeypatch.setattr(greens, "splu", pivoting_count)
+    basis = robin_eigenbasis(coarse_disk, 1.0, 40)
+    assert (basis.shift, basis.below) == (greens._SHIFT, 0)
+    assert window.below > 0 and window.steps < basis.steps
+    w, u = dense_pairs(coarse_disk, 1.0, 40)
+    for b in (window, basis):
+        assert_same_basis(coarse_disk, b, w, u)
+
+
+@pytest.mark.parametrize("error", [-1, 1])
+def test_wrong_inertia_count_raises(coarse_disk, monkeypatch, error):
+    """A run told one eigenvalue too few or too many below the shift never
+    sees that many negative Ritz values once every pair below is found. It
+    runs to the whole space and raises, rather than return a basis that
+    lacks a pair and holds the next one above in its place."""
+    lanczos = greens._lanczos
+    monkeypatch.setattr(greens, "_lanczos", lambda solve, M, m, cap, below:
+                        lanczos(solve, M, m, cap, below + error))
+    n = coarse_disk.n_nodes
+    with pytest.raises(GreensError, match=rf"in {n} Lanczos steps \(\d+ Ritz values below"):
+        robin_eigenbasis(coarse_disk, 1.0, 40)
 
 
 def test_neumann_constant_mode(disk_matrices, neumann_basis, disk_domain):
@@ -189,6 +255,32 @@ def test_green_route_matches_schur_route(disk_matrices, disk_solution):
     spec = dtn_spectrum_via_green(disk_matrices, 1.0, 1.0, 120, 7, *bases(disk_matrices, 120))
     fem_mu = disk_solution.spectrum.eigenvalues[:7]
     assert np.abs(spec.eigenvalues - fem_mu).max() < 5e-3
+
+
+# the 30 pinned star polygons at the coarser of their two mesh sizes, the
+# sharp triangle's graded mesh, and the 8 x 0.2 strip, where the Weyl shift is
+# poor: the strip's low spectrum is one-dimensional, its m = 10 Weyl estimate
+# 26.1 against lambda_9 = 12.5, so its q = 0 basis falls back below the
+# spectrum
+ROUTE_SHAPES = [
+    *(pytest.param(seeded_star_polygon(seed), 0.08, 40, id=f"star{seed}") for seed in range(30)),
+    pytest.param(geometry.RectangleSpec(8.0, 0.2), 0.08, 10, id="strip"),
+    pytest.param(geometry.TriangleSpec(), 0.05, 40, id="sharp-triangle"),
+]
+
+
+@pytest.mark.parametrize("spec, h, m", ROUTE_SHAPES)
+def test_schur_and_green_routes_agree(spec, h, m):
+    """The Green route (q = 1, m modes) gives the Schur route's 6 lowest mu
+    at p = 1 and 10, up to its truncation and lumped weights: measured at
+    most 1.6e-2 of the largest on the stars, 1.1e-2 on the sharp triangle
+    and 3.2e-3 on the strip."""
+    matrices = fem.assemble(meshmod.generate_mesh(geometry.build_domain(spec), h))
+    basis0, basis_q = bases(matrices, m)
+    for p in (1.0, 10.0):
+        mu = solve(matrices, p, 6)[1].eigenvalues
+        green = dtn_spectrum_via_green(matrices, 1.0, p, m, 6, basis0, basis_q).eigenvalues
+        assert np.abs(green - mu).max() <= 3e-2 * mu.max()
 
 
 def test_green_route_weighted_normalization(disk_matrices):

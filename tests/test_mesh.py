@@ -20,7 +20,7 @@ from dtnlab.mesh import (
 )
 from dtnlab.pipeline import solve
 
-from conftest import four_triangle_square
+from conftest import four_triangle_square, seeded_star_polygon, star_polygon
 
 
 def test_disk_mesh_invariants(disk_domain, disk_mesh):
@@ -382,15 +382,6 @@ def test_flat_hull_simplices_stay_out_of_the_mesh(caplog):
             assert "non-positive" not in record.getMessage(), record.getMessage()
 
 
-def _star_polygon(angles, radii):
-    """The polygon with vertices at ``radii`` along the sorted ``angles``,
-    star-shaped about the origin, coordinates rounded to 4 decimals."""
-    return geometry.PolygonSpec(tuple(
-        (round(r * math.cos(t), 4), round(r * math.sin(t), 4))
-        for t, r in zip(sorted(angles), radii)
-    ))
-
-
 def _mesh_checking_ccw(dom, h):
     """Mesh ``dom`` at ``h`` and check the result and every triangulation
     the mesher keeps on the way: CCW on the simplices that are not flat."""
@@ -417,7 +408,7 @@ STAR_SHAPES = st.integers(5, 12).flatmap(lambda n: st.tuples(
 
 def _star_domain(shape):
     try:
-        return geometry.build_domain(_star_polygon(*shape))
+        return geometry.build_domain(star_polygon(*shape))
     except geometry.GeometryError:
         assume(False)
 
@@ -563,10 +554,7 @@ def test_short_edge_fails_every_attempt(h, eps):
 def test_seeded_star_polygons_mesh_ccw(seed):
     # a third of these put straight sides on the hull, where qhull returns
     # flat simplices of collinear samples
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(5, 13))
-    spec = _star_polygon(rng.uniform(0, 2 * np.pi, n), rng.uniform(0.5, 1.0, n))
-    _mesh_checking_ccw(geometry.build_domain(spec), (0.05, 0.08)[seed % 2])
+    _mesh_checking_ccw(geometry.build_domain(seeded_star_polygon(seed)), (0.05, 0.08)[seed % 2])
 
 
 def _step0(monkeypatch, dom, h, scale):
