@@ -2,8 +2,11 @@
 
 Each case runs in a fresh process with one BLAS thread: mesh (with its
 retries and validation), assemble, factor, Schur, eigh and extensions, timed
-one by one, then the node count, n_b, the stored entries of the factor the
-solve keeps (nnz(L + U)) and the process's peak RSS (``ru_maxrss``).
+one by one, then the node count, n_b, the entries of the fronts the factor
+keeps (every front's pivot block and update rows, ``InteriorFactor.panels``)
+and the process's peak RSS (``ru_maxrss``). The assemble stage includes the
+mesh's front plan (``fem.front_plan``); a second call of it, after the solve,
+gives the plan's own seconds.
 ``--quick`` runs the same cases on coarse meshes, in a few seconds.
 ``--rounds N`` runs every case N times, a fresh process each, the cases
 interleaved (all cases once, then all again), and reports each stage's
@@ -37,7 +40,7 @@ CASES = {
     "triangle": ("criterion 5", 0.003, 0.04, 1e3, 9),
     "octagon": ("criterion 5", 0.005, 0.05, 1e3, 18),
 }
-STAGES = ("mesh", "assemble", "factor", "schur", "eigh", "extensions")
+STAGES = ("mesh", "assemble", "plan", "factor", "schur", "eigh", "extensions")
 BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -72,10 +75,11 @@ def run_case(name: str, quick: bool) -> dict:
     op = timed("schur", dtn.build_dtn, factor)
     spectrum = timed("eigh", dtn.eigensolve, op, count)
     timed("extensions", dtn.attach_extensions, spectrum, factor)
+    timed("plan", fem.front_plan, msh, mats.stiffness)
     return {
         "h": h, "p": p, "count": count, "seconds": seconds,
         "nodes": msh.n_nodes, "n_b": msh.n_boundary,
-        "kept_nnz": int(factor.lu.L.nnz + factor.lu.U.nnz),
+        "kept_nnz": int(factor.panels.size),
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         "eigenvalues": spectrum.eigenvalues.tolist(),
     }

@@ -458,13 +458,13 @@ _COMMANDS = {
 
 
 def _p_list(text: str) -> list[float]:
-    """A comma-separated list of pressures, each >= 0."""
+    """A comma-separated list of pressures, each finite and >= 0."""
     try:
         values = [float(t) for t in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma list of numbers: {text!r}") from None
-    if not all(p >= 0 for p in values):
-        raise argparse.ArgumentTypeError(f"every p must be >= 0: {text!r}")
+    if not all(0 <= p < math.inf for p in values):
+        raise argparse.ArgumentTypeError(f"every p must be finite and >= 0: {text!r}")
     return values
 
 
@@ -504,13 +504,14 @@ _CHECKS = (
     ("domain", lambda c: bool(c.domain), "this command requires --domain"),
     ("h", lambda c: c.h > 0, "h must be positive"),
     ("count", lambda c: c.count >= 1, "count must be >= 1"),
-    ("p", lambda c: c.p >= 0, "p must be >= 0"),
-    ("p_min", lambda c: 0 < c.p_min < c.p_max, "the sweep needs 0 < p-min < p-max"),
+    ("p", lambda c: 0 <= c.p < math.inf, "p must be finite and >= 0"),
+    ("p_min", lambda c: 0 < c.p_min < c.p_max < math.inf,
+     "the sweep needs 0 < p-min < p-max, both finite"),
     ("n_p", lambda c: c.n_p >= 1, "n-p must be >= 1"),
     ("k", lambda c: c.k >= 0, "k must be >= 0"),
     ("m", lambda c: c.m >= 1, "m must be >= 1"),
-    ("q", lambda c: c.q > 0, "q must be positive"),
-    ("dp", lambda c: c.dp is None or c.dp > 0, "dp must be positive"),
+    ("q", lambda c: 0 < c.q < math.inf, "q must be positive and finite"),
+    ("dp", lambda c: c.dp is None or 0 < c.dp < math.inf, "dp must be positive and finite"),
     ("dp", _norms_step_fits, "the central difference in p needs p - dp >= 0"),
     ("bin_width", lambda c: c.bin_width is None or c.bin_width > 0, "bin-width must be positive"),
 )

@@ -1,7 +1,8 @@
 """Discrete Dirichlet-to-Neumann spectrum from the pencil S v = mu M_b v.
 
-The boundary Schur complement S comes from the U12 block of the factor's
-LU (``fem.InteriorFactor.schur``). The operator is never formed as M_b^{-1} S;
+The boundary Schur complement S comes from the root of the factor's partial
+Cholesky factorization, the boundary nodes that it never eliminates
+(``fem.InteriorFactor.schur``). The operator is never formed as M_b^{-1} S;
 eigenpairs come from the symmetric pencil (S, M_b), which is mathematically
 identical and keeps eigenvalues real and eigenvectors M_b-orthogonal in
 floating point. A ``Spectrum`` carries the Gram matrix its vectors are

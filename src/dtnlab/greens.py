@@ -21,7 +21,7 @@ from scipy.linalg import eigh, eigh_tridiagonal
 from scipy.linalg.blas import dgemv
 from scipy.sparse.linalg import splu
 
-from .fem import SPD_LU_OPTIONS, FemMatrices
+from .fem import FemMatrices
 from .dtn import Spectrum, _check_count, _window
 
 
@@ -38,6 +38,10 @@ class RobinEigenbasis:
     below: int                # eigenvalues below the shift, by inertia count
     steps: int                # Lanczos steps the run took
 
+
+# SuperLU options of the inertia-count factor: no pivoting (the diagonal
+# stays the pivot wherever it is nonzero) on a symmetric structure
+SPD_LU_OPTIONS = dict(diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
 
 # the fallback shift: A - _SHIFT*M is SPD for every q >= 0, so no eigenvalue
 # lies below it and the low end of the spectrum maps to the operator's largest

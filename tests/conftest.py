@@ -44,6 +44,18 @@ def partition_of(n, arcs):
     )
 
 
+def reference_blocks(mats, p, partition=None):
+    """A_uu (CSC), A_ud and dense A_dd of A = p*M + K, and the unknowns u (the
+    interior, then the neumann_zero nodes), with d the data (steklov) nodes:
+    built from the partition alone, apart from any factor."""
+    roles = np.zeros(mats.n_boundary, dtype=np.int8) if partition is None else partition.roles
+    ni = mats.n_interior
+    u = np.concatenate([np.arange(ni), ni + np.flatnonzero(roles == fem.NEUMANN_ZERO)])
+    d = ni + np.flatnonzero(roles == fem.STEKLOV)
+    A = (p * mats.mass + mats.stiffness).tocsr()
+    return A[u][:, u].tocsc(), A[u][:, d], A[d][:, d].toarray(), u
+
+
 # one line per acceptance criterion, echoed in the terminal summary
 ACCEPTANCE_LINES: list[str] = []
 

@@ -433,10 +433,29 @@ def test_config_file_overrides(tmp_path):
     assert report["config"]["h"] == 0.15
 
 
-def test_error_exit_codes(tmp_path, capsys):
+def test_error_exit_codes(tmp_path, capsys, monkeypatch):
     assert run_cli("solve", "--domain", "blob:z=1", "--out", str(tmp_path)) == 2
     record = json.loads(capsys.readouterr().err.strip())
     assert record["exit_code"] == 2
+
+    # an infinite p or q is a bad setting: exit 2 before anything is meshed
+    # (a bad --p-list is an argparse error, which exits through SystemExit)
+    def no_mesh(*args, **kwargs):
+        raise AssertionError("meshed the domain")
+
+    def exit_code(*args):
+        try:
+            return run_cli(*args)
+        except SystemExit as exc:
+            return exc.code
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli.meshmod, "generate_mesh", no_mesh)
+        for command, flag, value in [("solve", "--p", "inf"), ("ak", "--p-list", "1,inf"),
+                                     ("green-solve", "--q", "inf")]:
+            assert exit_code(command, "--domain", "disk:R=1", "--h", "0.2", flag, value,
+                             "--out", str(tmp_path)) == 2
+            assert "finite" in capsys.readouterr().err
 
     assert run_cli("solve", "--domain", "disk:R=1", "--h", "-1",
                    "--out", str(tmp_path)) == 2

@@ -22,16 +22,20 @@ def loaded_after(code: str, candidates) -> list[str]:
 
 
 def test_import_loads_the_solve_path_only():
-    heavy = ["scipy.optimize", "scipy.integrate", "dtnlab.analysis", "dtnlab.cli"]
+    """The solve path factors with scipy.linalg's BLAS and LAPACK; SuperLU
+    (scipy.sparse.linalg) serves only the Green route."""
+    heavy = ["scipy.optimize", "scipy.integrate", "scipy.sparse.linalg", "dtnlab.analysis",
+             "dtnlab.cli"]
     assert loaded_after("import dtnlab", heavy) == []
-    assert loaded_after("import dtnlab", ["dtnlab.pipeline", "scipy.sparse.linalg"]) == [
-        "dtnlab.pipeline", "scipy.sparse.linalg"]
+    assert loaded_after("import dtnlab", ["dtnlab.pipeline", "scipy.linalg"]) == [
+        "dtnlab.pipeline", "scipy.linalg"]
 
 
 def test_solve_command_loads_no_analysis_module(tmp_path):
     code = ("from dtnlab import cli\n"
             f"assert cli.main(['solve', '--domain', 'disk:R=1', '--h', '0.3', '--count', '2', "
             f"'--out', {str(tmp_path)!r}]) == 0")
-    unwanted = ["dtnlab.analysis", "dtnlab.conjecture", "dtnlab.greens", "scipy.optimize"]
+    unwanted = ["dtnlab.analysis", "dtnlab.conjecture", "dtnlab.greens", "scipy.optimize",
+                "scipy.sparse.linalg"]
     assert loaded_after(code, unwanted) == []
     assert (tmp_path / "eigenvalues.csv").exists()

@@ -18,15 +18,7 @@ from dtnlab.fem import BoundaryPartition, FemError, assemble, factor_interior, s
 from dtnlab.mesh import Mesh, generate_mesh
 from dtnlab.pipeline import solve, solve_steklov
 
-from conftest import PARTITION_ARCS, four_triangle_square, partition_of
-
-
-def reference_blocks(mats, fac):
-    """A_uu (CSC), A_ud and A_dd of A = p*M + K (u unknowns, d data nodes),
-    built apart from the factor."""
-    A = (fac.p * mats.mass + mats.stiffness).tocsr()
-    u, s = fac.unknown_nodes, fac.data_nodes
-    return A[u][:, u].tocsc(), A[u][:, s], A[s][:, s].toarray()
+from conftest import PARTITION_ARCS, four_triangle_square, partition_of, reference_blocks
 
 
 def test_schur_matches_dense_brute_force():
@@ -52,10 +44,12 @@ def test_schur_matches_dense_brute_force():
 
 @pytest.mark.parametrize("arcs", PARTITION_ARCS)
 def test_schur_elimination_matches_interior_solves(disk_matrices, arcs):
-    """S from the U12 block of one LU with the data nodes last is the Schur
-    complement that interior solves with an independent LU of A_uu give."""
-    fac = factor_interior(disk_matrices, 1.0, partition_of(disk_matrices.n_boundary, arcs))
-    a_uu, a_ud, a_dd = reference_blocks(disk_matrices, fac)
+    """S from the root of the partial Cholesky factor, its neumann_zero block
+    eliminated, is the Schur complement that interior solves with an
+    independent LU of A_uu give."""
+    partition = partition_of(disk_matrices.n_boundary, arcs)
+    fac = factor_interior(disk_matrices, 1.0, partition)
+    a_uu, a_ud, a_dd, _ = reference_blocks(disk_matrices, 1.0, partition)
     s_solve = a_dd - a_ud.T @ splu(a_uu).solve(a_ud.toarray())
     s_elim = build_dtn(fac).schur
     assert np.array_equal(s_elim, s_elim.T)
@@ -65,19 +59,19 @@ def test_schur_elimination_matches_interior_solves(disk_matrices, arcs):
 @pytest.mark.parametrize("p", [0.0, 1.0, 1e3])
 @pytest.mark.parametrize("arcs", PARTITION_ARCS)
 def test_extensions_match_independent_solve(disk_matrices, rng, p, arcs):
-    """A solve with the boundary-last factor gives the harmonic
+    """A solve with the partial Cholesky factor gives the harmonic
     extension that an independent LU of A_uu gives, and it solves A u = 0
     on the unknowns."""
     partition = partition_of(disk_matrices.n_boundary, arcs)
     fac = factor_interior(disk_matrices, p, partition)
-    a_uu, a_ud, _ = reference_blocks(disk_matrices, fac)
+    a_uu, a_ud, _, unknown = reference_blocks(disk_matrices, p, partition)
     f = rng.standard_normal((len(fac.data_nodes), 3))
     u = solve_dirichlet(fac, f)
     expected = splu(a_uu).solve(-(a_ud @ f))
-    got = u[fac.unknown_nodes]
+    got = u[unknown]
     assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
     A = (p * disk_matrices.mass + disk_matrices.stiffness).tocsr()
-    residual = (A @ u)[fac.unknown_nodes]
+    residual = (A @ u)[unknown]
     assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(a_ud @ f)
     assert np.array_equal(u[fac.data_nodes], f)
     if partition is not None:
@@ -88,40 +82,27 @@ def test_extensions_match_independent_solve(disk_matrices, rng, p, arcs):
 @pytest.mark.parametrize("p", [0.0, 1.0, 1e3])
 @pytest.mark.parametrize("arcs", PARTITION_ARCS)
 def test_boundary_last_factor_needs_no_fallback(disk_matrices, p, arcs):
-    """Nothing is pivoted, and the data rows [0, I] of the factored matrix
-    are never updated: L's and U's trailing blocks are exactly the identity
-    and L21 is empty, so the trailing pivots are exactly 1, also at p = 0,
-    where S is singular."""
+    """The factor eliminates the interior nodes alone, with positive pivots,
+    also at p = 0, where S is singular, and keeps the boundary nodes in a
+    root that is never eliminated. In rank order, with L = [L_ii; W] the
+    stored factor, L_ii L_ii^T is the interior block of A and the root is
+    A_bb - W W^T. The partition enters only after the root: the factor's
+    panels and root are those of the factor with no partition."""
     fac = factor_interior(disk_matrices, p, partition_of(disk_matrices.n_boundary, arcs))
-    lu = fac.lu
-    natural = np.arange(len(fac.unknown_nodes) + len(fac.data_nodes))
-    assert np.array_equal(lu.perm_r, natural) and np.array_equal(lu.perm_c, natural)
-    n_u = len(fac.unknown_nodes)
-    identity = np.eye(len(fac.data_nodes))
-    for factor in (lu.L, lu.U):
-        assert np.array_equal(factor[n_u:, n_u:].toarray(), identity)
-    assert lu.L[n_u:, :n_u].count_nonzero() == 0
-    assert lu.U.diagonal()[:n_u].min() > 0
-
-
-@pytest.mark.parametrize("share", [0.0, fem.DENSE_ROW_SHARE, 2.0])
-def test_schur_dense_and_sparse_rows_match_interior_solves(disk_matrices, monkeypatch, share):
-    """Through the syrk rows alone, the sparse-product rows alone, and both
-    (the module's split, where both row sets are non-empty on this mesh), S
-    is the Schur complement that interior solves with an independent LU of
-    A_uu give."""
-    fac = factor_interior(disk_matrices, 1.0)
-    n_u, n_s = len(fac.unknown_nodes), len(fac.data_nodes)
-    row_nnz = np.diff(fac.lu.U[:n_u, n_u:].tocsr().indptr)
-    if share == fem.DENSE_ROW_SHARE:
-        dense = row_nnz > share * n_s
-        assert dense.any() and (row_nnz[~dense] > 0).any()
-    monkeypatch.setattr(fem, "DENSE_ROW_SHARE", share)
-    a_uu, a_ud, a_dd = reference_blocks(disk_matrices, fac)
-    s_solve = a_dd - a_ud.T @ splu(a_uu).solve(a_ud.toarray())
-    s = fac.schur()
-    assert np.array_equal(s, s.T)
-    assert np.abs(s - s_solve).max() <= 1e-12 * np.abs(s_solve).max()
+    ni = disk_matrices.n_interior
+    order = np.argsort(disk_matrices.fronts.rank)
+    A = (p * disk_matrices.mass + disk_matrices.stiffness).tocsr()[order][:, order]
+    L = fac.lu.L.tocsr()
+    assert (fac.lu.U != L.T).nnz == 0
+    assert L.shape == (disk_matrices.n_nodes, ni)
+    assert L.diagonal().min() > 0
+    l_ii, w = L[:ni], L[ni:]
+    scale = abs(A).max()
+    assert abs(l_ii @ l_ii.T - A[:ni, :ni]).max() <= 1e-13 * scale
+    assert np.abs(fac.root - (A[ni:, ni:] - w @ w.T).toarray()).max() <= 1e-13 * scale
+    assert np.array_equal(fac.root, fac.root.T)
+    plain = factor_interior(disk_matrices, p)
+    assert np.array_equal(fac.panels, plain.panels) and np.array_equal(fac.root, plain.root)
 
 
 def test_schur_on_disconnected_mesh():
@@ -144,6 +125,37 @@ def test_schur_on_disconnected_mesh():
     ii, ee = slice(0, 2), slice(2, 10)
     s_dense = A[ee, ee] - A[ee, ii] @ np.linalg.solve(A[ii, ii], A[ii, ee])
     assert np.abs(op.schur - s_dense).max() < 1e-14
+
+
+def test_schur_on_disconnected_interior():
+    """Two separate meshed squares: no edge crosses the top cut, so the top
+    separator is empty, the plan leaves it out and the two halves' top
+    fronts both send their updates to the root. S and the extensions agree
+    with dense linear algebra, with no coupling between the squares."""
+    one = generate_mesh(geometry.build_domain(geometry.RectangleSpec(1.0, 1.0)), 0.08)
+    ni, nb = one.n_interior, one.n_boundary
+
+    def place(triangles, second):  # node indices of one square in the pair
+        return np.where(triangles < ni, triangles + second * ni, triangles + ni + second * nb)
+
+    shift = np.array([3.0, 0.0])
+    nodes = np.vstack([one.nodes[:ni], one.nodes[:ni] + shift, one.nodes[ni:], one.nodes[ni:] + shift])
+    tris = np.vstack([place(one.triangles, 0), place(one.triangles, 1)])
+    mats = assemble(Mesh(nodes=nodes, n_interior=2 * ni, triangles=tris, h_max=one.h_max))
+    plan = mats.fronts
+    assert np.count_nonzero(plan.parent < 0) == 2
+    p = 0.7
+    fac = factor_interior(mats, p)
+    A = (p * mats.mass + mats.stiffness).toarray()
+    ii, ee = slice(0, 2 * ni), slice(2 * ni, 2 * ni + 2 * nb)
+    s_dense = A[ee, ee] - A[ee, ii] @ np.linalg.solve(A[ii, ii], A[ii, ee])
+    s = fac.schur()
+    assert np.abs(s - s_dense).max() <= 1e-12 * np.abs(s_dense).max()
+    assert not s[:nb, nb:].any()
+    f = np.random.default_rng(3).standard_normal(2 * nb)
+    u = solve_dirichlet(fac, f)
+    expected = -np.linalg.solve(A[ii, ii], A[ii, ee] @ f)
+    assert np.abs(u[ii] - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 def test_constants_in_kernel_at_p0(disk_matrices):
