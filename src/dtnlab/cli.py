@@ -156,24 +156,26 @@ def cmd_solve(cfg: argparse.Namespace, rep: Reporter) -> None:
     _, msh, matrices = _mesh(cfg, rep)
     with rep.time("solve"):
         spectrum = solve(matrices, cfg.p, cfg.count, extensions=cfg.vectors)[1]
-    dtn.write_csv(rep.path("eigenvalues.csv"), ["k", "mu"], enumerate(spectrum.eigenvalues))
-    meshmod.export_mesh(msh, rep.path("mesh.txt"))
-    if cfg.vectors:
-        _write_vectors(rep, spectrum.extensions.T)
-    rep.payload["eigenvalues"] = spectrum.eigenvalues
+    _write_spectrum(rep, msh, spectrum)
     rep.payload["method"] = "fem"
 
 
-def _write_vectors(rep: Reporter, extensions) -> None:
-    """One ``eigenvector_XXX.txt`` per mode, a value per node in mesh order."""
-    for k, values in enumerate(extensions):
-        np.savetxt(rep.path(f"eigenvector_{k:03d}.txt"), values, fmt="%.17g")
+def _write_spectrum(rep: Reporter, msh: meshmod.Mesh, spectrum: dtn.Spectrum) -> None:
+    """``eigenvalues.csv``, ``mesh.txt`` and, when the spectrum carries
+    extensions, one ``eigenvector_XXX.txt`` per mode, a value per node in
+    mesh order; the report gets the eigenvalues."""
+    dtn.write_csv(rep.path("eigenvalues.csv"), ["k", "mu"], enumerate(spectrum.eigenvalues))
+    meshmod.export_mesh(msh, rep.path("mesh.txt"))
+    if spectrum.extensions is not None:
+        for k, values in enumerate(spectrum.extensions.T):
+            np.savetxt(rep.path(f"eigenvector_{k:03d}.txt"), values, fmt="%.17g")
+    rep.payload["eigenvalues"] = spectrum.eigenvalues
 
 
 def cmd_green_solve(cfg: argparse.Namespace, rep: Reporter) -> None:
     from . import greens
 
-    _, _, matrices = _mesh(cfg, rep)
+    _, msh, matrices = _mesh(cfg, rep)
     # the p > 0 rule needs no basis: fail (exit 3) before building them
     greens._check_pressure(cfg.p)
     with rep.time("robin_bases"):
@@ -183,12 +185,10 @@ def cmd_green_solve(cfg: argparse.Namespace, rep: Reporter) -> None:
         spec = greens.dtn_spectrum_via_green(
             matrices, cfg.q, cfg.p, cfg.m, cfg.count, basis0, basis_q
         )
-    dtn.write_csv(rep.path("eigenvalues.csv"), ["k", "mu"], enumerate(spec.eigenvalues))
     if cfg.vectors:
         with rep.time("extensions"):
-            _write_vectors(rep, (greens.extend_via_green(basis0, spec, k)
-                                 for k in range(spec.count)))
-    rep.payload["eigenvalues"] = spec.eigenvalues
+            spec = greens.extend_via_green(basis0, spec)
+    _write_spectrum(rep, msh, spec)
     rep.payload["method"] = "green"
     rep.payload["green_q"] = cfg.q
     rep.payload["green_m"] = cfg.m

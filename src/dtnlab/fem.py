@@ -426,7 +426,8 @@ class InteriorFactor:
     at the root: its neumann_zero block is factored densely (``dpotrf``),
     and ``schur`` eliminates it and leaves out the dirichlet_zero rows and
     columns. ``panels`` holds every front's L11 and L21
-    (``FrontPlan.offset``).
+    (``FrontPlan.offset``); it and each front's views of it are read-only,
+    as the root is.
 
     Immutable; solves and ``schur`` are reusable and thread-safe.
     """
@@ -482,7 +483,9 @@ class InteriorFactor:
             self._fronts.append((l11, l21))
         # the updates fill the lower triangle only
         _mirror_lower(root)
-        root.flags.writeable = False
+        # a view keeps the writeable flag it was made with, so each is set
+        for a in (root, self.panels, *(v for front in self._fronts for v in front)):
+            a.setflags(write=False)
         self.root = root
         self._neumann_factor = None
         if len(self._neumann):

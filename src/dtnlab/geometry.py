@@ -158,12 +158,15 @@ def polygon_perimeter(vertices: np.ndarray) -> float:
 
 def interior_angles(vertices: np.ndarray) -> np.ndarray:
     """Interior angles in (0, 2pi) at each vertex of a CCW simple polygon."""
+    cross, dot = _turns(vertices)
+    return np.mod(math.pi - np.arctan2(cross, dot), TWO_PI)
+
+
+def _turns(vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The cross and dot products of the edges into and out of each vertex."""
     prev = vertices - np.roll(vertices, 1, axis=0)
     nxt = np.roll(vertices, -1, axis=0) - vertices
-    cross = prev[:, 0] * nxt[:, 1] - prev[:, 1] * nxt[:, 0]
-    dot = (prev * nxt).sum(axis=1)
-    turn = np.arctan2(cross, dot)
-    return np.mod(math.pi - turn, TWO_PI)
+    return prev[:, 0] * nxt[:, 1] - prev[:, 1] * nxt[:, 0], (prev * nxt).sum(axis=1)
 
 
 def _segments_intersect(p1, p2, p3, p4) -> bool:
@@ -437,6 +440,11 @@ def _polygon_domain(spec: DomainSpec, vertices: np.ndarray) -> Domain:
     vertices = np.asarray(vertices, dtype=float)
     if len(vertices) < 3:
         raise GeometryError("polygon needs at least 3 vertices")
+    # a vertex where the boundary goes exactly straight on (turn angle 0) is
+    # no corner: the domain drops it, so the mesher neither samples at it nor
+    # leaves the short edge it may cut off; the spec keeps it
+    cross, dot = _turns(vertices)
+    vertices = vertices[(cross != 0) | (dot <= 0)]
     area = shoelace_area(vertices)
     if area <= 0:
         raise GeometryError("polygon vertices must be in CCW order with positive area")

@@ -6,14 +6,17 @@ eigenvalues below it, and its Gram-Schmidt pass in cache-sized blocks of the
 stored vectors, expands the screened Green's function over it, assembles the
 regularized boundary kernel (G_0 - G_q)/q with lumped boundary quadrature
 weights w, and recovers the boundary spectrum through eta -> mu inversion,
-orthonormal in diag(w), its ``boundary_mass``. Serves as an independent
-cross-check of the Schur route. The caller builds the two Robin bases
-(q = 0 and q) once and passes them in; a basis whose q or truncation does
-not match raises ``GreensError``, and so does p = 0, where G_0 is singular.
+orthonormal in diag(w), its ``boundary_mass``. The interior eigenfunctions
+come as that spectrum's ``extensions`` (``extend_via_green``), boundary
+quadrature against G_0 for every mode in one low-rank product through the
+q = 0 basis. Serves as an independent cross-check of the Schur route. The
+caller builds the two Robin bases (q = 0 and q) once and passes them in; a
+basis whose q or truncation does not match raises ``GreensError``, and so
+does p = 0, where G_0 is singular.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import sparse
@@ -175,23 +178,23 @@ def _lanczos(solve, M, m: int, cap: int, below: int):
                       f"in {cap} Lanczos steps{count}")
 
 
-def green_function(basis: RobinEigenbasis, p: float, idx0, idx1=None) -> np.ndarray:
-    """Truncated expansion of the screened Green's function between node sets.
+def green_function(basis: RobinEigenbasis, p: float, idx) -> np.ndarray:
+    """Truncated expansion of the screened Green's function on one node set.
 
-    Returns the (len(idx0), len(idx1)) matrix sum_k u_k(x0) u_k(x1) / (p + lambda_k).
+    Returns the (len(idx), len(idx)) matrix sum_k u_k(x0) u_k(x1) / (p + lambda_k),
+    exactly symmetric.
     """
+    u = basis.modes[np.atleast_1d(idx)]
+    g = (u / _screen(basis, p)) @ u.T
+    return 0.5 * (g + g.T)  # enforce the symmetry the expansion has exactly
+
+
+def _screen(basis: RobinEigenbasis, p: float) -> np.ndarray:
+    """The expansion's denominators p + lambda_k, each positive."""
     denom = p + basis.eigenvalues
     if denom.min() <= 0:
         raise GreensError("p + lambda_0 must be positive")
-    idx0 = np.atleast_1d(idx0)
-    same = idx1 is None
-    idx1 = idx0 if same else np.atleast_1d(idx1)
-    u0 = basis.modes[idx0]
-    u1 = basis.modes[idx1]
-    g = (u0 / denom) @ u1.T
-    if same:
-        g = 0.5 * (g + g.T)  # enforce the symmetry the expansion has exactly
-    return g
+    return denom
 
 
 def _check_pressure(p: float) -> None:
@@ -263,16 +266,24 @@ def dtn_spectrum_via_green(
                    sparse.diags(w))
 
 
-def extend_via_green(basis0: RobinEigenbasis, spectrum: Spectrum, k: int) -> np.ndarray:
-    """Interior extension by boundary quadrature against G_0 (``basis0``, the
-    q = 0 basis), at the spectrum's p, over its boundary nodes weighted by
-    the row sums of its ``boundary_mass``.
+def extend_via_green(basis0: RobinEigenbasis, spectrum: Spectrum) -> Spectrum:
+    """A copy of ``spectrum`` with the interior extensions of its vectors, as
+    ``dtn.attach_extensions`` gives the Schur route's: boundary quadrature
+    against G_0 (``basis0``, the q = 0 basis) at the spectrum's p, over its
+    boundary nodes weighted by the row sums w of its ``boundary_mass``.
 
-    A spectrum at p = 0 raises ``GreensError``, as ``dtn_spectrum_via_green``
-    does: G_0 is singular there.
+    Mode k's extension is G_0 (w mu_k v_k). With U the basis modes and U_b
+    their rows at the boundary nodes, every mode comes from one low-rank
+    product, ``U diag(1/(p + lambda)) (U_b^T (diag(w) V diag(mu)))``, so no
+    n_nodes x n_b Green matrix is formed.
+
+    A spectrum at p = 0 raises ``GreensError`` before any product, as
+    ``dtn_spectrum_via_green`` does: G_0 is singular there.
     """
     _check_basis(basis0, "basis0", 0.0)
     _check_pressure(spectrum.p)
+    denom = _screen(basis0, spectrum.p)
     w = np.asarray(spectrum.boundary_mass.sum(axis=1)).ravel()
-    g0 = green_function(basis0, spectrum.p, np.arange(spectrum.n_nodes), spectrum.steklov_nodes)
-    return g0 @ (w * spectrum.eigenvalues[k] * spectrum.vectors[:, k])
+    weighted = w[:, None] * spectrum.vectors * spectrum.eigenvalues
+    coeffs = basis0.modes[spectrum.steklov_nodes].T @ weighted
+    return replace(spectrum, extensions=basis0.modes @ (coeffs / denom[:, None]))

@@ -261,8 +261,9 @@ def test_green_solve_reports_both_lanczos_runs(tmp_path):
 
 
 def test_green_solve_vectors_writes_the_green_extensions(tmp_path):
-    """``green-solve --vectors`` writes the Green route's extensions,
-    ``extend_via_green`` of each mode, in the files of ``solve --vectors``."""
+    """``green-solve --vectors`` writes the Green route's extensions, the
+    columns of ``extend_via_green``'s spectrum, in the files of ``solve
+    --vectors``, next to the ``mesh.txt`` whose nodes they index."""
     from dtnlab import greens
 
     rc = run_cli("green-solve", "--domain", "disk:R=1", "--h", "0.2", "--p", "1",
@@ -273,11 +274,14 @@ def test_green_solve_vectors_writes_the_green_extensions(tmp_path):
     basis0 = greens.robin_eigenbasis(matrices, 0.0, 40)
     spec = greens.dtn_spectrum_via_green(matrices, 1.0, 1.0, 40, 3, basis0,
                                          greens.robin_eigenbasis(matrices, 1.0, 40))
+    extensions = greens.extend_via_green(basis0, spec).extensions
     files = sorted(tmp_path.glob("eigenvector_*.txt"))
     assert [f.name for f in files] == [f"eigenvector_{k:03d}.txt" for k in range(3)]
     for k, f in enumerate(files):
         assert len(f.read_text().splitlines()) == msh.n_nodes
-        assert np.array_equal(np.loadtxt(f), greens.extend_via_green(basis0, spec, k))
+        assert np.array_equal(np.loadtxt(f), extensions[:, k])
+    meshmod.export_mesh(msh, tmp_path / "expected_mesh.txt")
+    assert (tmp_path / "mesh.txt").read_bytes() == (tmp_path / "expected_mesh.txt").read_bytes()
 
 
 def test_green_solve_at_p0_exits_3(tmp_path, capsys):
@@ -601,17 +605,22 @@ def test_one_degree_corner_meshes_only_at_fine_h(tmp_path, capsys, h, code):
 
 
 @pytest.mark.parametrize("vertex, h, code", [
-    ((1.0, 1e-12), 0.1, 3), ((1.0, 1e-12), 0.05, 3),
+    ((1.0, 1e-12), 0.1, 0), ((1.0, 1e-12), 0.05, 0),
     ((0.5, 1e-13), 0.1, 0), ((0.5, 1e-13), 0.05, 0),
     ((0.5, -1e-13), 0.1, 0), ((0.5, -1e-13), 0.05, 0),
+    ((1.0 + 1e-12 / 64, 1e-12), 0.1, 3), ((1.0 + 1e-12 / 64, 1e-12), 0.05, 3),
 ])
 def test_short_edge_and_near_collinear_vertex(tmp_path, capsys, vertex, h, code):
     """The unit square with one more vertex. On its right side at (1, 1e-12)
-    it leaves an edge no mesh attempt resolves: ``solve`` exits 3 with the
-    MeshError record. Just off its bottom side at (0.5, +-1e-13) it is a
-    corner of about 180 degrees, and the square meshes and solves."""
+    the boundary goes exactly straight on, so the domain drops the vertex
+    and the short edge it cut off, and the square meshes and solves. Just
+    off its bottom side at (0.5, +-1e-13) it is a corner of 180 degrees
+    +-4e-13, which the domain keeps, and the square meshes and solves. At
+    (1 + 1e-12/64, 1e-12) it is a corner of about 179.1 degrees that leaves
+    an edge no mesh attempt resolves: ``solve`` exits 3 with the MeshError
+    record (``test_short_edge_fails_every_attempt``)."""
     corners = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
-    corners.insert(2 if vertex[0] == 1.0 else 1, vertex)
+    corners.insert(2 if vertex[0] >= 1.0 else 1, vertex)
     shape = tmp_path / "square.json"
     shape.write_text(geometry.spec_to_json(geometry.PolygonSpec(tuple(corners))))
     out = tmp_path / "out"

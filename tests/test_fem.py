@@ -278,6 +278,16 @@ def test_factor_arrays_unchanged_by_extensions(disk_matrices, rng):
         sys.setswitchinterval(interval)
 
 
+def test_factor_arrays_are_read_only(disk_matrices):
+    """The stored factor refuses writes: its root, its panels and every
+    front's (L11, L21) views of them. A view keeps the writeable flag it was
+    made with, so each is marked, not only the buffer under them."""
+    fac = factor_interior(disk_matrices, 1.0)
+    for array in (fac.root, fac.panels, *(v for front in fac._fronts for v in front)):
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0.0
+
+
 def test_negative_p_rejected(disk_matrices):
     with pytest.raises(FemError):
         factor_interior(disk_matrices, p=-1.0)

@@ -236,9 +236,16 @@ def test_green_diagonal_grows_with_truncation(disk_matrices):
     assert g_big > g_small
 
 
-def test_green_function_positivity_guard(neumann_basis):
-    with pytest.raises(GreensError):
+def test_green_function_positivity_guard(disk_matrices, neumann_basis, robin_basis):
+    """p + lambda_k must be positive, in the kernel and in the extensions."""
+    with pytest.raises(GreensError, match=r"p \+ lambda_0 must be positive"):
         green_function(neumann_basis, -1.0, np.array([0]))
+    spec = dtn_spectrum_via_green(disk_matrices, 1.0, 1.0, 40, 2, neumann_basis, robin_basis)
+    basis0 = dataclasses.replace(
+        neumann_basis, eigenvalues=np.r_[-2.0, neumann_basis.eigenvalues[1:]]
+    )
+    with pytest.raises(GreensError, match=r"p \+ lambda_0 must be positive"):
+        extend_via_green(basis0, spec)
 
 
 @settings(max_examples=50, deadline=None)
@@ -394,7 +401,7 @@ def test_extend_via_green_disk_profile(disk_matrices, disk_mesh):
     basis0 = robin_eigenbasis(disk_matrices, 0.0, m)
     basis_q = robin_eigenbasis(disk_matrices, 1.0, m)
     spec = dtn_spectrum_via_green(disk_matrices, 1.0, 1.0, m, 3, basis0, basis_q)
-    V0 = extend_via_green(basis0, spec, 0)
+    V0 = extend_via_green(basis0, spec).extensions[:, 0]
     pair = analytic.disk_spectrum(1.0, 1.0, 1)[0]
     exact = pair.value(disk_mesh.nodes)
     if np.dot(V0, exact) < 0:
@@ -407,26 +414,51 @@ def test_extend_via_green_disk_profile(disk_matrices, disk_mesh):
     assert np.sqrt(np.mean((tr - v) ** 2)) < 2e-2
 
 
+@pytest.mark.parametrize("p", [0.3, 1.0, 3.0])
+def test_extend_via_green_is_the_dense_quadrature_of_every_mode(
+    disk_matrices, neumann_basis, robin_basis, p
+):
+    """Every column of the extensions is mode k's boundary quadrature
+    against the dense Green matrix G_0 from all nodes to the boundary nodes,
+    G_0 (w mu_k v_k), to 1e-12 relative; the rest of the spectrum is the
+    one given."""
+    spec = dtn_spectrum_via_green(disk_matrices, 1.0, p, 40, 5, neumann_basis, robin_basis)
+    ext = extend_via_green(neumann_basis, spec)
+    assert ext.extensions.shape == (spec.n_nodes, spec.count)
+    kept = [f.name for f in dataclasses.fields(spec) if f.name != "extensions"]
+    assert all(getattr(ext, name) is getattr(spec, name) for name in kept)
+    u0 = neumann_basis.modes
+    denom = p + neumann_basis.eigenvalues
+    w = np.asarray(spec.boundary_mass.sum(axis=1)).ravel()
+    for k in range(spec.count):
+        ref = (u0 / denom) @ u0[spec.steklov_nodes].T @ (w * spec.eigenvalues[k] * spec.vectors[:, k])
+        assert np.abs(ext.extensions[:, k] - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
 P0_MESSAGE = "the Green route needs p > 0: at p = 0, G_0 is the Neumann Green's function"
 
 
 def test_extend_via_green_p0_k0_excluded(disk_matrices, neumann_basis, robin_basis):
-    """At p = 0 no mode extends, the constant one (k = 0) or any other."""
+    """At p = 0 no mode extends, the constant one (k = 0) or any other:
+    a spectrum of either mode alone raises, and so does one of both."""
     spec = dataclasses.replace(
         dtn_spectrum_via_green(disk_matrices, 1.0, 1.0, 40, 2, neumann_basis, robin_basis), p=0.0
     )
-    for k in (0, 1):
+    for modes in ([0], [1], [0, 1]):
+        window = dataclasses.replace(
+            spec, eigenvalues=spec.eigenvalues[modes], vectors=spec.vectors[:, modes]
+        )
         with pytest.raises(GreensError, match=P0_MESSAGE):
-            extend_via_green(neumann_basis, spec, k)
+            extend_via_green(neumann_basis, window)
 
 
 @pytest.mark.parametrize("lambda0", [3.6e-15, -3.2e-15])
 def test_green_route_rejects_p0_whatever_the_sign_of_lambda0(
     disk_matrices, neumann_basis, robin_basis, monkeypatch, lambda0
 ):
-    """G_0 at p = 0 is the singular Neumann kernel. Both Green functions say
-    so before any kernel is formed, whether lambda_0 rounds to a small
-    positive or a small negative number."""
+    """G_0 at p = 0 is the singular Neumann kernel. The spectrum and the
+    extensions say so before any kernel or product is formed, whether
+    lambda_0 rounds to a small positive or a small negative number."""
     basis0 = dataclasses.replace(
         neumann_basis, eigenvalues=np.r_[lambda0, neumann_basis.eigenvalues[1:]]
     )
@@ -441,15 +473,15 @@ def test_green_route_rejects_p0_whatever_the_sign_of_lambda0(
     for p in (0.0, -1.0):
         with pytest.raises(GreensError, match=P0_MESSAGE):
             dtn_spectrum_via_green(disk_matrices, 1.0, p, 40, 2, basis0, robin_basis)
+    # a basis without modes fails any product with a TypeError
     with pytest.raises(GreensError, match=P0_MESSAGE):
-        extend_via_green(basis0, spec, 1)
-
+        extend_via_green(dataclasses.replace(basis0, modes=None), spec)
 
 
 def test_extend_via_green_needs_the_neumann_basis(disk_matrices, neumann_basis, robin_basis):
     spec = dtn_spectrum_via_green(disk_matrices, 1.0, 1.0, 40, 2, neumann_basis, robin_basis)
     with pytest.raises(GreensError, match="expected q = 0"):
-        extend_via_green(robin_basis, spec, 1)
+        extend_via_green(robin_basis, spec)
 
 
 @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(RobinEigenbasis)])

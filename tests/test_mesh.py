@@ -540,14 +540,33 @@ def test_spectrum_is_invariant_under_rigid_motions(shape, motion):
 @pytest.mark.parametrize("h", [0.1, 0.02])
 @pytest.mark.parametrize("eps", [1e-3, 1e-6, 1e-7, 1e-9, 1e-12])
 def test_short_edge_fails_every_attempt(h, eps):
-    """A known limit of the mesher: a vertex (1, eps) on the unit square's
-    right side leaves an edge of length eps, which no attempt meshes. From
-    eps = 1e-3 to 1e-6 triangles at it stay below the quality floor, from
-    1e-7 on the edge is on no triangle; each attempt fails. A mesher that
-    meshes it updates this test."""
-    dom = geometry.build_domain(geometry.PolygonSpec(((0, 0), (1, 0), (1, eps), (1, 1), (0, 1))))
+    """A known limit of the mesher: a vertex (1 + eps/64, eps) by the unit
+    square's corner (1, 0) is a corner of about 179.1 degrees and leaves an
+    edge of length eps, which no attempt meshes. From eps = 1e-3 to 1e-6
+    triangles at it stay below the quality floor, from 1e-7 on the edge is
+    on no triangle; each attempt fails. A mesher that meshes it updates this
+    test."""
+    vertex = (1 + eps / 64, eps)
+    dom = geometry.build_domain(geometry.PolygonSpec(((0, 0), (1, 0), vertex, (1, 1), (0, 1))))
     with pytest.raises(MeshError, match="did not converge"):
         generate_mesh(dom, h)
+
+
+@pytest.mark.parametrize("h", [0.1, 0.05, 0.02])
+@pytest.mark.parametrize("eps", [1e-3, 1e-6, 1e-7, 1e-9, 1e-12])
+def test_straight_vertex_is_no_corner(h, eps):
+    """A vertex (1, eps) on the unit square's right side is exactly
+    straight: the domain drops it, while its spec keeps it, and the square
+    meshes exactly as the plain one does, with no short edge."""
+    spec = geometry.PolygonSpec(((0, 0), (1, 0), (1, eps), (1, 1), (0, 1)))
+    dom = geometry.build_domain(spec)
+    plain = geometry.build_domain(geometry.PolygonSpec(((0, 0), (1, 0), (1, 1), (0, 1))))
+    assert len(spec.vertices) == 5
+    assert np.array_equal(dom.vertices, plain.vertices)
+    assert np.array_equal(dom.angles, plain.angles)
+    assert (dom.area, dom.perimeter) == (plain.area, plain.perimeter)
+    msh, ref = generate_mesh(dom, h), generate_mesh(plain, h)
+    assert np.array_equal(msh.nodes, ref.nodes) and np.array_equal(msh.triangles, ref.triangles)
 
 
 @pytest.mark.parametrize("seed", range(30))
